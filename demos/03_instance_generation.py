@@ -28,8 +28,8 @@ assert draws.min() > 0 and draws.max() <= 2
 # =============================================================================
 # One graph of each family, plus a network.
 
-out_tree = ls.gen_tree(rng, ls.TreeDirection.OUT)
-in_tree = ls.gen_tree(rng, ls.TreeDirection.IN)
+out_tree = ls.gen_tree(rng, ls.GraphKind.OUT_TREES)
+in_tree = ls.gen_tree(rng, ls.GraphKind.IN_TREES)
 chains = ls.gen_chains(rng)
 print(f"out-tree: {len(out_tree.tasks)} tasks, {len(out_tree.deps)} edges")
 print(f"in-tree:  {len(in_tree.tasks)} tasks, {len(in_tree.deps)} edges")

@@ -26,16 +26,10 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .datagen import Dataset
-from .model import (
-    NodeId,
-    ProblemInstance,
-    TaskId,
-    makespan,
-    topological_order,
-)
+from .model import ProblemInstance, TaskId, makespan
 from .priority import PriorityKind
-from .scheduler import SchedulerConfig, config_by_name, schedule
-from .selection import CompareKind, _insertion_window
+from .scheduler import SchedulerConfig, config_by_name, enumerate_configs, schedule
+from .selection import CompareKind, _PlacementState
 
 RESULTS_HEADER = [
     "dataset",
@@ -194,6 +188,8 @@ def compute_ratios(records: Iterable[BenchmarkRecord]) -> list[RatioRow]:
         min_runtime = min(r.runtime_seconds for r in ok)
         if min_makespan == 0:
             raise ValueError(f"degenerate instance {key}: minimum makespan is 0")
+        if min_runtime == 0:
+            raise ValueError(f"degenerate instance {key}: minimum runtime is 0")
         for r in ok:
             rows.append(
                 RatioRow(
@@ -250,17 +246,9 @@ def pareto_front(points: Sequence[tuple[str, float, float]]) -> list[ParetoPoint
     ]
 
 
-def _config_of(scheduler_name: str, configs: Mapping[str, SchedulerConfig] | None) -> SchedulerConfig:
-    if configs is not None and scheduler_name in configs:
-        return configs[scheduler_name]
-    return config_by_name(scheduler_name)
-
-
-def _level_of(
-    row: RatioRow, parameter: str, configs: Mapping[str, SchedulerConfig] | None
-) -> str:
+def _level_of(row: RatioRow, parameter: str) -> str:
     if parameter in CONFIG_PARAMETERS:
-        config = _config_of(row.scheduler, configs)
+        config = config_by_name(row.scheduler)
         value = getattr(config, parameter)
         return value.value if hasattr(value, "value") else str(value)
     if parameter in DERIVED_PARAMETERS:
@@ -274,16 +262,12 @@ def _level_of(
     raise ValueError(f"unknown parameter {parameter!r}")
 
 
-def _require_full_cross_product(
-    rows: Sequence[RatioRow], configs: Mapping[str, SchedulerConfig] | None
-) -> None:
-    from .scheduler import enumerate_configs
-
+def _require_full_cross_product(rows: Sequence[RatioRow]) -> None:
     all_configs = {config for _, config in enumerate_configs()}
     seen: dict[tuple[str, int], set[SchedulerConfig]] = {}
     for row in rows:
         key = (row.dataset, row.instance_index)
-        seen.setdefault(key, set()).add(_config_of(row.scheduler, configs))
+        seen.setdefault(key, set()).add(config_by_name(row.scheduler))
     for key, group in seen.items():
         if group != all_configs:
             raise ValueError(
@@ -293,33 +277,28 @@ def _require_full_cross_product(
             )
 
 
-def _levels_for(
-    parameter: str, rows: Sequence[RatioRow], configs: Mapping[str, SchedulerConfig] | None
-) -> list[str]:
+def _levels_for(parameter: str, rows: Sequence[RatioRow]) -> list[str]:
     if parameter in CONFIG_PARAMETERS:
         return list(CONFIG_PARAMETERS[parameter])
-    observed = {_level_of(row, parameter, configs) for row in rows}
+    observed = {_level_of(row, parameter) for row in rows}
     if parameter == "ccr":
         return sorted(observed, key=float)
     return sorted(observed)
 
 
-def component_effects(
-    rows: Sequence[RatioRow],
-    configs: Mapping[str, SchedulerConfig] | None = None,
-) -> list[EffectRow]:
+def component_effects(rows: Sequence[RatioRow]) -> list[EffectRow]:
     """Mean ratios per configuration-parameter level over the full design.
 
     Requires every (dataset, instance) group to cover all 72
     configurations; with the balanced design, each level mean aggregates
     the same number of rows and the parameter means share the grand mean.
     """
-    _require_full_cross_product(rows, configs)
+    _require_full_cross_product(rows)
     out: list[EffectRow] = []
     for parameter, levels in CONFIG_PARAMETERS.items():
         sums = {level: [0.0, 0.0, 0] for level in levels}
         for row in rows:
-            acc = sums[_level_of(row, parameter, configs)]
+            acc = sums[_level_of(row, parameter)]
             acc[0] += row.makespan_ratio
             acc[1] += row.runtime_ratio
             acc[2] += 1
@@ -333,7 +312,6 @@ def interaction_effects(
     rows: Sequence[RatioRow],
     parameter_a: str,
     parameter_b: str,
-    configs: Mapping[str, SchedulerConfig] | None = None,
 ) -> list[InteractionCell]:
     """Cell means of both ratios for every (level_a, level_b) pair.
 
@@ -342,14 +320,14 @@ def interaction_effects(
     """
     if parameter_a == parameter_b:
         raise ValueError("interaction parameters must differ")
-    _require_full_cross_product(rows, configs)
-    levels_a = _levels_for(parameter_a, rows, configs)
-    levels_b = _levels_for(parameter_b, rows, configs)
+    _require_full_cross_product(rows)
+    levels_a = _levels_for(parameter_a, rows)
+    levels_b = _levels_for(parameter_b, rows)
     sums = {
         (a, b): [0.0, 0.0, 0] for a in levels_a for b in levels_b
     }
     for row in rows:
-        key = (_level_of(row, parameter_a, configs), _level_of(row, parameter_b, configs))
+        key = (_level_of(row, parameter_a), _level_of(row, parameter_b))
         acc = sums[key]
         acc[0] += row.makespan_ratio
         acc[1] += row.runtime_ratio
@@ -409,44 +387,17 @@ def brute_force_min_makespan(instance: ProblemInstance) -> float:
     if not tg.tasks:
         return 0.0
 
-    network = instance.network
-    cost = tg.compute_cost
-    sizes = tg.data_size
-    strength = {}
-    for u in nodes:
-        for v in nodes:
-            if u != v:
-                strength[(u, v)] = network.link_strength(u, v)
-    durations = {
-        (t, v): cost[t] / network.speed[v] for t in tg.tasks for v in nodes
-    }
-
     indeg = {t: len(tg.predecessors(t)) for t in tg.tasks}
     orders = list(_topological_orders(tg._succs, indeg))
 
     best = math.inf
-    n_tasks = len(topological_order(tg))
-    for assignment in itertools.product(nodes, repeat=n_tasks):
+    for assignment in itertools.product(nodes, repeat=len(tg.tasks)):
         for order in orders:
-            node_of = dict(zip(order, assignment))
-            placed: dict[TaskId, float] = {}
-            timelines: dict[NodeId, list] = {v: [] for v in nodes}
+            state = _PlacementState(instance, nodes)
             peak = 0.0
-            for t in order:
-                v = node_of[t]
-                ready = 0.0
-                for p in tg.predecessors(t):
-                    p_end = placed[p]
-                    arrival = (
-                        p_end
-                        if node_of[p] == v
-                        else p_end + sizes[(p, t)] / strength[(node_of[p], v)]
-                    )
-                    if arrival > ready:
-                        ready = arrival
-                window = _insertion_window(timelines[v], ready, durations[(t, v)])
-                _insert_interval(timelines[v], window.start, window.end, t)
-                placed[t] = window.end
+            for t, v in zip(order, assignment):
+                window = state.window(t, v, False)
+                state.place(t, v, window)
                 if window.end > peak:
                     peak = window.end
                     if peak >= best:
@@ -454,27 +405,6 @@ def brute_force_min_makespan(instance: ProblemInstance) -> float:
             else:
                 best = peak
     return best
-
-
-class _Interval:
-    __slots__ = ("start", "end", "task")
-
-    def __init__(self, start: float, end: float, task: TaskId):
-        self.start = start
-        self.end = end
-        self.task = task
-
-
-def _insert_interval(timeline: list, start: float, end: float, task: TaskId) -> None:
-    item = _Interval(start, end, task)
-    lo, hi = 0, len(timeline)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if timeline[mid].start < start:
-            lo = mid + 1
-        else:
-            hi = mid
-    timeline.insert(lo, item)
 
 
 # ---------------------------------------------------------------------------
@@ -532,10 +462,6 @@ def read_results_csv(path: str | Path) -> list[BenchmarkRecord]:
                 )
             )
     return records
-
-
-def write_ratios_csv(path: str | Path, records: Sequence[BenchmarkRecord]) -> None:
-    write_results_csv(path, records, compute_ratios(records))
 
 
 def write_pareto_csv(path: str | Path, points: Sequence[ParetoPoint]) -> None:

@@ -1,8 +1,9 @@
 """Command-line interface: generate, schedule, validate, benchmark, analyze.
 
 Exit codes: 0 on success, 1 on domain errors (invalid schedule, unknown
-scheduler name, malformed inputs), 2 on usage or IO errors.  All
-randomness enters through explicit --seed flags.
+scheduler name, malformed instance or dataset files, results that cannot
+be normalized), 2 on usage or IO errors.  All randomness enters through
+explicit --seed flags.
 """
 
 from __future__ import annotations
@@ -162,7 +163,11 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         if not Path(dir_path, "manifest.json").is_file():
             print(f"not a dataset directory: {dir_path}", file=sys.stderr)
             return EXIT_USAGE
-        datasets.append(datagen.load_dataset(dir_path))
+        try:
+            datasets.append(datagen.load_dataset(dir_path))
+        except (ValueError, KeyError) as exc:
+            print(f"invalid dataset {dir_path}: {exc}", file=sys.stderr)
+            return EXIT_DOMAIN
     records = bench.run_benchmark(
         datasets, configs, timing_repeats=args.repeats, jobs=args.jobs
     )

@@ -24,13 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import (
-    Network,
-    ProblemInstance,
-    TaskGraph,
-    instance_from_dict,
-    instance_to_dict,
-)
+from .model import Network, ProblemInstance, TaskGraph, load_instance, save_instance
 
 #: Relative accuracy of CCR scaling, used by tests and the generators.
 CCR_RTOL = 1e-9
@@ -75,13 +69,10 @@ def sample_weight(rng: np.random.Generator) -> float:
             return float(x)
 
 
-class TreeDirection(enum.Enum):
-    IN = "in"
-    OUT = "out"
-
-
-def gen_tree(rng: np.random.Generator, direction: TreeDirection) -> TaskGraph:
-    """Perfect tree task graph; edges point away from (Out) or into (In) the root."""
+def gen_tree(rng: np.random.Generator, kind: GraphKind) -> TaskGraph:
+    """Perfect tree task graph; edges point away from (out) or into (in) the root."""
+    if kind not in (GraphKind.IN_TREES, GraphKind.OUT_TREES):
+        raise ValueError(f"not a tree kind: {kind!r}")
     levels = int(rng.integers(2, 5))
     branching = int(rng.integers(2, 4))
     n = sum(branching**i for i in range(levels))
@@ -94,7 +85,7 @@ def gen_tree(rng: np.random.Generator, direction: TreeDirection) -> TaskGraph:
             child = branching * parent + k
             if child >= n:
                 break
-            if direction is TreeDirection.OUT:
+            if kind is GraphKind.OUT_TREES:
                 edge = (names[parent], names[child])
             else:
                 edge = (names[child], names[parent])
@@ -123,10 +114,8 @@ def gen_chains(rng: np.random.Generator) -> TaskGraph:
 
 
 def gen_task_graph(rng: np.random.Generator, kind: GraphKind) -> TaskGraph:
-    if kind is GraphKind.IN_TREES:
-        return gen_tree(rng, TreeDirection.IN)
-    if kind is GraphKind.OUT_TREES:
-        return gen_tree(rng, TreeDirection.OUT)
+    if kind in (GraphKind.IN_TREES, GraphKind.OUT_TREES):
+        return gen_tree(rng, kind)
     if kind is GraphKind.CHAINS:
         return gen_chains(rng)
     raise ValueError(f"unknown graph kind {kind!r}")
@@ -215,15 +204,13 @@ def save_dataset(dataset: Dataset, params: GenParams, out_dir: str | Path) -> No
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     for i, instance in enumerate(dataset.instances):
-        path = out / f"instance_{i:03d}.json"
-        path.write_text(json.dumps(instance_to_dict(instance), indent=2) + "\n")
+        save_instance(instance, out / f"instance_{i:03d}.json")
 
 
 def load_dataset(dir_path: str | Path) -> Dataset:
     path = Path(dir_path)
     manifest = json.loads((path / "manifest.json").read_text())
-    instances = []
-    for i in range(int(manifest["count"])):
-        data = json.loads((path / f"instance_{i:03d}.json").read_text())
-        instances.append(instance_from_dict(data))
-    return Dataset(name=str(manifest["name"]), instances=tuple(instances))
+    instances = tuple(
+        load_instance(path / f"instance_{i:03d}.json") for i in range(int(manifest["count"]))
+    )
+    return Dataset(name=str(manifest["name"]), instances=instances)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import json
-from collections import Counter
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -32,8 +32,10 @@ def _check_positive(label: str, mapping: Mapping, keys: Iterable) -> None:
     for key in keys:
         if key not in mapping:
             raise ValueError(f"{label} missing for {key!r}")
-        if not mapping[key] > 0:
-            raise ValueError(f"{label} for {key!r} must be positive, got {mapping[key]!r}")
+        if not (mapping[key] > 0 and math.isfinite(mapping[key])):
+            raise ValueError(
+                f"{label} for {key!r} must be positive and finite, got {mapping[key]!r}"
+            )
 
 
 @dataclass(frozen=True, eq=True)
@@ -253,52 +255,6 @@ def comm_time(
     return size / instance.network.link_strength(src, dst)
 
 
-def data_available_time(
-    instance: ProblemInstance,
-    partial: Schedule,
-    task: TaskId,
-    node: NodeId,
-) -> float:
-    """Earliest time all of ``task``'s dependency data can be on ``node``.
-
-    Every predecessor of ``task`` must appear exactly once in ``partial``.
-    """
-    placed: dict[TaskId, ScheduleEntry] = {}
-    counts: Counter[TaskId] = Counter()
-    for entry in partial.entries:
-        placed[entry.task] = entry
-        counts[entry.task] += 1
-    preds = instance.task_graph.predecessors(task)
-    for p in preds:
-        if counts[p] != 1:
-            raise ValueError(
-                f"predecessor {p!r} of {task!r} scheduled {counts[p]} times, expected once"
-            )
-    finish = {t: (e.node, e.end) for t, e in placed.items()}
-    return _data_ready(instance, task, node, finish)
-
-
-def _data_ready(
-    instance: ProblemInstance,
-    task: TaskId,
-    node: NodeId,
-    finish: Mapping[TaskId, tuple[NodeId, float]],
-) -> float:
-    """Core of data_available_time against a task -> (node, end) map."""
-    network = instance.network
-    sizes = instance.task_graph.data_size
-    ready = 0.0
-    for p in instance.task_graph.predecessors(task):
-        p_node, p_end = finish[p]
-        if p_node == node:
-            t = p_end
-        else:
-            t = p_end + sizes[(p, task)] / network.link_strength(p_node, node)
-        if t > ready:
-            ready = t
-    return ready
-
-
 def makespan(schedule: Schedule) -> float:
     """Finish time of the last entry; 0 for an empty schedule."""
     return max((e.end for e in schedule.entries), default=0.0)
@@ -429,23 +385,34 @@ def instance_to_dict(instance: ProblemInstance) -> dict:
     }
 
 
+def _unique(label: str, keys: list) -> list:
+    seen = set()
+    for key in keys:
+        if key in seen:
+            raise ValueError(f"duplicate {label} {key!r}")
+        seen.add(key)
+    return keys
+
+
 def instance_from_dict(data: Mapping) -> ProblemInstance:
+    """Parse an instance; a node, link, task or dep listed twice is an error."""
     net = data["network"]
     tg = data["task_graph"]
+    nodes = _unique("node", [str(n["id"]) for n in net["nodes"]])
+    links = [(str(l["u"]), str(l["v"])) for l in net["links"]]
+    _unique("link", [(min(u, v), max(u, v)) for u, v in links])
+    tasks = _unique("task", [str(t["id"]) for t in tg["tasks"]])
+    deps = _unique("dep", [(str(d["src"]), str(d["dst"])) for d in tg["deps"]])
     network = Network(
-        nodes=frozenset(str(n["id"]) for n in net["nodes"]),
-        speed={str(n["id"]): float(n["speed"]) for n in net["nodes"]},
-        strength={
-            (str(l["u"]), str(l["v"])): float(l["strength"]) for l in net["links"]
-        },
+        nodes=frozenset(nodes),
+        speed={n: float(x["speed"]) for n, x in zip(nodes, net["nodes"])},
+        strength={pair: float(l["strength"]) for pair, l in zip(links, net["links"])},
     )
     task_graph = TaskGraph(
-        tasks=frozenset(str(t["id"]) for t in tg["tasks"]),
-        deps=frozenset((str(d["src"]), str(d["dst"])) for d in tg["deps"]),
-        compute_cost={str(t["id"]): float(t["cost"]) for t in tg["tasks"]},
-        data_size={
-            (str(d["src"]), str(d["dst"])): float(d["size"]) for d in tg["deps"]
-        },
+        tasks=frozenset(tasks),
+        deps=frozenset(deps),
+        compute_cost={t: float(x["cost"]) for t, x in zip(tasks, tg["tasks"])},
+        data_size={dep: float(x["size"]) for dep, x in zip(deps, tg["deps"])},
     )
     return ProblemInstance(network=network, task_graph=task_graph)
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from .model import ProblemInstance, TaskId, topological_order
 
@@ -34,18 +33,6 @@ class PriorityKind(enum.Enum):
 PriorityMap = dict[TaskId, float]
 
 
-@dataclass(frozen=True)
-class RankTables:
-    """Both rank tables for an instance, computed together."""
-
-    upward: dict[TaskId, float]
-    downward: dict[TaskId, float]
-
-    @classmethod
-    def compute(cls, instance: ProblemInstance) -> "RankTables":
-        return cls(upward=upward_rank(instance), downward=downward_rank(instance))
-
-
 def _mean_recip_speed(instance: ProblemInstance) -> float:
     speeds = instance.network.speed
     return sum(1.0 / s for s in speeds.values()) / len(speeds)
@@ -56,16 +43,6 @@ def _mean_recip_strength(instance: ProblemInstance) -> float:
     if not strengths:
         return 0.0  # single-node network: communication never happens
     return sum(1.0 / s for s in strengths.values()) / len(strengths)
-
-
-def average_exec_time(instance: ProblemInstance, task: TaskId) -> float:
-    """Mean execution time of ``task`` over all nodes."""
-    return instance.task_graph.compute_cost[task] * _mean_recip_speed(instance)
-
-
-def average_comm_time(instance: ProblemInstance, dep: tuple[TaskId, TaskId]) -> float:
-    """Mean communication time of ``dep`` over all distinct node pairs."""
-    return instance.task_graph.data_size[dep] * _mean_recip_strength(instance)
 
 
 def upward_rank(instance: ProblemInstance) -> dict[TaskId, float]:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from bisect import insort
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -28,18 +27,11 @@ from .model import (
     NodeId,
     ProblemInstance,
     Schedule,
-    ScheduleEntry,
     TaskId,
     topological_order,
 )
 from .priority import PriorityKind, critical_path_tasks, priority_map
-from .selection import (
-    CompareKind,
-    Window,
-    _append_window,
-    _insertion_window,
-    compare,
-)
+from .selection import CompareKind, Window, _PlacementState, compare
 
 WindowFinder = Callable[[ProblemInstance, Schedule, NodeId, TaskId], Window]
 
@@ -162,47 +154,6 @@ def best_two_nodes(
         lambda node: window_finder(instance, partial, node, task),
         compare_kind,
     )
-
-
-class _PlacementState:
-    """Incremental schedule state shared by the window finders."""
-
-    __slots__ = ("instance", "node_entries", "finish", "entries")
-
-    def __init__(self, instance: ProblemInstance, nodes: Sequence[NodeId]):
-        self.instance = instance
-        self.node_entries: dict[NodeId, list[ScheduleEntry]] = {v: [] for v in nodes}
-        self.finish: dict[TaskId, tuple[NodeId, float]] = {}
-        self.entries: list[ScheduleEntry] = []
-
-    def data_ready(self, task: TaskId, node: NodeId) -> float:
-        tg = self.instance.task_graph
-        network = self.instance.network
-        ready = 0.0
-        for p in tg.predecessors(task):
-            p_node, p_end = self.finish[p]
-            if p_node == node:
-                t = p_end
-            else:
-                t = p_end + tg.data_size[(p, task)] / network.link_strength(p_node, node)
-            if t > ready:
-                ready = t
-        return ready
-
-    def window(self, task: TaskId, node: NodeId, append_only: bool) -> Window:
-        duration = self.instance.task_graph.compute_cost[task] / self.instance.network.speed[node]
-        ready = self.data_ready(task, node)
-        entries = self.node_entries[node]
-        if append_only:
-            last_end = entries[-1].end if entries else 0.0
-            return _append_window(last_end, ready, duration)
-        return _insertion_window(entries, ready, duration)
-
-    def place(self, task: TaskId, node: NodeId, window: Window) -> None:
-        entry = ScheduleEntry(task=task, node=node, start=window.start, end=window.end)
-        insort(self.node_entries[node], entry, key=lambda e: e.start)
-        self.finish[task] = (node, window.end)
-        self.entries.append(entry)
 
 
 def schedule(instance: ProblemInstance, config: SchedulerConfig) -> Schedule:

@@ -1,17 +1,28 @@
-"""Node-selection building blocks: window finders and comparison functions.
+"""Node selection: the placement engine, window finders and comparisons.
 
-A window is a candidate (start, end) interval for running one task on one
-node given a partial schedule.  The append-only finder only looks past the
-last entry on the node; the insertion finder scans the idle gap before the
-first entry, the gaps between consecutive entries, and the tail, returning
-the earliest window that fits.  Comparison functions reduce two windows to
-a signed number, negative iff the first window is better.
+This module is the only place that answers "when can task t start on
+node v".  The data-ready time is the latest arrival of any predecessor's
+output on v.  A window is a candidate (start, end) interval for running
+one task on one node given a partial schedule.  The append-only finder
+only looks past the last entry on the node; the insertion finder scans
+the idle gap before the first entry, the gaps between consecutive
+entries, and the tail, returning the earliest window that fits.
+Comparison functions reduce two windows to a signed number, negative iff
+the first window is better.
+
+:class:`_PlacementState` is the incremental engine that the scheduler and
+the brute-force oracle place tasks through.  The public
+``data_available_time`` and ``open_window_*`` functions recompute the same
+quantities from a whole :class:`Schedule` on every call and serve as
+spec-level references for it.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple
+from bisect import insort
+from collections import Counter
+from typing import Mapping, NamedTuple, Sequence
 
 from .model import (
     NodeId,
@@ -19,7 +30,6 @@ from .model import (
     Schedule,
     ScheduleEntry,
     TaskId,
-    data_available_time,
     exec_time,
 )
 
@@ -44,6 +54,47 @@ def compare(kind: CompareKind, a: Window, b: Window) -> float:
     if kind is CompareKind.QUICKEST:
         return (a.end - a.start) - (b.end - b.start)
     raise ValueError(f"unknown compare kind {kind!r}")
+
+
+def _data_ready(
+    instance: ProblemInstance,
+    task: TaskId,
+    node: NodeId,
+    finish: Mapping[TaskId, tuple[NodeId, float]],
+) -> float:
+    """Data-ready time of ``task`` on ``node`` against a task -> (node, end) map."""
+    network = instance.network
+    sizes = instance.task_graph.data_size
+    ready = 0.0
+    for p in instance.task_graph.predecessors(task):
+        p_node, p_end = finish[p]
+        if p_node == node:
+            t = p_end
+        else:
+            t = p_end + sizes[(p, task)] / network.link_strength(p_node, node)
+        if t > ready:
+            ready = t
+    return ready
+
+
+def data_available_time(
+    instance: ProblemInstance,
+    partial: Schedule,
+    task: TaskId,
+    node: NodeId,
+) -> float:
+    """Earliest time all of ``task``'s dependency data can be on ``node``.
+
+    Every predecessor of ``task`` must appear exactly once in ``partial``.
+    """
+    counts = Counter(e.task for e in partial.entries)
+    for p in instance.task_graph.predecessors(task):
+        if counts[p] != 1:
+            raise ValueError(
+                f"predecessor {p!r} of {task!r} scheduled {counts[p]} times, expected once"
+            )
+    finish = {e.task: (e.node, e.end) for e in partial.entries}
+    return _data_ready(instance, task, node, finish)
 
 
 def _append_window(last_end: float, ready: float, duration: float) -> Window:
@@ -95,3 +146,30 @@ def open_window_insertion(
     return _insertion_window(
         _entries_on_node(partial, node), ready, exec_time(instance, task, node)
     )
+
+
+class _PlacementState:
+    """Incremental partial schedule: per-node entries sorted by start."""
+
+    __slots__ = ("instance", "node_entries", "finish", "entries")
+
+    def __init__(self, instance: ProblemInstance, nodes: Sequence[NodeId]):
+        self.instance = instance
+        self.node_entries: dict[NodeId, list[ScheduleEntry]] = {v: [] for v in nodes}
+        self.finish: dict[TaskId, tuple[NodeId, float]] = {}
+        self.entries: list[ScheduleEntry] = []
+
+    def window(self, task: TaskId, node: NodeId, append_only: bool) -> Window:
+        duration = self.instance.task_graph.compute_cost[task] / self.instance.network.speed[node]
+        ready = _data_ready(self.instance, task, node, self.finish)
+        entries = self.node_entries[node]
+        if append_only:
+            last_end = entries[-1].end if entries else 0.0
+            return _append_window(last_end, ready, duration)
+        return _insertion_window(entries, ready, duration)
+
+    def place(self, task: TaskId, node: NodeId, window: Window) -> None:
+        entry = ScheduleEntry(task=task, node=node, start=window.start, end=window.end)
+        insort(self.node_entries[node], entry, key=lambda e: e.start)
+        self.finish[task] = (node, window.end)
+        self.entries.append(entry)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from listsched import Network, ProblemInstance, TaskGraph
+from listsched.model import instance_to_dict
 
 
 def unit_network(n: int) -> Network:
@@ -69,3 +70,36 @@ def chain_fast_slow() -> ProblemInstance:
         sizes={("A", "B"): 1.0},
         speeds={"n1": 1.0, "n2": 2.0},
     )
+
+
+#: Instance files the loader must reject.  Each duplicate repeats an
+#: existing entry verbatim, so collapsing it would go unnoticed.
+MALFORMED_CASES = (
+    "duplicate node",
+    "duplicate link",
+    "duplicate task",
+    "duplicate dep",
+    "infinite strength",
+    "infinite cost",
+)
+
+
+def malformed_instance_dict(case: str) -> dict:
+    """Instance JSON for a -> b on n0 (speed 1) and n1 (speed 2), broken as ``case``."""
+    data = instance_to_dict(
+        mk_instance({"a": 1.0, "b": 2.0}, {("a", "b"): 1.0}, {"n0": 1.0, "n1": 2.0})
+    )
+    net, tg = data["network"], data["task_graph"]
+    if case == "duplicate node":
+        net["nodes"].append(dict(net["nodes"][0]))
+    elif case == "duplicate link":
+        net["links"].append(dict(net["links"][0]))
+    elif case == "duplicate task":
+        tg["tasks"].append(dict(tg["tasks"][0]))
+    elif case == "duplicate dep":
+        tg["deps"].append(dict(tg["deps"][0]))
+    elif case == "infinite strength":
+        net["links"][0]["strength"] = "inf"
+    elif case == "infinite cost":
+        tg["tasks"][1]["cost"] = "inf"
+    return data

@@ -8,6 +8,8 @@ from listsched import config_by_name, load_schedule, save_instance, validate_sch
 from listsched.cli import main
 from listsched.model import load_instance
 
+from conftest import MALFORMED_CASES, malformed_instance_dict
+
 
 @pytest.fixture
 def dataset_dir(tmp_path):
@@ -85,6 +87,29 @@ class TestSchedule:
         assert len(listed) == 72
 
 
+@pytest.mark.parametrize("case", MALFORMED_CASES)
+@pytest.mark.parametrize("command", ["schedule", "validate"])
+def test_malformed_instance_is_domain_error(tmp_path, capsys, command, case):
+    data = malformed_instance_dict(case)
+    instance = tmp_path / "instance.json"
+    instance.write_text(json.dumps(data))
+    # both tasks on n1 (speed 2): valid under a lenient reading of ``data``
+    cost = {t["id"]: float(t["cost"]) for t in data["task_graph"]["tasks"]}
+    a_end = cost["a"] / 2.0
+    sched = tmp_path / "sched.json"
+    sched.write_text(json.dumps({"entries": [
+        {"task": "a", "node": "n1", "start": 0.0, "end": a_end},
+        {"task": "b", "node": "n1", "start": a_end, "end": a_end + cost["b"] / 2.0},
+    ]}))
+    if command == "schedule":
+        args = ["schedule", "--instance", str(instance), "--scheduler", "HEFT",
+                "--out", str(tmp_path / "out.json")]
+    else:
+        args = ["validate", "--instance", str(instance), "--schedule", str(sched)]
+    assert main(args) == 1
+    assert "invalid" in capsys.readouterr().err
+
+
 class TestValidate:
     def test_valid_pair(self, instance_file, tmp_path, capsys):
         out = tmp_path / "sched.json"
@@ -146,6 +171,16 @@ class TestBenchmark:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    def test_malformed_instance_in_dataset(self, dataset_dir, tmp_path, capsys):
+        path = dataset_dir / "instance_001.json"
+        data = json.loads(path.read_text())
+        del data["task_graph"]["tasks"][0]["cost"]
+        path.write_text(json.dumps(data))
+        code = main(["benchmark", "--datasets", str(dataset_dir),
+                     "--schedulers", "HEFT", "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "invalid dataset" in capsys.readouterr().err
+
     def test_unknown_scheduler_name(self, dataset_dir, tmp_path):
         code = main(["benchmark", "--datasets", str(dataset_dir),
                      "--schedulers", "HEFT,NOPE", "--out", str(tmp_path / "x.csv")])
@@ -187,6 +222,19 @@ class TestAnalyze:
                      "--out", str(out)]) == 0
         rows = {r["scheduler"]: r["pareto_optimal"] for r in read_rows(out)}
         assert rows == {"fast": "True", "good": "True", "bad": "False"}
+
+    def test_zero_runtime_is_domain_error(self, tmp_path, capsys):
+        src = tmp_path / "zero.csv"
+        with open(src, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["dataset", "instance", "scheduler", "makespan",
+                             "runtime_seconds", "makespan_ratio", "runtime_ratio",
+                             "error"])
+            writer.writerow(["d", 0, "fast", 2.0, 0.0, "", "", ""])
+            writer.writerow(["d", 0, "good", 1.0, 0.002, "", "", ""])
+        assert main(["analyze", "--results", str(src), "--mode", "pareto",
+                     "--out", str(tmp_path / "pareto.csv")]) == 1
+        assert "minimum runtime is 0" in capsys.readouterr().err
 
     def test_effects_shape(self, results_csv, tmp_path):
         out = tmp_path / "effects.csv"

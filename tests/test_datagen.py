@@ -5,7 +5,6 @@ from listsched import (
     GenParams,
     GraphKind,
     ProblemInstance,
-    TreeDirection,
     ccr,
     gen_chains,
     gen_dataset,
@@ -49,7 +48,7 @@ class TestSampleWeight:
 
 class TestGenTree:
     def test_smallest_out_tree_shape(self):
-        tg = gen_tree(np.random.default_rng(SEED_L2_B2), TreeDirection.OUT)
+        tg = gen_tree(np.random.default_rng(SEED_L2_B2), GraphKind.OUT_TREES)
         assert len(tg.tasks) == 3
         assert len(tg.deps) == 2
         root = topological_order(tg)[0]
@@ -57,7 +56,7 @@ class TestGenTree:
         assert not tg.predecessors(root)
 
     def test_three_level_in_tree_shape(self):
-        tg = gen_tree(np.random.default_rng(SEED_L3_B3), TreeDirection.IN)
+        tg = gen_tree(np.random.default_rng(SEED_L3_B3), GraphKind.IN_TREES)
         assert len(tg.tasks) == 13
         assert len(tg.deps) == 12
         sink = topological_order(tg)[-1]
@@ -67,13 +66,13 @@ class TestGenTree:
     def test_sizes_stay_in_family(self):
         for seed in range(40):
             rng = np.random.default_rng(seed)
-            tg = gen_tree(rng, TreeDirection.OUT)
+            tg = gen_tree(rng, GraphKind.OUT_TREES)
             assert len(tg.tasks) in VALID_TREE_SIZES
             assert len(tg.deps) == len(tg.tasks) - 1
 
     def test_out_tree_single_root(self):
         for seed in range(20):
-            tg = gen_tree(np.random.default_rng(seed), TreeDirection.OUT)
+            tg = gen_tree(np.random.default_rng(seed), GraphKind.OUT_TREES)
             roots = [t for t in tg.tasks if not tg.predecessors(t)]
             leaves = [t for t in tg.tasks if not tg.successors(t)]
             assert len(roots) == 1
@@ -81,12 +80,12 @@ class TestGenTree:
 
     def test_in_tree_single_sink(self):
         for seed in range(20):
-            tg = gen_tree(np.random.default_rng(seed), TreeDirection.IN)
+            tg = gen_tree(np.random.default_rng(seed), GraphKind.IN_TREES)
             sinks = [t for t in tg.tasks if not tg.successors(t)]
             assert len(sinks) == 1
 
     def test_weights_in_clipped_range(self):
-        tg = gen_tree(np.random.default_rng(SEED_L4_B3), TreeDirection.OUT)
+        tg = gen_tree(np.random.default_rng(SEED_L4_B3), GraphKind.OUT_TREES)
         assert len(tg.tasks) == 40
         assert all(0 < c <= 2 for c in tg.compute_cost.values())
         assert all(0 < s <= 2 for s in tg.data_size.values())

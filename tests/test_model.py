@@ -24,7 +24,13 @@ from listsched.model import (
     topological_order,
 )
 
-from conftest import mk_instance, random_instance, unit_network
+from conftest import (
+    MALFORMED_CASES,
+    malformed_instance_dict,
+    mk_instance,
+    random_instance,
+    unit_network,
+)
 
 
 def entries(*specs):
@@ -303,6 +309,11 @@ class TestJson:
         s = entries(("a", "n0", 0.0, 1.2345678901234567), ("b", "n1", 1.5, 2.25))
         again = schedule_from_dict(json.loads(json.dumps(schedule_to_dict(s))))
         assert again == s
+
+    @pytest.mark.parametrize("case", MALFORMED_CASES)
+    def test_malformed_instance_rejected(self, case):
+        with pytest.raises(ValueError, match="duplicate|finite"):
+            instance_from_dict(malformed_instance_dict(case))
 
     def test_serialization_is_stable(self):
         rng = np.random.default_rng(7)

@@ -7,7 +7,6 @@ from listsched import (
     Network,
     PriorityKind,
     ProblemInstance,
-    RankTables,
     critical_path_tasks,
     downward_rank,
     priority_map,
@@ -123,11 +122,6 @@ class TestDownwardRank:
             {"n0": 1.0, "n1": 1.0},
         )
         assert downward_rank(inst)["C"] == pytest.approx(4.0)
-
-    def test_rank_tables_bundle(self, chain_ab):
-        tables = RankTables.compute(chain_ab)
-        assert tables.upward == upward_rank(chain_ab)
-        assert tables.downward == downward_rank(chain_ab)
 
 
 class TestPriorityMap:

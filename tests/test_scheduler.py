@@ -20,6 +20,7 @@ from listsched import (
     critical_path_tasks,
     enumerate_configs,
     makespan,
+    open_window_append_only,
     open_window_insertion,
     priority_map,
     schedule,
@@ -304,21 +305,24 @@ class TestInvariants:
                 assert makespan(schedule(inst, config)) == pytest.approx(total, rel=1e-9)
 
     def test_insertion_windows_used_are_reachable_by_public_api(self):
-        # replaying a schedule's placement order through the public window
-        # finder reproduces each entry
-        inst = mk_instance(
+        # differential guard on the placement engine: replaying any
+        # config's schedule in placement order through the spec-level
+        # window finder reproduces each entry exactly
+        hand = mk_instance(
             {"a": 1.0, "b": 2.0, "c": 1.0, "d": 0.5},
             {("a", "c"): 1.0, ("b", "c"): 0.5, ("a", "d"): 2.0},
             {"n0": 1.0, "n1": 2.0},
         )
-        result = schedule(inst, config_by_name("HEFT"))
-        replay = []
-        for entry in result:
-            window = open_window_insertion(
-                inst, Schedule(tuple(replay)), entry.node, entry.task
-            )
-            assert window == Window(entry.start, entry.end)
-            replay.append(entry)
+        for inst in [hand, *fuzz_instances(50, 30)]:
+            for _, config in ALL_CONFIGS:
+                finder = (
+                    open_window_append_only if config.append_only else open_window_insertion
+                )
+                replay = []
+                for entry in schedule(inst, config):
+                    window = finder(inst, Schedule(tuple(replay)), entry.node, entry.task)
+                    assert window == Window(entry.start, entry.end)
+                    replay.append(entry)
 
     def test_dominates_brute_force(self):
         rng = np.random.default_rng(49)

@@ -115,6 +115,11 @@ class TestInsertion:
         assert data_available_time(inst, partial, "tk", "n0") == 3.0
         assert open_window_insertion(inst, partial, "n0", "tk") == Window(4.0, 6.0)
 
+    def test_interior_gap_exact_fit(self):
+        # closed-start/open-end: the window may end where the next entry starts
+        inst, partial = instance_with_busy(2.0, [(0.0, 1.0), (3.0, 5.0)])
+        assert open_window_insertion(inst, partial, "n0", "tk") == Window(1.0, 3.0)
+
     def test_append_fallback_when_no_gap_fits(self):
         inst, partial = instance_with_busy(5.0, [(0.0, 4.0)])
         assert open_window_insertion(inst, partial, "n0", "tk") == Window(4.0, 9.0)
