@@ -16,14 +16,13 @@ parametric family can achieve.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .datagen import Dataset
 from .model import ProblemInstance, TaskId, makespan
@@ -352,30 +351,15 @@ MAX_ORACLE_TASKS = 8
 MAX_ORACLE_NODES = 3
 
 
-def _topological_orders(
-    succs: Mapping[TaskId, Sequence[TaskId]], indeg: dict[TaskId, int]
-) -> Iterable[tuple[TaskId, ...]]:
-    ready = sorted(t for t, d in indeg.items() if d == 0)
-    if not ready and indeg:
-        return
-    if not indeg:
-        yield ()
-        return
-    for t in ready:
-        rest = dict(indeg)
-        del rest[t]
-        for s in succs[t]:
-            rest[s] -= 1
-        for tail in _topological_orders(succs, rest):
-            yield (t, *tail)
-
-
 def brute_force_min_makespan(instance: ProblemInstance) -> float:
     """Exhaustive minimum makespan over the list-schedule family.
 
-    Enumerates every task-to-node assignment crossed with every
-    topological order, placing each task in its earliest insertion window
-    on its assigned node.  Guarded to at most 8 tasks and 3 nodes.
+    Enumerates every topological order crossed with every task-to-node
+    assignment, placing each task in its earliest insertion window on its
+    node.  The search runs depth first on one placement state: schedules
+    that share a prefix share its placements, and a branch is cut once
+    its partial makespan reaches the best complete one.  Guarded to at
+    most 8 tasks and 3 nodes.
     """
     tg = instance.task_graph
     nodes = instance.network.node_order()
@@ -387,23 +371,28 @@ def brute_force_min_makespan(instance: ProblemInstance) -> float:
     if not tg.tasks:
         return 0.0
 
-    indeg = {t: len(tg.predecessors(t)) for t in tg.tasks}
-    orders = list(_topological_orders(tg._succs, indeg))
-
+    state = _PlacementState(instance)
+    all_nodes = range(len(nodes))
     best = math.inf
-    for assignment in itertools.product(nodes, repeat=len(tg.tasks)):
-        for order in orders:
-            state = _PlacementState(instance, nodes)
-            peak = 0.0
-            for t, v in zip(order, assignment):
-                window = state.window(t, v, False)
-                state.place(t, v, window)
-                if window.end > peak:
-                    peak = window.end
-                    if peak >= best:
-                        break
-            else:
-                best = peak
+
+    def extend(indeg: dict[TaskId, int], peak: float) -> None:
+        nonlocal best
+        if not indeg:
+            best = peak
+            return
+        for t in sorted(t for t, d in indeg.items() if d == 0):
+            rest = dict(indeg)
+            del rest[t]
+            for s in tg.successors(t):
+                rest[s] -= 1
+            for v, window in enumerate(state.windows(t, all_nodes, False)):
+                end = max(peak, window.end)
+                if end < best:
+                    state.place(t, v, window)
+                    extend(rest, end)
+                    state.unplace(t)
+
+    extend({t: len(tg.predecessors(t)) for t in tg.tasks}, 0.0)
     return best
 
 
@@ -444,20 +433,35 @@ def write_results_csv(
 
 
 def read_results_csv(path: str | Path) -> list[BenchmarkRecord]:
+    """Records of a results CSV; an error row's empty values load as NaN.
+
+    Raises ``ValueError`` when a column is missing, a value does not
+    parse, or a row without an error lacks a finite makespan or runtime.
+    """
     records = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
+        required = ("dataset", "instance", "scheduler", "makespan", "runtime_seconds")
+        missing = [c for c in required if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"missing column(s): {', '.join(missing)}")
         for row in reader:
             error = row.get("error") or None
+            span = float(row["makespan"]) if row["makespan"] else math.nan
+            runtime = float(row["runtime_seconds"]) if row["runtime_seconds"] else math.nan
+            if error is None and not (math.isfinite(span) and math.isfinite(runtime)):
+                raise ValueError(
+                    f"line {reader.line_num} ({row['dataset']}, {row['instance']}, "
+                    f"{row['scheduler']}) has no error but makespan {row['makespan']!r} "
+                    f"and runtime {row['runtime_seconds']!r}"
+                )
             records.append(
                 BenchmarkRecord(
                     dataset=row["dataset"],
                     instance_index=int(row["instance"]),
                     scheduler=row["scheduler"],
-                    makespan=float(row["makespan"]) if row["makespan"] else math.nan,
-                    runtime_seconds=(
-                        float(row["runtime_seconds"]) if row["runtime_seconds"] else math.nan
-                    ),
+                    makespan=span,
+                    runtime_seconds=runtime,
                     error=error,
                 )
             )

@@ -186,9 +186,12 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     try:
         records = bench.read_results_csv(args.results)
-    except (OSError, KeyError, ValueError) as exc:
+    except OSError as exc:
         print(f"cannot read results: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (KeyError, ValueError) as exc:
+        print(f"invalid results file: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
     try:
         ratios = bench.compute_ratios(records)
         if args.mode == "ratios":

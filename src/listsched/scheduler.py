@@ -14,6 +14,13 @@ raw priority order) keeps the placement order topological even for
 CPoP-style priorities, whose raw values are not monotone along dependency
 edges on general DAGs.  Ties are broken by position in the deterministic
 topological order, so runs are bitwise reproducible.
+
+Each call compiles the instance once into the index form of
+:class:`~listsched.selection._PlacementState` and resolves the compare
+kind once to a key function; a task's windows on all candidate nodes
+come from one engine pass, and picking the best and second-best node is
+a comparison of keys.  Nothing is cached across calls, so every timed
+run pays for its own set-up.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from .model import (
     topological_order,
 )
 from .priority import PriorityKind, critical_path_tasks, priority_map
-from .selection import CompareKind, Window, _PlacementState, compare
+from .selection import COMPARE_KEYS, CompareKind, Window, _PlacementState
 
 WindowFinder = Callable[[ProblemInstance, Schedule, NodeId, TaskId], Window]
 
@@ -114,28 +121,22 @@ def config_by_name(name: str) -> SchedulerConfig:
 
 
 def _top_two(
-    candidates: Sequence[NodeId],
-    window_of: Callable[[NodeId], Window],
-    kind: CompareKind,
-) -> tuple[NodeId, Window, NodeId | None, Window | None]:
-    """Best and second-best candidate under the comparison function.
+    windows: Sequence[Window], key: Callable[[Window], float]
+) -> tuple[int, int | None]:
+    """Positions of the best and second-best window; lower ``key`` is better.
 
-    The scan seeds best with the first candidate and second-best with the
-    first candidate that fails to displace it, so ties go to the earlier
-    candidate and the pair is well defined even for two candidates.
+    The scan seeds best with the first window and second-best with the
+    first window that fails to displace it, so ties go to the earlier
+    position and the pair is well defined even for two windows.
     """
-    best = candidates[0]
-    best_window = window_of(best)
-    second: NodeId | None = None
-    second_window: Window | None = None
-    for node in candidates[1:]:
-        window = window_of(node)
-        if compare(kind, window, best_window) < 0:
-            second, second_window = best, best_window
-            best, best_window = node, window
-        elif second is None or compare(kind, window, second_window) < 0:
-            second, second_window = node, window
-    return best, best_window, second, second_window
+    keys = list(map(key, windows))
+    best, second = 0, None
+    for i in range(1, len(keys)):
+        if keys[i] < keys[best]:
+            best, second = i, best
+        elif second is None or keys[i] < keys[second]:
+            second = i
+    return best, second
 
 
 def best_two_nodes(
@@ -149,11 +150,11 @@ def best_two_nodes(
     """Best and second-best node for ``task`` against a partial schedule."""
     if not candidates:
         raise ValueError("candidate node list is empty")
-    return _top_two(
-        candidates,
-        lambda node: window_finder(instance, partial, node, task),
-        compare_kind,
-    )
+    windows = [window_finder(instance, partial, node, task) for node in candidates]
+    best, second = _top_two(windows, COMPARE_KEYS[compare_kind])
+    if second is None:
+        return candidates[best], windows[best], None, None
+    return candidates[best], windows[best], candidates[second], windows[second]
 
 
 def schedule(instance: ProblemInstance, config: SchedulerConfig) -> Schedule:
@@ -180,42 +181,35 @@ def schedule(instance: ProblemInstance, config: SchedulerConfig) -> Schedule:
     priorities = priority_map(instance, config.initial_priority)
     topo_pos = {t: i for i, t in enumerate(topological_order(tg))}
 
-    reserved: NodeId | None = None
+    all_nodes = tuple(range(len(nodes)))
+    reserved: tuple[int, ...] = ()
     cp_tasks: frozenset[TaskId] = frozenset()
     if config.critical_path:
         speed = instance.network.speed
-        reserved = min(nodes, key=lambda v: (-speed[v], v))
+        reserved = (min(all_nodes, key=lambda v: (-speed[nodes[v]], nodes[v])),)
         cp_tasks = frozenset(critical_path_tasks(instance))
 
-    state = _PlacementState(instance, nodes)
+    state = _PlacementState(instance)
     append_only = config.append_only
-    kind = config.compare
+    key = COMPARE_KEYS[config.compare]
 
     indeg = {t: len(tg.predecessors(t)) for t in tg.tasks}
     ready = [(-priorities[t], topo_pos[t], t) for t in tg.tasks if indeg[t] == 0]
     heapq.heapify(ready)
 
-    def candidates_for(task: TaskId) -> Sequence[NodeId]:
-        if task in cp_tasks:
-            return (reserved,)
-        return nodes
-
-    def top_two_for(task: TaskId) -> tuple[NodeId, Window, NodeId | None, Window | None]:
-        return _top_two(
-            candidates_for(task),
-            lambda node: state.window(task, node, append_only),
-            kind,
-        )
-
-    def sufferage_value(best_w: Window, second_w: Window | None) -> float:
-        if second_w is None:
-            return 0.0
-        return compare(kind, second_w, best_w)
+    def top_two_for(task: TaskId) -> tuple[int, Window, float]:
+        """Best node, its window, and the sufferage value of ``task``."""
+        candidates = reserved if task in cp_tasks else all_nodes
+        windows = state.windows(task, candidates, append_only)
+        best, second = _top_two(windows, key)
+        best_w = windows[best]
+        suffer = 0.0 if second is None else key(windows[second]) - key(best_w)
+        return candidates[best], best_w, suffer
 
     while ready:
-        key = heapq.heappop(ready)
-        task = key[2]
-        best, best_w, second, second_w = top_two_for(task)
+        entry = heapq.heappop(ready)
+        task = entry[2]
+        best, best_w, suffer = top_two_for(task)
 
         if (
             config.sufferage
@@ -223,14 +217,14 @@ def schedule(instance: ProblemInstance, config: SchedulerConfig) -> Schedule:
             and task not in cp_tasks
             and ready[0][2] not in cp_tasks
         ):
-            rival_key = heapq.heappop(ready)
-            rival = rival_key[2]
-            r_best, r_best_w, r_second, r_second_w = top_two_for(rival)
-            if sufferage_value(r_best_w, r_second_w) > sufferage_value(best_w, second_w):
-                heapq.heappush(ready, key)
+            rival_entry = heapq.heappop(ready)
+            rival = rival_entry[2]
+            r_best, r_best_w, r_suffer = top_two_for(rival)
+            if r_suffer > suffer:
+                heapq.heappush(ready, entry)
                 task, best, best_w = rival, r_best, r_best_w
             else:
-                heapq.heappush(ready, rival_key)
+                heapq.heappush(ready, rival_entry)
 
         state.place(task, best, best_w)
         for s in tg.successors(task):
@@ -238,4 +232,4 @@ def schedule(instance: ProblemInstance, config: SchedulerConfig) -> Schedule:
             if indeg[s] == 0:
                 heapq.heappush(ready, (-priorities[s], topo_pos[s], s))
 
-    return Schedule(entries=tuple(state.entries))
+    return state.to_schedule()

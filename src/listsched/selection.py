@@ -4,25 +4,39 @@ This module is the only place that answers "when can task t start on
 node v".  The data-ready time is the latest arrival of any predecessor's
 output on v.  A window is a candidate (start, end) interval for running
 one task on one node given a partial schedule.  The append-only finder
-only looks past the last entry on the node; the insertion finder scans
-the idle gap before the first entry, the gaps between consecutive
-entries, and the tail, returning the earliest window that fits.
-Comparison functions reduce two windows to a signed number, negative iff
-the first window is better.
+only looks past the last entry on the node; the insertion finder returns
+the earliest idle gap (before the first entry, between two entries, or
+after the last) that fits.  Entries on a node are disjoint and sorted by
+start, so their ends are sorted too: the insertion finder bisects the
+ends to the last entry that ends before the data-ready time and scans
+forward from there, since no earlier gap can fit.
+
+A compare kind scores a window (EFT: its end, EST: its start, Quickest:
+its length); the lower score is the better window.  :data:`COMPARE_KEYS`
+maps each kind to that score function, so a scheduler resolves its
+compare kind once per call; :func:`compare` is the signed difference of
+two scores.
 
 :class:`_PlacementState` is the incremental engine that the scheduler and
-the brute-force oracle place tasks through.  The public
-``data_available_time`` and ``open_window_*`` functions recompute the same
-quantities from a whole :class:`Schedule` on every call and serve as
-spec-level references for it.
+the brute-force oracle place tasks through; the oracle's depth-first
+search also undoes placements as it backtracks.  Its constructor
+compiles the instance into index form (node indices in ``node_order()``,
+a speed list, a dense strength matrix, per-task ``(pred, data_size)``
+tuples) once per ``schedule()`` call, and it keeps each node's timeline
+as parallel start and end lists.  The public ``data_available_time`` and
+``open_window_*`` functions recompute the same quantities from a whole
+:class:`Schedule` on every call and serve as spec-level references for
+it.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import insort
+import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
-from typing import Mapping, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Callable, NamedTuple, Sequence
 
 from .model import (
     NodeId,
@@ -30,6 +44,7 @@ from .model import (
     Schedule,
     ScheduleEntry,
     TaskId,
+    comm_time,
     exec_time,
 )
 
@@ -45,36 +60,18 @@ class CompareKind(enum.Enum):
     QUICKEST = "Quickest"  # shortest execution time
 
 
+#: A window's score under each compare kind; the lower score is better.
+COMPARE_KEYS: dict[CompareKind, Callable[[Window], float]] = {
+    CompareKind.EFT: itemgetter(1),
+    CompareKind.EST: itemgetter(0),
+    CompareKind.QUICKEST: lambda w: w[1] - w[0],
+}
+
+
 def compare(kind: CompareKind, a: Window, b: Window) -> float:
     """Signed comparison of two candidate windows; negative iff ``a`` is better."""
-    if kind is CompareKind.EFT:
-        return a.end - b.end
-    if kind is CompareKind.EST:
-        return a.start - b.start
-    if kind is CompareKind.QUICKEST:
-        return (a.end - a.start) - (b.end - b.start)
-    raise ValueError(f"unknown compare kind {kind!r}")
-
-
-def _data_ready(
-    instance: ProblemInstance,
-    task: TaskId,
-    node: NodeId,
-    finish: Mapping[TaskId, tuple[NodeId, float]],
-) -> float:
-    """Data-ready time of ``task`` on ``node`` against a task -> (node, end) map."""
-    network = instance.network
-    sizes = instance.task_graph.data_size
-    ready = 0.0
-    for p in instance.task_graph.predecessors(task):
-        p_node, p_end = finish[p]
-        if p_node == node:
-            t = p_end
-        else:
-            t = p_end + sizes[(p, task)] / network.link_strength(p_node, node)
-        if t > ready:
-            ready = t
-    return ready
+    key = COMPARE_KEYS[kind]
+    return key(a) - key(b)
 
 
 def data_available_time(
@@ -93,8 +90,14 @@ def data_available_time(
             raise ValueError(
                 f"predecessor {p!r} of {task!r} scheduled {counts[p]} times, expected once"
             )
-    finish = {e.task: (e.node, e.end) for e in partial.entries}
-    return _data_ready(instance, task, node, finish)
+    finish = {e.task: e for e in partial.entries}
+    return max(
+        (
+            finish[p].end + comm_time(instance, (p, task), finish[p].node, node)
+            for p in instance.task_graph.predecessors(task)
+        ),
+        default=0.0,
+    )
 
 
 def _append_window(last_end: float, ready: float, duration: float) -> Window:
@@ -103,30 +106,27 @@ def _append_window(last_end: float, ready: float, duration: float) -> Window:
 
 
 def _insertion_window(
-    entries: list[ScheduleEntry], ready: float, duration: float
+    starts: Sequence[float], ends: Sequence[float], ready: float, duration: float
 ) -> Window:
-    """Earliest fitting window given the node's entries sorted by start.
+    """Earliest fitting window on a node whose entries are sorted by start.
 
+    ``starts`` and ``ends`` are the entries' parallel start and end times.
     Gap fitting is closed-start/open-end: a window may end exactly where
-    the next entry starts.  The gap before the first entry counts.
+    the next entry starts.  The gap before the first entry counts.  Every
+    entry before the last one that ends before ``ready`` also starts
+    before ``ready``, so no gap ahead of that entry can fit and the scan
+    begins there; every later entry ends at or after ``ready``, so a gap
+    after it opens at its end.
     """
-    if not entries:
+    if not starts or ready + duration <= starts[0]:
         return Window(ready, ready + duration)
-    if ready + duration <= entries[0].start:
-        return Window(ready, ready + duration)
-    last = len(entries) - 1
-    for i, e in enumerate(entries):
-        start = e.end if e.end > ready else ready
-        end = start + duration
-        if i == last or end <= entries[i + 1].start:
-            return Window(start, end)
-    raise AssertionError("unreachable: tail gap always fits")
-
-
-def _entries_on_node(partial: Schedule, node: NodeId) -> list[ScheduleEntry]:
-    return sorted(
-        (e for e in partial.entries if e.node == node), key=lambda e: e.start
-    )
+    i = max(bisect_left(ends, ready) - 1, 0)
+    start = ends[i] if ends[i] > ready else ready
+    last = len(starts) - 1
+    while i < last and start + duration > starts[i + 1]:
+        i += 1
+        start = ends[i]
+    return Window(start, start + duration)
 
 
 def open_window_append_only(
@@ -143,33 +143,91 @@ def open_window_insertion(
 ) -> Window:
     """Earliest idle window on ``node`` large enough for ``task``."""
     ready = data_available_time(instance, partial, task, node)
+    entries = sorted((e for e in partial.entries if e.node == node), key=lambda e: e.start)
     return _insertion_window(
-        _entries_on_node(partial, node), ready, exec_time(instance, task, node)
+        [e.start for e in entries],
+        [e.end for e in entries],
+        ready,
+        exec_time(instance, task, node),
     )
 
 
 class _PlacementState:
-    """Incremental partial schedule: per-node entries sorted by start."""
+    """Incremental partial schedule on an instance compiled to index form.
 
-    __slots__ = ("instance", "node_entries", "finish", "entries")
+    Nodes are the indices of ``instance.network.node_order()``.  Node v's
+    timeline is the parallel lists ``starts[v]`` and ``ends[v]``, sorted
+    by start.  The strength matrix holds ``inf`` on its diagonal, so data
+    already on the node arrives after ``size / inf == 0.0``, and
+    ``end + 0.0`` is exactly ``end``.
+    """
 
-    def __init__(self, instance: ProblemInstance, nodes: Sequence[NodeId]):
-        self.instance = instance
-        self.node_entries: dict[NodeId, list[ScheduleEntry]] = {v: [] for v in nodes}
-        self.finish: dict[TaskId, tuple[NodeId, float]] = {}
-        self.entries: list[ScheduleEntry] = []
+    __slots__ = ("nodes", "speed", "strength", "cost", "preds", "starts", "ends", "placed")
 
-    def window(self, task: TaskId, node: NodeId, append_only: bool) -> Window:
-        duration = self.instance.task_graph.compute_cost[task] / self.instance.network.speed[node]
-        ready = _data_ready(self.instance, task, node, self.finish)
-        entries = self.node_entries[node]
+    def __init__(self, instance: ProblemInstance):
+        network, tg = instance.network, instance.task_graph
+        self.nodes = network.node_order()
+        self.speed = [network.speed[v] for v in self.nodes]
+        self.strength = [
+            [math.inf if u == v else network.link_strength(u, v) for v in self.nodes]
+            for u in self.nodes
+        ]
+        self.cost = tg.compute_cost
+        sizes = tg.data_size
+        self.preds = {
+            t: tuple((p, sizes[(p, t)]) for p in tg.predecessors(t)) for t in tg.tasks
+        }
+        self.starts: list[list[float]] = [[] for _ in self.nodes]
+        self.ends: list[list[float]] = [[] for _ in self.nodes]
+        #: task -> (node, start, end), in placement order
+        self.placed: dict[TaskId, tuple[int, float, float]] = {}
+
+    def windows(
+        self, task: TaskId, candidates: Sequence[int], append_only: bool
+    ) -> list[Window]:
+        """``task``'s window on each candidate node, in candidate order."""
+        placed, strength = self.placed, self.strength
+        ready = [0.0] * len(candidates)
+        for p, size in self.preds[task]:
+            p_node, _, p_end = placed[p]
+            row = strength[p_node]
+            ready = list(map(max, ready, [p_end + size / row[v] for v in candidates]))
+        cost, speed, starts, ends = self.cost[task], self.speed, self.starts, self.ends
         if append_only:
-            last_end = entries[-1].end if entries else 0.0
-            return _append_window(last_end, ready, duration)
-        return _insertion_window(entries, ready, duration)
+            return [
+                _append_window(ends[v][-1] if ends[v] else 0.0, r, cost / speed[v])
+                for v, r in zip(candidates, ready)
+            ]
+        return [
+            _insertion_window(starts[v], ends[v], r, cost / speed[v])
+            for v, r in zip(candidates, ready)
+        ]
 
-    def place(self, task: TaskId, node: NodeId, window: Window) -> None:
-        entry = ScheduleEntry(task=task, node=node, start=window.start, end=window.end)
-        insort(self.node_entries[node], entry, key=lambda e: e.start)
-        self.finish[task] = (node, window.end)
-        self.entries.append(entry)
+    def place(self, task: TaskId, node: int, window: Window) -> None:
+        start, end = window
+        i = bisect_right(self.starts[node], start)
+        self.starts[node].insert(i, start)
+        self.ends[node].insert(i, end)
+        self.placed[task] = (node, start, end)
+
+    def unplace(self, task: TaskId) -> None:
+        """Undo the latest ``place``, which must have placed ``task``."""
+        node, start, _ = self.placed.pop(task)
+        # place inserted after any equal start, and everything placed
+        # since has been undone, so the entry is the last with its start
+        i = bisect_right(self.starts[node], start) - 1
+        del self.starts[node][i]
+        del self.ends[node][i]
+
+    def to_schedule(self) -> Schedule:
+        """The placed entries, in placement order."""
+        # a list, not a generator: in CPython 3.11, tuple() over a generator
+        # here made peak RSS grow with every call across instances
+        return Schedule(
+            entries=tuple(
+                [
+                    ScheduleEntry(task=t, node=self.nodes[v], start=s, end=e)
+                    for t, (v, s, e) in self.placed.items()
+                ]
+            )
+        )

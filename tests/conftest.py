@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -60,6 +61,28 @@ def random_instance(
         network=Network(nodes=frozenset(nodes), speed=speeds, strength=strengths),
         task_graph=TaskGraph.from_costs(costs, sizes),
     )
+
+
+def layered_dag(seed: int, n_tasks: int, n_nodes: int) -> ProblemInstance:
+    """Layers of ~sqrt(n) tasks; each task below the first depends on 1-3 above."""
+    rng = np.random.default_rng(seed)
+    width = max(1, round(math.sqrt(n_tasks)))
+    tasks = [f"t{i:04d}" for i in range(n_tasks)]
+    sizes = {}
+    for i in range(width, n_tasks):
+        above = (i // width - 1) * width
+        for p in rng.choice(width, size=int(rng.integers(1, 4)), replace=False):
+            sizes[(tasks[above + int(p)], tasks[i])] = float(rng.uniform(0.1, 2.0))
+    costs = {t: float(rng.uniform(0.1, 2.0)) for t in tasks}
+    nodes = [f"n{j:02d}" for j in range(n_nodes)]
+    network = Network(
+        nodes=frozenset(nodes),
+        speed={v: float(rng.uniform(0.3, 2.0)) for v in nodes},
+        strength={
+            pair: float(rng.uniform(0.3, 2.0)) for pair in itertools.combinations(nodes, 2)
+        },
+    )
+    return ProblemInstance(network=network, task_graph=TaskGraph.from_costs(costs, sizes))
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 from listsched import (
     BenchmarkRecord,
     RatioRow,
+    Schedule,
+    ScheduleEntry,
     brute_force_min_makespan,
     component_effects,
     compute_ratios,
@@ -14,6 +17,7 @@ from listsched import (
     interaction_effects,
     makespan,
     mean_ratio_points,
+    open_window_insertion,
     pareto_front,
     run_benchmark,
     schedule,
@@ -253,6 +257,30 @@ class TestBruteForce:
         )
         with pytest.raises(ValueError, match="too large"):
             brute_force_min_makespan(wide)
+
+    def test_equals_unpruned_spec_level_enumeration(self):
+        # the oracle's depth-first search with pruning and undo must find
+        # exactly the minimum over every (topological order, assignment)
+        # pair, each schedule rebuilt from scratch by the spec-level finder
+        rng = np.random.default_rng(66)
+        for n_tasks, n_nodes in [(5, 2)] * 10 + [(4, 3)] * 10:
+            inst = random_instance(
+                rng, min_tasks=n_tasks - 1, max_tasks=n_tasks,
+                min_nodes=n_nodes, max_nodes=n_nodes, edge_prob=0.4,
+            )
+            tasks = sorted(inst.task_graph.tasks)
+            nodes = inst.network.node_order()
+            expected = math.inf
+            for order in itertools.permutations(tasks):
+                if any(order.index(a) > order.index(b) for a, b in inst.task_graph.deps):
+                    continue
+                for assignment in itertools.product(nodes, repeat=len(order)):
+                    partial = Schedule(())
+                    for t, v in zip(order, assignment):
+                        w = open_window_insertion(inst, partial, v, t)
+                        partial = Schedule((*partial.entries, ScheduleEntry(t, v, *w)))
+                    expected = min(expected, makespan(partial))
+            assert brute_force_min_makespan(inst) == expected
 
     def test_never_above_any_scheduler(self):
         rng = np.random.default_rng(65)

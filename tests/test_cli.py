@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from listsched import config_by_name, load_schedule, save_instance, validate_schedule
+from listsched.bench import RESULTS_HEADER
 from listsched.cli import main
 from listsched.model import load_instance
 
@@ -235,6 +236,39 @@ class TestAnalyze:
         assert main(["analyze", "--results", str(src), "--mode", "pareto",
                      "--out", str(tmp_path / "pareto.csv")]) == 1
         assert "minimum runtime is 0" in capsys.readouterr().err
+
+    def write_results(self, path, rows, header=RESULTS_HEADER):
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+
+    def test_empty_makespan_is_domain_error(self, tmp_path, capsys):
+        # an empty makespan without an error used to load as NaN and
+        # turn every makespan ratio of the instance into nan, exit 0
+        src = tmp_path / "empty.csv"
+        self.write_results(src, [["d", 0, "A", "", 0.001, "", "", ""],
+                                 ["d", 0, "B", 2.0, 0.002, "", "", ""],
+                                 ["d", 0, "C", 3.0, 0.003, "", "", ""]])
+        assert main(["analyze", "--results", str(src), "--mode", "ratios",
+                     "--out", str(tmp_path / "ratios.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "line 2 (d, 0, A) has no error but makespan ''" in err
+
+    def test_unparsable_makespan_is_domain_error(self, tmp_path, capsys):
+        src = tmp_path / "abc.csv"
+        self.write_results(src, [["d", 0, "A", "abc", 0.001, "", "", ""]])
+        assert main(["analyze", "--results", str(src), "--mode", "ratios",
+                     "--out", str(tmp_path / "ratios.csv")]) == 1
+        assert "'abc'" in capsys.readouterr().err
+
+    def test_missing_column_is_domain_error(self, tmp_path, capsys):
+        src = tmp_path / "short.csv"
+        header = [c for c in RESULTS_HEADER if c != "runtime_seconds"]
+        self.write_results(src, [["d", 0, "A", 1.0, "", "", ""]], header=header)
+        assert main(["analyze", "--results", str(src), "--mode", "ratios",
+                     "--out", str(tmp_path / "ratios.csv")]) == 1
+        assert "missing column(s): runtime_seconds" in capsys.readouterr().err
 
     def test_effects_shape(self, results_csv, tmp_path):
         out = tmp_path / "effects.csv"

@@ -29,7 +29,7 @@ from listsched import (
 from listsched.model import schedule_to_dict, topological_order
 from listsched.datagen import GenParams, GraphKind, gen_dataset
 
-from conftest import mk_instance, random_instance
+from conftest import layered_dag, mk_instance, random_instance
 
 ALL_CONFIGS = enumerate_configs()
 
@@ -307,13 +307,14 @@ class TestInvariants:
     def test_insertion_windows_used_are_reachable_by_public_api(self):
         # differential guard on the placement engine: replaying any
         # config's schedule in placement order through the spec-level
-        # window finder reproduces each entry exactly
+        # window finder reproduces each entry exactly; the layered DAG
+        # gives long node timelines for the bisected window search
         hand = mk_instance(
             {"a": 1.0, "b": 2.0, "c": 1.0, "d": 0.5},
             {("a", "c"): 1.0, ("b", "c"): 0.5, ("a", "d"): 2.0},
             {"n0": 1.0, "n1": 2.0},
         )
-        for inst in [hand, *fuzz_instances(50, 30)]:
+        for inst in [hand, *fuzz_instances(50, 30), layered_dag(51, 150, 16)]:
             for _, config in ALL_CONFIGS:
                 finder = (
                     open_window_append_only if config.append_only else open_window_insertion

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from listsched import (
     CompareKind,
@@ -12,7 +16,7 @@ from listsched import (
     open_window_append_only,
     open_window_insertion,
 )
-from listsched.selection import _insertion_window
+from listsched.selection import _insertion_window, _PlacementState
 
 from conftest import mk_instance
 
@@ -48,6 +52,31 @@ def earliest_fit_oracle(intervals, ready, duration):
         if all(end <= a or start >= b for a, b in intervals):
             return start
     raise AssertionError("no fit found")
+
+
+@st.composite
+def touching_busy_node(draw):
+    """(intervals, ready, duration) for one node, built to hit bisection edges.
+
+    Up to 40 disjoint entries whose gaps are often exactly 0, so entries
+    touch; ``ready`` is often 0 or exactly an entry's start or end, and
+    ``duration`` often exactly a gap's length.
+    """
+    finite = {"allow_nan": False, "allow_infinity": False}
+    gaps = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 3.0, **finite)), max_size=40))
+    intervals = []
+    cursor = 0.0
+    for gap in gaps:
+        start = cursor + gap
+        cursor = start + draw(st.floats(0.01, 3.0, **finite))
+        intervals.append((start, cursor))
+    points = [0.0, *itertools.chain.from_iterable(intervals)]
+    ready = draw(st.one_of(st.sampled_from(points), st.floats(0.0, 2.0 * cursor + 1.0, **finite)))
+    gap_lengths = [b - a for (_, a), (b, _) in zip(intervals, intervals[1:]) if b > a]
+    durations = st.floats(0.01, 5.0, **finite)
+    if gap_lengths:
+        durations = st.one_of(durations, st.sampled_from(gap_lengths))
+    return intervals, ready, draw(durations)
 
 
 class TestCompare:
@@ -148,6 +177,16 @@ class TestInsertion:
             for a, b in intervals:
                 assert ins.end <= a or ins.start >= b
 
+    @settings(max_examples=400, deadline=None)
+    @given(touching_busy_node())
+    def test_bisected_scan_matches_oracle_on_touching_entries(self, case):
+        intervals, ready, duration = case
+        window = _insertion_window(
+            [a for a, _ in intervals], [b for _, b in intervals], ready, duration
+        )
+        assert window.start == earliest_fit_oracle(intervals, ready, duration)
+        assert window.end == window.start + duration
+
     def test_matches_earliest_fit_oracle(self):
         rng = np.random.default_rng(23)
         for _ in range(300):
@@ -155,6 +194,25 @@ class TestInsertion:
             duration = float(rng.uniform(0.2, 3.0))
             ready = float(rng.uniform(0.0, 8.0))
             entries = busy_node_schedule(intervals).entries
-            window = _insertion_window(list(entries), ready, duration)
+            window = _insertion_window(
+                [e.start for e in entries], [e.end for e in entries], ready, duration
+            )
             assert window.start == earliest_fit_oracle(intervals, ready, duration)
             assert window.end == window.start + duration
+
+
+class TestPlacementState:
+    def test_unplace_restores_timeline_after_gap_insertion(self):
+        inst = mk_instance({"a": 1.0, "b": 1.0, "c": 1.0}, {}, {"n0": 1.0})
+        state = _PlacementState(inst)
+        state.place("a", 0, Window(0.0, 1.0))
+        state.place("b", 0, Window(3.0, 4.0))
+        before = (
+            [list(s) for s in state.starts], [list(e) for e in state.ends], dict(state.placed)
+        )
+        (window,) = state.windows("c", (0,), False)
+        assert window == Window(1.0, 2.0)  # the gap between a and b
+        state.place("c", 0, window)
+        assert state.starts == [[0.0, 1.0, 3.0]] and state.ends == [[1.0, 2.0, 4.0]]
+        state.unplace("c")
+        assert (state.starts, state.ends, state.placed) == before
