@@ -1,8 +1,9 @@
 """Benchmark harness: ratios, pareto fronts, component effects, oracle.
 
-Every scheduler is run on every instance of every dataset.  Makespans are
-deterministic and recorded from a single run; wall-clock runtimes are the
-median of repeated timed runs on a monotonic clock and should be read as
+Every scheduler is run on every instance of every dataset, in one serial
+pass of timed runs.  Makespans are deterministic and recorded from the
+first timed run; wall-clock runtimes are the median of the timed runs on
+a monotonic clock, with ``gc`` off during each run, and should be read as
 estimates.  Ratios normalize each value by the per-instance minimum over
 the schedulers benchmarked together, so 1.0 marks the best scheduler on
 that instance and every ratio is at least 1.
@@ -16,16 +17,16 @@ parametric family can achieve.
 from __future__ import annotations
 
 import csv
+import gc
 import math
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .datagen import Dataset
-from .model import ProblemInstance, TaskId, makespan
+from .model import ProblemInstance, Schedule, TaskId, makespan
 from .priority import PriorityKind
 from .scheduler import SchedulerConfig, config_by_name, enumerate_configs, schedule
 from .selection import CompareKind, _PlacementState
@@ -99,20 +100,21 @@ class InteractionCell:
     mean_runtime_ratio: float
 
 
-def _time_one(instance: ProblemInstance, config: SchedulerConfig) -> float:
-    t0 = time.perf_counter()
-    schedule(instance, config)
-    return time.perf_counter() - t0
+def _time_one(instance: ProblemInstance, config: SchedulerConfig) -> tuple[Schedule, float]:
+    """One ``schedule()`` call and its wall time, with ``gc`` off as ``timeit`` does.
 
-
-def _makespan_of(
-    args: tuple[ProblemInstance, SchedulerConfig]
-) -> tuple[float | None, str | None]:
-    instance, config = args
+    Only the call is timed.  The caller's ``gc`` state is restored even if
+    the call raises.
+    """
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        return makespan(schedule(instance, config)), None
-    except Exception as exc:  # record the failure; the sweep continues
-        return None, f"{type(exc).__name__}: {exc}"
+        t0 = time.perf_counter()
+        result = schedule(instance, config)
+        return result, time.perf_counter() - t0
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def run_benchmark(
@@ -121,12 +123,14 @@ def run_benchmark(
     timing_repeats: int = 3,
     jobs: int = 1,
 ) -> list[BenchmarkRecord]:
-    """One record per (dataset, instance, scheduler).
+    """One record per (dataset, instance, scheduler), in one serial pass.
 
-    Makespans come from an untimed pass that may run across ``jobs``
-    worker processes; the timed pass always runs serially afterwards so
-    timings are not polluted by concurrent work.  A scheduler failure on
-    one instance produces a record carrying the error message and NaN
+    Each pair is scheduled ``timing_repeats`` times; the makespan comes
+    from the first run (``schedule()`` is deterministic) and the runtime
+    is the median over all runs.  ``jobs`` is accepted for compatibility
+    and has no effect: every run is timed, and timed runs execute serially
+    so timings are not polluted by concurrent work.  A scheduler failure
+    on one instance produces a record carrying the error message and NaN
     values instead of aborting the run.
     """
     if not datasets:
@@ -136,39 +140,23 @@ def run_benchmark(
     if timing_repeats < 1:
         raise ValueError("timing_repeats must be at least 1")
 
-    work = [
-        (ds.name, idx, name, config, instance)
-        for ds in datasets
-        for idx, instance in enumerate(ds.instances)
-        for name, config in configs
-    ]
-
-    makespans: list[float | None] = []
-    errors: list[str | None] = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for value, err in pool.map(
-                _makespan_of, ((inst, cfg) for _, _, _, cfg, inst in work), chunksize=16
-            ):
-                makespans.append(value)
-                errors.append(err)
-    else:
-        for _, _, _, config, instance in work:
-            value, err = _makespan_of((instance, config))
-            makespans.append(value)
-            errors.append(err)
-
     records = []
-    for (ds_name, idx, name, config, instance), ms, err in zip(work, makespans, errors):
-        if err is not None:
-            records.append(
-                BenchmarkRecord(ds_name, idx, name, math.nan, math.nan, error=err)
-            )
-            continue
-        runtime = statistics.median(
-            _time_one(instance, config) for _ in range(timing_repeats)
-        )
-        records.append(BenchmarkRecord(ds_name, idx, name, ms, runtime))
+    for ds in datasets:
+        for idx, instance in enumerate(ds.instances):
+            for name, config in configs:
+                try:
+                    first, runtime = _time_one(instance, config)
+                    ms = makespan(first)
+                    runtimes = [runtime]
+                    for _ in range(timing_repeats - 1):
+                        runtimes.append(_time_one(instance, config)[1])
+                except Exception as exc:  # record the failure; the sweep continues
+                    ms = runtime = math.nan
+                    error = f"{type(exc).__name__}: {exc}"
+                else:
+                    runtime = statistics.median(runtimes)
+                    error = None
+                records.append(BenchmarkRecord(ds.name, idx, name, ms, runtime, error))
     return records
 
 

@@ -74,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=_positive_int, default=3,
                    help="timed runs per record; the median is kept (default 3)")
     p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes for the untimed pass (default 1)")
+                   help="accepted for compatibility; has no effect, every run "
+                        "is timed serially (default 1)")
     p.add_argument("--out", required=True, help="output results CSV")
 
     p = sub.add_parser("analyze", help="derive tables from a results CSV")

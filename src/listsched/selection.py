@@ -7,9 +7,9 @@ one task on one node given a partial schedule.  The append-only finder
 only looks past the last entry on the node; the insertion finder returns
 the earliest idle gap (before the first entry, between two entries, or
 after the last) that fits.  Entries on a node are disjoint and sorted by
-start, so their ends are sorted too: the insertion finder bisects the
-ends to the last entry that ends before the data-ready time and scans
-forward from there, since no earlier gap can fit.
+(start, end), so their ends are sorted too: the insertion finder bisects
+the ends to the last entry that ends before the data-ready time and
+scans forward from there, since no earlier gap can fit.
 
 A compare kind scores a window (EFT: its end, EST: its start, Quickest:
 its length); the lower score is the better window.  :data:`COMPARE_KEYS`
@@ -108,7 +108,7 @@ def _append_window(last_end: float, ready: float, duration: float) -> Window:
 def _insertion_window(
     starts: Sequence[float], ends: Sequence[float], ready: float, duration: float
 ) -> Window:
-    """Earliest fitting window on a node whose entries are sorted by start.
+    """Earliest fitting window on a node whose entries are sorted by (start, end).
 
     ``starts`` and ``ends`` are the entries' parallel start and end times.
     Gap fitting is closed-start/open-end: a window may end exactly where
@@ -143,7 +143,9 @@ def open_window_insertion(
 ) -> Window:
     """Earliest idle window on ``node`` large enough for ``task``."""
     ready = data_available_time(instance, partial, task, node)
-    entries = sorted((e for e in partial.entries if e.node == node), key=lambda e: e.start)
+    entries = sorted(
+        (e for e in partial.entries if e.node == node), key=lambda e: (e.start, e.end)
+    )
     return _insertion_window(
         [e.start for e in entries],
         [e.end for e in entries],
@@ -157,8 +159,8 @@ class _PlacementState:
 
     Nodes are the indices of ``instance.network.node_order()``.  Node v's
     timeline is the parallel lists ``starts[v]`` and ``ends[v]``, sorted
-    by start.  The strength matrix holds ``inf`` on its diagonal, so data
-    already on the node arrives after ``size / inf == 0.0``, and
+    by (start, end).  The strength matrix holds ``inf`` on its diagonal,
+    so data already on the node arrives after ``size / inf == 0.0``, and
     ``end + 0.0`` is exactly ``end``.
     """
 
@@ -205,18 +207,22 @@ class _PlacementState:
 
     def place(self, task: TaskId, node: int, window: Window) -> None:
         start, end = window
-        i = bisect_right(self.starts[node], start)
-        self.starts[node].insert(i, start)
+        starts = self.starts[node]
+        # only a zero-length entry can share its start with another entry;
+        # it goes first, so entries stay sorted by (start, end)
+        i = bisect_left(starts, start) if end == start else bisect_right(starts, start)
+        starts.insert(i, start)
         self.ends[node].insert(i, end)
         self.placed[task] = (node, start, end)
 
     def unplace(self, task: TaskId) -> None:
         """Undo the latest ``place``, which must have placed ``task``."""
-        node, start, _ = self.placed.pop(task)
-        # place inserted after any equal start, and everything placed
-        # since has been undone, so the entry is the last with its start
-        i = bisect_right(self.starts[node], start) - 1
-        del self.starts[node][i]
+        node, start, end = self.placed.pop(task)
+        starts = self.starts[node]
+        # everything placed since has been undone, so the entry is back in
+        # the slot place chose: first with its start if zero-length, else last
+        i = bisect_left(starts, start) if end == start else bisect_right(starts, start) - 1
+        del starts[i]
         del self.ends[node][i]
 
     def to_schedule(self) -> Schedule:

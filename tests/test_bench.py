@@ -323,6 +323,72 @@ class TestRunBenchmark:
         parallel = run_benchmark([tiny_dataset], ALL_CONFIGS[:4], timing_repeats=1, jobs=2)
         assert [r.makespan for r in serial] == [r.makespan for r in parallel]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_schedule_call_per_timed_run(self, tiny_dataset, monkeypatch, jobs):
+        import listsched.bench as bench_mod
+
+        calls = []
+
+        def counting(instance, config):
+            calls.append(config)
+            return schedule(instance, config)
+
+        monkeypatch.setattr(bench_mod, "schedule", counting)
+        records = run_benchmark([tiny_dataset], ALL_CONFIGS[:4], timing_repeats=3, jobs=jobs)
+        assert len(calls) == 3 * len(records) == 3 * 2 * 4
+        assert [r.makespan for r in records] == [
+            makespan(schedule(inst, config))
+            for inst in tiny_dataset.instances
+            for _, config in ALL_CONFIGS[:4]
+        ]
+
+    def test_failure_is_recorded_and_the_sweep_continues(self, tiny_dataset, monkeypatch):
+        import listsched.bench as bench_mod
+
+        failing = ALL_CONFIGS[1][1]
+
+        def stub(instance, config):
+            if config == failing:
+                raise RuntimeError("boom")
+            return schedule(instance, config)
+
+        monkeypatch.setattr(bench_mod, "schedule", stub)
+        records = run_benchmark([tiny_dataset], ALL_CONFIGS[:3], timing_repeats=2)
+        assert len(records) == 2 * 3
+        for r in records:
+            if r.scheduler == ALL_CONFIGS[1][0]:
+                assert r.error == "RuntimeError: boom"
+                assert math.isnan(r.makespan) and math.isnan(r.runtime_seconds)
+            else:
+                assert r.error is None
+                assert r.makespan > 0 and r.runtime_seconds > 0
+
+    @pytest.mark.parametrize("caller_gc", [True, False])
+    def test_gc_is_off_only_inside_timed_calls(self, tiny_dataset, monkeypatch, caller_gc):
+        import gc
+
+        import listsched.bench as bench_mod
+
+        seen = []
+
+        def stub(instance, config):
+            seen.append(gc.isenabled())
+            if config == ALL_CONFIGS[0][1]:
+                raise RuntimeError("boom")
+            return schedule(instance, config)
+
+        monkeypatch.setattr(bench_mod, "schedule", stub)
+        was_enabled = gc.isenabled()
+        (gc.enable if caller_gc else gc.disable)()
+        try:
+            records = run_benchmark([tiny_dataset], ALL_CONFIGS[:2], timing_repeats=2)
+            after = gc.isenabled()
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert seen and not any(seen)
+        assert after is caller_gc
+        assert [r.error is None for r in records] == [False, True] * 2
+
     def test_runtime_is_median_of_repeats(self, tiny_dataset, monkeypatch):
         import listsched.bench as bench_mod
 

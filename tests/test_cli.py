@@ -163,7 +163,8 @@ class TestBenchmark:
         args = ["benchmark", "--datasets", str(dataset_dir),
                 "--schedulers", "HEFT,MCT,MET", "--repeats", "1"]
         assert main(args + ["--out", str(out_a)]) == 0
-        assert main(args + ["--out", str(out_b)]) == 0
+        # --jobs is accepted and leaves the makespans alone
+        assert main(args + ["--jobs", "2", "--out", str(out_b)]) == 0
         pick = lambda rows: [(r["scheduler"], r["makespan"], r["makespan_ratio"]) for r in rows]
         assert pick(read_rows(out_a)) == pick(read_rows(out_b))
 

@@ -1,0 +1,60 @@
+"""Property tests over random DAGs on random networks.
+
+Weights mix ordinary values (~1) with ones that vanish against them (down
+to 1e-300), so a start time plus a duration can round back to the start
+time and windows of zero length reach the placement engine.
+"""
+
+import itertools
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from listsched import enumerate_configs, schedule, validate_schedule
+
+from conftest import mk_instance
+
+ALL_CONFIGS = enumerate_configs()
+
+FINITE = {"allow_nan": False, "allow_infinity": False}
+#: ordinary weights beside ones that vanish against them
+WEIGHTS = st.one_of(
+    st.floats(0.1, 5.0, **FINITE),
+    st.sampled_from([1.0, 0.2, 1e-9, 1e-150, 1e-300]),
+)
+RATES = st.one_of(st.floats(0.3, 3.0, **FINITE), st.just(1.0))
+
+
+@st.composite
+def problem_instances(draw):
+    """A DAG of 1-7 tasks (edges only from lower to higher index) on 1-4 nodes."""
+    n_tasks = draw(st.integers(1, 7))
+    tasks = [f"t{i}" for i in range(n_tasks)]
+    costs = {t: draw(WEIGHTS) for t in tasks}
+    sizes = {
+        (a, b): draw(WEIGHTS)
+        for a, b in itertools.combinations(tasks, 2)
+        if draw(st.booleans())
+    }
+    nodes = [f"n{i}" for i in range(draw(st.integers(1, 4)))]
+    speeds = {v: draw(RATES) for v in nodes}
+    strengths = {pair: draw(RATES) for pair in itertools.combinations(nodes, 2)}
+    return mk_instance(costs, sizes, speeds, strengths)
+
+
+def zero_length_overlap_instance():
+    """z's duration vanishes against its start, so its window is (1.0, 1.0)
+    at the start of b, and w must then be placed after b, not over it."""
+    return mk_instance(
+        {"a": 1.0, "b": 1.0, "z": 1e-300, "w": 0.2},
+        {("a", "b"): 1e-9, ("a", "z"): 1e-9, ("z", "w"): 1e-9},
+        {"n0": 1.0},
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem_instances())
+@example(zero_length_overlap_instance())
+def test_every_config_yields_a_valid_schedule(instance):
+    for name, config in ALL_CONFIGS:
+        assert validate_schedule(instance, schedule(instance, config)) == [], name

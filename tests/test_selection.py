@@ -216,3 +216,19 @@ class TestPlacementState:
         assert state.starts == [[0.0, 1.0, 3.0]] and state.ends == [[1.0, 2.0, 4.0]]
         state.unplace("c")
         assert (state.starts, state.ends, state.placed) == before
+
+    def test_zero_length_entry_goes_before_an_equal_start(self):
+        # z's duration vanishes against its start: its window (1.0, 1.0)
+        # sits at the start of b, and the ends must stay sorted
+        inst = mk_instance({"a": 1.0, "b": 1.0, "z": 1e-300, "w": 0.2}, {}, {"n0": 1.0})
+        state = _PlacementState(inst)
+        state.place("a", 0, Window(0.0, 1.0))
+        state.place("b", 0, Window(1.0, 2.0))
+        before = (
+            [list(s) for s in state.starts], [list(e) for e in state.ends], dict(state.placed)
+        )
+        state.place("z", 0, Window(1.0, 1.0))
+        assert state.starts == [[0.0, 1.0, 1.0]] and state.ends == [[1.0, 1.0, 2.0]]
+        assert state.windows("w", (0,), False) == [Window(2.0, 2.2)]
+        state.unplace("z")
+        assert (state.starts, state.ends, state.placed) == before
