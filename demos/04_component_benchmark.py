@@ -12,7 +12,7 @@ import pathlib
 import tempfile
 
 import listsched as ls
-from listsched.bench import pareto_svg, write_pareto_csv
+from listsched.bench import ParetoPoint, pareto_svg, write_table_csv
 from listsched.datagen import STANDARD_CCRS
 
 # =============================================================================
@@ -45,7 +45,7 @@ for p in sorted(optimal, key=lambda p: p.mean_runtime_ratio):
 
 with tempfile.TemporaryDirectory() as tmp:
     csv_path = pathlib.Path(tmp) / "pareto.csv"
-    write_pareto_csv(csv_path, points)
+    write_table_csv(csv_path, ParetoPoint, points)
     (pathlib.Path(tmp) / "pareto.svg").write_text(pareto_svg(points))
     print("exported", sorted(p.name for p in pathlib.Path(tmp).iterdir()))
 

@@ -21,9 +21,10 @@ import gc
 import math
 import statistics
 import time
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .datagen import Dataset
 from .model import ProblemInstance, Schedule, TaskId, makespan
@@ -165,6 +166,8 @@ def compute_ratios(records: Iterable[BenchmarkRecord]) -> list[RatioRow]:
     groups: dict[tuple[str, int], list[BenchmarkRecord]] = {}
     for record in records:
         groups.setdefault((record.dataset, record.instance_index), []).append(record)
+    if not groups:
+        raise ValueError("no records")
 
     rows: list[RatioRow] = []
     for key in groups:
@@ -190,17 +193,22 @@ def compute_ratios(records: Iterable[BenchmarkRecord]) -> list[RatioRow]:
     return rows
 
 
-def mean_ratio_points(rows: Iterable[RatioRow]) -> list[tuple[str, float, float]]:
-    """Per-scheduler means of both ratios, sorted by scheduler name."""
-    sums: dict[str, list[float]] = {}
-    for row in rows:
-        acc = sums.setdefault(row.scheduler, [0.0, 0.0, 0.0])
+def _group_means(rows: Sequence[RatioRow], keys: Iterable[Hashable]) -> dict:
+    """Mean makespan and runtime ratio per key (one key per row), summed in row order."""
+    sums: dict[Hashable, list[float]] = defaultdict(lambda: [0.0, 0.0, 0])
+    for row, key in zip(rows, keys):
+        acc = sums[key]
         acc[0] += row.makespan_ratio
         acc[1] += row.runtime_ratio
         acc[2] += 1
-    return [
-        (name, acc[0] / acc[2], acc[1] / acc[2]) for name, acc in sorted(sums.items())
-    ]
+    return {k: (mr / n, rr / n) for k, (mr, rr, n) in sums.items()}
+
+
+def mean_ratio_points(rows: Iterable[RatioRow]) -> list[tuple[str, float, float]]:
+    """Per-scheduler means of both ratios, sorted by scheduler name."""
+    rows = list(rows)
+    means = _group_means(rows, [row.scheduler for row in rows])
+    return [(name, *means[name]) for name in sorted(means)]
 
 
 def pareto_front(points: Sequence[tuple[str, float, float]]) -> list[ParetoPoint]:
@@ -250,6 +258,8 @@ def _level_of(row: RatioRow, parameter: str) -> str:
 
 
 def _require_full_cross_product(rows: Sequence[RatioRow]) -> None:
+    if not rows:
+        raise ValueError("no ratio rows to analyze")
     all_configs = {config for _, config in enumerate_configs()}
     seen: dict[tuple[str, int], set[SchedulerConfig]] = {}
     for row in rows:
@@ -264,13 +274,10 @@ def _require_full_cross_product(rows: Sequence[RatioRow]) -> None:
             )
 
 
-def _levels_for(parameter: str, rows: Sequence[RatioRow]) -> list[str]:
+def _levels_for(parameter: str, observed: set[str]) -> list[str]:
     if parameter in CONFIG_PARAMETERS:
         return list(CONFIG_PARAMETERS[parameter])
-    observed = {_level_of(row, parameter) for row in rows}
-    if parameter == "ccr":
-        return sorted(observed, key=float)
-    return sorted(observed)
+    return sorted(observed, key=float if parameter == "ccr" else None)
 
 
 def component_effects(rows: Sequence[RatioRow]) -> list[EffectRow]:
@@ -283,15 +290,8 @@ def component_effects(rows: Sequence[RatioRow]) -> list[EffectRow]:
     _require_full_cross_product(rows)
     out: list[EffectRow] = []
     for parameter, levels in CONFIG_PARAMETERS.items():
-        sums = {level: [0.0, 0.0, 0] for level in levels}
-        for row in rows:
-            acc = sums[_level_of(row, parameter)]
-            acc[0] += row.makespan_ratio
-            acc[1] += row.runtime_ratio
-            acc[2] += 1
-        for level in levels:
-            mr_sum, rr_sum, count = sums[level]
-            out.append(EffectRow(parameter, level, mr_sum / count, rr_sum / count))
+        means = _group_means(rows, [_level_of(row, parameter) for row in rows])
+        out.extend(EffectRow(parameter, level, *means[level]) for level in levels)
     return out
 
 
@@ -308,27 +308,17 @@ def interaction_effects(
     if parameter_a == parameter_b:
         raise ValueError("interaction parameters must differ")
     _require_full_cross_product(rows)
-    levels_a = _levels_for(parameter_a, rows)
-    levels_b = _levels_for(parameter_b, rows)
-    sums = {
-        (a, b): [0.0, 0.0, 0] for a in levels_a for b in levels_b
-    }
-    for row in rows:
-        key = (_level_of(row, parameter_a), _level_of(row, parameter_b))
-        acc = sums[key]
-        acc[0] += row.makespan_ratio
-        acc[1] += row.runtime_ratio
-        acc[2] += 1
-    cells = []
-    for a in levels_a:
-        for b in levels_b:
-            mr_sum, rr_sum, count = sums[(a, b)]
-            if count == 0:
-                continue  # level pair absent (e.g. a dataset type missing a CCR)
-            cells.append(
-                InteractionCell(parameter_a, a, parameter_b, b, mr_sum / count, rr_sum / count)
-            )
-    return cells
+    keys = [(_level_of(row, parameter_a), _level_of(row, parameter_b)) for row in rows]
+    means = _group_means(rows, keys)
+    levels_a = _levels_for(parameter_a, {a for a, _ in means})
+    levels_b = _levels_for(parameter_b, {b for _, b in means})
+    # a level pair without rows (e.g. a dataset type missing a CCR) is dropped
+    return [
+        InteractionCell(parameter_a, a, parameter_b, b, *means[(a, b)])
+        for a in levels_a
+        for b in levels_b
+        if (a, b) in means
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -456,42 +446,15 @@ def read_results_csv(path: str | Path) -> list[BenchmarkRecord]:
     return records
 
 
-def write_pareto_csv(path: str | Path, points: Sequence[ParetoPoint]) -> None:
+def write_table_csv(path: str | Path, row_type: type, rows: Iterable[object]) -> None:
+    """An analysis table: the dataclass ``row_type``'s field names, then one line per row.
+
+    ``csv`` writes a float as its ``repr`` and a bool as ``True``/``False``.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["scheduler", "mean_makespan_ratio", "mean_runtime_ratio", "pareto_optimal"]
-        )
-        for p in points:
-            writer.writerow(
-                [p.scheduler, repr(p.mean_makespan_ratio), repr(p.mean_runtime_ratio),
-                 p.pareto_optimal]
-            )
-
-
-def write_effects_csv(path: str | Path, rows: Sequence[EffectRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["parameter", "level", "mean_makespan_ratio", "mean_runtime_ratio"])
-        for row in rows:
-            writer.writerow(
-                [row.parameter, row.level, repr(row.mean_makespan_ratio),
-                 repr(row.mean_runtime_ratio)]
-            )
-
-
-def write_interactions_csv(path: str | Path, cells: Sequence[InteractionCell]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["parameter_a", "level_a", "parameter_b", "level_b",
-             "mean_makespan_ratio", "mean_runtime_ratio"]
-        )
-        for cell in cells:
-            writer.writerow(
-                [cell.parameter_a, cell.level_a, cell.parameter_b, cell.level_b,
-                 repr(cell.mean_makespan_ratio), repr(cell.mean_runtime_ratio)]
-            )
+        writer.writerow(field.name for field in fields(row_type))
+        writer.writerows(astuple(row) for row in rows)
 
 
 def pareto_svg(points: Sequence[ParetoPoint], width: int = 640, height: int = 480) -> str:

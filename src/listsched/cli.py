@@ -199,19 +199,19 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             bench.write_results_csv(args.out, records, ratios)
         elif args.mode == "pareto":
             points = bench.pareto_front(bench.mean_ratio_points(ratios))
-            bench.write_pareto_csv(args.out, points)
+            bench.write_table_csv(args.out, bench.ParetoPoint, points)
             svg_path = Path(args.out).with_suffix(".svg")
             svg_path.write_text(bench.pareto_svg(points))
             print(f"wrote {svg_path}")
         elif args.mode == "effects":
-            bench.write_effects_csv(args.out, bench.component_effects(ratios))
+            bench.write_table_csv(args.out, bench.EffectRow, bench.component_effects(ratios))
         elif args.mode == "interactions":
             if not args.params or len(args.params.split(",")) != 2:
                 print("--mode interactions requires --params A,B", file=sys.stderr)
                 return EXIT_USAGE
             param_a, param_b = (p.strip() for p in args.params.split(","))
             cells = bench.interaction_effects(ratios, param_a, param_b)
-            bench.write_interactions_csv(args.out, cells)
+            bench.write_table_csv(args.out, bench.InteractionCell, cells)
     except ValueError as exc:
         print(f"analysis failed: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -131,7 +131,7 @@ def topological_order(task_graph: TaskGraph) -> tuple[TaskId, ...]:
 
 @dataclass(frozen=True, eq=True)
 class Network:
-    """Complete undirected network of compute nodes.
+    """Complete undirected network of at least one compute node.
 
     ``speed`` is work per unit time; ``strength`` is data per unit time on
     the link between a pair of distinct nodes, keyed by the sorted id
@@ -145,6 +145,8 @@ class Network:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", frozenset(self.nodes))
+        if not self.nodes:
+            raise ValueError("network has no nodes")
         normalized: dict[tuple[NodeId, NodeId], float] = {}
         for (u, v), value in self.strength.items():
             if u == v:

@@ -107,15 +107,14 @@ def priority_map(instance: ProblemInstance, kind: PriorityKind) -> PriorityMap:
 
 
 def critical_path_tasks(instance: ProblemInstance) -> list[TaskId]:
-    """Tasks whose upward + downward rank attains the maximum, in topological order.
+    """Tasks whose CPoP priority attains the maximum, in topological order.
 
-    Membership uses a relative tolerance since ranks are sums of float
-    terms; when the maximum is achieved by a unique path the result is a
-    source-to-sink chain.
+    The CPoP priority is the upward plus the downward rank.  Membership
+    uses a relative tolerance since ranks are sums of float terms; when the
+    maximum is achieved by a unique path the result is a source-to-sink
+    chain.
     """
-    up = upward_rank(instance)
-    down = downward_rank(instance)
-    total = {t: up[t] + down[t] for t in up}
+    total = priority_map(instance, PriorityKind.CPOP_RANKING)
     if not total:
         return []
     top = max(total.values())

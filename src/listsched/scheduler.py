@@ -174,8 +174,6 @@ def schedule(instance: ProblemInstance, config: SchedulerConfig) -> Schedule:
     Entries appear in the returned schedule in placement order.
     """
     nodes = instance.network.node_order()
-    if not nodes:
-        raise ValueError("cannot schedule on an empty network")
     tg = instance.task_graph
 
     priorities = priority_map(instance, config.initial_priority)

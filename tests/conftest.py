@@ -104,6 +104,7 @@ MALFORMED_CASES = (
     "duplicate dep",
     "infinite strength",
     "infinite cost",
+    "no nodes",
 )
 
 
@@ -125,4 +126,6 @@ def malformed_instance_dict(case: str) -> dict:
         net["links"][0]["strength"] = "inf"
     elif case == "infinite cost":
         tg["tasks"][1]["cost"] = "inf"
+    elif case == "no nodes":
+        net["nodes"], net["links"] = [], []
     return data

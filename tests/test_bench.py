@@ -24,9 +24,12 @@ from listsched import (
 )
 from listsched.bench import (
     RESULTS_HEADER,
+    EffectRow,
+    ParetoPoint,
     pareto_svg,
     read_results_csv,
     write_results_csv,
+    write_table_csv,
 )
 from listsched.datagen import GenParams, GraphKind, gen_dataset
 
@@ -111,6 +114,10 @@ class TestComputeRatios:
     def test_zero_makespan_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             compute_ratios([record("d", 0, "A", 0.0, 1.0)])
+
+    def test_no_records_rejected(self):
+        with pytest.raises(ValueError, match="no records"):
+            compute_ratios([])
 
     def test_errored_records_are_excluded(self):
         records = [
@@ -202,6 +209,10 @@ class TestComponentEffects:
             assert x.parameter == y.parameter and x.level == y.level
             assert x.mean_makespan_ratio == pytest.approx(y.mean_makespan_ratio, rel=1e-12)
 
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError, match="no ratio rows"):
+            component_effects([])
+
     def test_incomplete_cross_product_rejected(self):
         rows = full_grid_rows(lambda *a: (1.0, 1.0))[:-1]
         with pytest.raises(ValueError, match="confounded"):
@@ -232,6 +243,12 @@ class TestInteractionEffects:
         rows = full_grid_rows(lambda *a: (1.0, 1.0), datasets=datasets)
         cells = interaction_effects(rows, "sufferage", "dataset_type")
         assert {c.level_b for c in cells} == {"in_trees", "chains"}
+
+    def test_absent_level_pairs_dropped(self):
+        # in_trees only at CCR 0.2 and chains only at CCR 5: two of four pairs
+        rows = full_grid_rows(lambda *a: (1.0, 1.0))
+        cells = interaction_effects(rows, "dataset_type", "ccr")
+        assert [(c.level_a, c.level_b) for c in cells] == [("chains", "5"), ("in_trees", "0.2")]
 
     def test_same_parameter_rejected(self):
         rows = full_grid_rows(lambda *a: (1.0, 1.0))
@@ -420,6 +437,16 @@ class TestCsv:
         assert again[0].makespan == 2.5
         assert again[2].error == "boom"
         assert math.isnan(again[2].makespan)
+
+    def test_table_header_is_row_fields(self, tmp_path):
+        path = tmp_path / "pareto.csv"
+        write_table_csv(path, ParetoPoint, [ParetoPoint("A", 0.1 + 0.2, 1.0, True)])
+        assert path.read_text().splitlines() == [
+            "scheduler,mean_makespan_ratio,mean_runtime_ratio,pareto_optimal",
+            "A,0.30000000000000004,1.0,True",
+        ]
+        write_table_csv(path, EffectRow, [])
+        assert path.read_bytes() == b"parameter,level,mean_makespan_ratio,mean_runtime_ratio\r\n"
 
     def test_svg_export(self):
         points = pareto_front([("A", 1.0, 2.0), ("B", 2.0, 1.0), ("C", 2.5, 2.5)])

@@ -183,6 +183,16 @@ class TestBenchmark:
         assert code == 1
         assert "invalid dataset" in capsys.readouterr().err
 
+    def test_empty_dataset_is_domain_error(self, dataset_dir, tmp_path, capsys):
+        # a manifest with count 0 used to write a header-only results file, exit 0
+        manifest = dataset_dir / "manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "count": 0}))
+        out = tmp_path / "x.csv"
+        code = main(["benchmark", "--datasets", str(dataset_dir), "--out", str(out)])
+        assert code == 1
+        assert "cannot normalize results: no records" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_scheduler_name(self, dataset_dir, tmp_path):
         code = main(["benchmark", "--datasets", str(dataset_dir),
                      "--schedulers", "HEFT,NOPE", "--out", str(tmp_path / "x.csv")])
@@ -270,6 +280,21 @@ class TestAnalyze:
         assert main(["analyze", "--results", str(src), "--mode", "ratios",
                      "--out", str(tmp_path / "ratios.csv")]) == 1
         assert "missing column(s): runtime_seconds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", [
+        ["--mode", "ratios"],
+        ["--mode", "pareto"],
+        ["--mode", "effects"],
+        ["--mode", "interactions", "--params", "compare,nonsense"],
+    ], ids=lambda mode: mode[1])
+    def test_header_only_results_is_domain_error(self, tmp_path, capsys, mode):
+        # effects used to die with ZeroDivisionError; the other modes wrote
+        # empty tables and exit 0, interactions even with an unknown parameter
+        src = tmp_path / "header.csv"
+        self.write_results(src, [])
+        assert main(["analyze", "--results", str(src), *mode,
+                     "--out", str(tmp_path / "out.csv")]) == 1
+        assert "analysis failed: no records" in capsys.readouterr().err
 
     def test_effects_shape(self, results_csv, tmp_path):
         out = tmp_path / "effects.csv"
