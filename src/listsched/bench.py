@@ -241,20 +241,26 @@ def pareto_front(points: Sequence[tuple[str, float, float]]) -> list[ParetoPoint
     ]
 
 
-def _level_of(row: RatioRow, parameter: str) -> str:
+def _levels_of(rows: Sequence[RatioRow], parameter: str) -> list[str]:
+    """Each row's level of ``parameter``; each distinct name resolves once."""
     if parameter in CONFIG_PARAMETERS:
-        config = config_by_name(row.scheduler)
-        value = getattr(config, parameter)
-        return value.value if hasattr(value, "value") else str(value)
-    if parameter in DERIVED_PARAMETERS:
-        if "_ccr_" not in row.dataset:
-            raise ValueError(
-                f"dataset name {row.dataset!r} does not encode a CCR; "
-                f"cannot derive {parameter!r}"
-            )
-        kind, _, ccr = row.dataset.partition("_ccr_")
-        return kind if parameter == "dataset_type" else ccr
-    raise ValueError(f"unknown parameter {parameter!r}")
+        names = [row.scheduler for row in rows]
+        values = {n: getattr(config_by_name(n), parameter) for n in dict.fromkeys(names)}
+        levels = {n: v.value if hasattr(v, "value") else str(v) for n, v in values.items()}
+    elif parameter in DERIVED_PARAMETERS:
+        names = [row.dataset for row in rows]
+        levels = {}
+        for name in dict.fromkeys(names):
+            if "_ccr_" not in name:
+                raise ValueError(
+                    f"dataset name {name!r} does not encode a CCR; "
+                    f"cannot derive {parameter!r}"
+                )
+            kind, _, ccr = name.partition("_ccr_")
+            levels[name] = kind if parameter == "dataset_type" else ccr
+    else:
+        raise ValueError(f"unknown parameter {parameter!r}")
+    return [levels[name] for name in names]
 
 
 def _require_full_cross_product(rows: Sequence[RatioRow]) -> None:
@@ -290,7 +296,7 @@ def component_effects(rows: Sequence[RatioRow]) -> list[EffectRow]:
     _require_full_cross_product(rows)
     out: list[EffectRow] = []
     for parameter, levels in CONFIG_PARAMETERS.items():
-        means = _group_means(rows, [_level_of(row, parameter) for row in rows])
+        means = _group_means(rows, _levels_of(rows, parameter))
         out.extend(EffectRow(parameter, level, *means[level]) for level in levels)
     return out
 
@@ -308,7 +314,7 @@ def interaction_effects(
     if parameter_a == parameter_b:
         raise ValueError("interaction parameters must differ")
     _require_full_cross_product(rows)
-    keys = [(_level_of(row, parameter_a), _level_of(row, parameter_b)) for row in rows]
+    keys = list(zip(_levels_of(rows, parameter_a), _levels_of(rows, parameter_b)))
     means = _group_means(rows, keys)
     levels_a = _levels_for(parameter_a, {a for a, _ in means})
     levels_b = _levels_for(parameter_b, {b for _, b in means})
@@ -363,7 +369,7 @@ def brute_force_min_makespan(instance: ProblemInstance) -> float:
             del rest[t]
             for s in tg.successors(t):
                 rest[s] -= 1
-            for v, window in enumerate(state.windows(t, all_nodes, False)):
+            for v, window in enumerate(state.windows(t, all_nodes)):
                 end = max(peak, window.end)
                 if end < best:
                     state.place(t, v, window)

@@ -185,6 +185,9 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if args.mode == "interactions" and len((args.params or "").split(",")) != 2:
+        print("--mode interactions requires --params A,B", file=sys.stderr)
+        return EXIT_USAGE
     try:
         records = bench.read_results_csv(args.results)
     except OSError as exc:
@@ -206,9 +209,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         elif args.mode == "effects":
             bench.write_table_csv(args.out, bench.EffectRow, bench.component_effects(ratios))
         elif args.mode == "interactions":
-            if not args.params or len(args.params.split(",")) != 2:
-                print("--mode interactions requires --params A,B", file=sys.stderr)
-                return EXIT_USAGE
             param_a, param_b = (p.strip() for p in args.params.split(","))
             cells = bench.interaction_effects(ratios, param_a, param_b)
             bench.write_table_csv(args.out, bench.InteractionCell, cells)

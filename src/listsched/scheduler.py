@@ -16,11 +16,12 @@ edges on general DAGs.  Ties are broken by position in the deterministic
 topological order, so runs are bitwise reproducible.
 
 Each call compiles the instance once into the index form of
-:class:`~listsched.selection._PlacementState` and resolves the compare
-kind once to a key function; a task's windows on all candidate nodes
-come from one engine pass, and picking the best and second-best node is
-a comparison of keys.  Nothing is cached across calls, so every timed
-run pays for its own set-up.
+:class:`~listsched.selection._PlacementState`; one engine pass over a
+task's candidate nodes yields its best node, that node's window, the
+sufferage value and the runner-up node.  A sufferage loser's pass is
+reused at the next step when the placement in between cannot change it.
+Nothing is cached across calls, so every timed run pays for its own
+set-up.
 """
 
 from __future__ import annotations
@@ -120,25 +121,6 @@ def config_by_name(name: str) -> SchedulerConfig:
         raise KeyError(f"unknown scheduler name {name!r}") from None
 
 
-def _top_two(
-    windows: Sequence[Window], key: Callable[[Window], float]
-) -> tuple[int, int | None]:
-    """Positions of the best and second-best window; lower ``key`` is better.
-
-    The scan seeds best with the first window and second-best with the
-    first window that fails to displace it, so ties go to the earlier
-    position and the pair is well defined even for two windows.
-    """
-    keys = list(map(key, windows))
-    best, second = 0, None
-    for i in range(1, len(keys)):
-        if keys[i] < keys[best]:
-            best, second = i, best
-        elif second is None or keys[i] < keys[second]:
-            second = i
-    return best, second
-
-
 def best_two_nodes(
     instance: ProblemInstance,
     partial: Schedule,
@@ -151,10 +133,12 @@ def best_two_nodes(
     if not candidates:
         raise ValueError("candidate node list is empty")
     windows = [window_finder(instance, partial, node, task) for node in candidates]
-    best, second = _top_two(windows, COMPARE_KEYS[compare_kind])
-    if second is None:
+    key = COMPARE_KEYS[compare_kind]
+    # a stable sort: ties go to the earlier candidate
+    best, *rest = sorted(range(len(windows)), key=lambda i: key(windows[i]))
+    if not rest:
         return candidates[best], windows[best], None, None
-    return candidates[best], windows[best], candidates[second], windows[second]
+    return candidates[best], windows[best], candidates[rest[0]], windows[rest[0]]
 
 
 def schedule(instance: ProblemInstance, config: SchedulerConfig) -> Schedule:
@@ -188,27 +172,30 @@ def schedule(instance: ProblemInstance, config: SchedulerConfig) -> Schedule:
         cp_tasks = frozenset(critical_path_tasks(instance))
 
     state = _PlacementState(instance)
-    append_only = config.append_only
-    key = COMPARE_KEYS[config.compare]
+    append_only, compare = config.append_only, config.compare
+    # A sufferage loser was ready, so its data-ready times are fixed, and a
+    # placement on node p can only delay its earliest fitting start on p:
+    # under EFT and EST only p's key grows.  Unless p is the loser's best or
+    # runner-up node, its evaluation holds at the next step.  A Quickest
+    # key, (s + d) - s, is not monotone in s.
+    monotone = compare is not CompareKind.QUICKEST
+    kept: tuple | None = None  # (task, evaluation) that holds at this step
 
     indeg = {t: len(tg.predecessors(t)) for t in tg.tasks}
     ready = [(-priorities[t], topo_pos[t], t) for t in tg.tasks if indeg[t] == 0]
     heapq.heapify(ready)
 
-    def top_two_for(task: TaskId) -> tuple[int, Window, float]:
-        """Best node, its window, and the sufferage value of ``task``."""
+    def evaluate(task: TaskId) -> tuple[int, Window, float, int | None]:
+        if kept is not None and kept[0] == task:
+            return kept[1]
         candidates = reserved if task in cp_tasks else all_nodes
-        windows = state.windows(task, candidates, append_only)
-        best, second = _top_two(windows, key)
-        best_w = windows[best]
-        suffer = 0.0 if second is None else key(windows[second]) - key(best_w)
-        return candidates[best], best_w, suffer
+        return state.best(task, candidates, append_only, compare)
 
     while ready:
         entry = heapq.heappop(ready)
         task = entry[2]
-        best, best_w, suffer = top_two_for(task)
-
+        best, best_w, suffer, second = evaluate(task)
+        loser = None
         if (
             config.sufferage
             and ready
@@ -217,14 +204,17 @@ def schedule(instance: ProblemInstance, config: SchedulerConfig) -> Schedule:
         ):
             rival_entry = heapq.heappop(ready)
             rival = rival_entry[2]
-            r_best, r_best_w, r_suffer = top_two_for(rival)
-            if r_suffer > suffer:
+            rival_eval = evaluate(rival)
+            if rival_eval[2] > suffer:
                 heapq.heappush(ready, entry)
-                task, best, best_w = rival, r_best, r_best_w
+                loser = (task, (best, best_w, suffer, second))
+                task, (best, best_w, suffer, second) = rival, rival_eval
             else:
                 heapq.heappush(ready, rival_entry)
+                loser = (rival, rival_eval)
 
         state.place(task, best, best_w)
+        kept = loser if monotone and loser and best not in (loser[1][0], loser[1][3]) else None
         for s in tg.successors(task):
             indeg[s] -= 1
             if indeg[s] == 0:

@@ -13,9 +13,8 @@ scans forward from there, since no earlier gap can fit.
 
 A compare kind scores a window (EFT: its end, EST: its start, Quickest:
 its length); the lower score is the better window.  :data:`COMPARE_KEYS`
-maps each kind to that score function, so a scheduler resolves its
-compare kind once per call; :func:`compare` is the signed difference of
-two scores.
+maps each kind to that score function and :func:`compare` is the signed
+difference of two scores.
 
 :class:`_PlacementState` is the incremental engine that the scheduler and
 the brute-force oracle place tasks through; the oracle's depth-first
@@ -23,10 +22,13 @@ search also undoes placements as it backtracks.  Its constructor
 compiles the instance into index form (node indices in ``node_order()``,
 a speed list, a dense strength matrix, per-task ``(pred, data_size)``
 tuples) once per ``schedule()`` call, and it keeps each node's timeline
-as parallel start and end lists.  The public ``data_available_time`` and
-``open_window_*`` functions recompute the same quantities from a whole
-:class:`Schedule` on every call and serve as spec-level references for
-it.
+as parallel start and end lists.  For the scheduler, ``best`` makes one
+pass over the candidate nodes, computes each start, end and score inline
+and builds a :class:`Window` only for the winner; the oracle takes every
+insertion window from ``windows``.  The public ``data_available_time``
+and ``open_window_*`` functions recompute the same quantities from a
+whole :class:`Schedule` on every call and serve as spec-level references
+for it.
 """
 
 from __future__ import annotations
@@ -100,15 +102,10 @@ def data_available_time(
     )
 
 
-def _append_window(last_end: float, ready: float, duration: float) -> Window:
-    start = max(last_end, ready)
-    return Window(start, start + duration)
-
-
-def _insertion_window(
+def _insertion_start(
     starts: Sequence[float], ends: Sequence[float], ready: float, duration: float
-) -> Window:
-    """Earliest fitting window on a node whose entries are sorted by (start, end).
+) -> float:
+    """Earliest fitting start on a node whose entries are sorted by (start, end).
 
     ``starts`` and ``ends`` are the entries' parallel start and end times.
     Gap fitting is closed-start/open-end: a window may end exactly where
@@ -119,14 +116,14 @@ def _insertion_window(
     after it opens at its end.
     """
     if not starts or ready + duration <= starts[0]:
-        return Window(ready, ready + duration)
+        return ready
     i = max(bisect_left(ends, ready) - 1, 0)
     start = ends[i] if ends[i] > ready else ready
     last = len(starts) - 1
     while i < last and start + duration > starts[i + 1]:
         i += 1
         start = ends[i]
-    return Window(start, start + duration)
+    return start
 
 
 def open_window_append_only(
@@ -134,8 +131,8 @@ def open_window_append_only(
 ) -> Window:
     """Window starting after the last entry on ``node`` (and data arrival)."""
     last_end = max((e.end for e in partial.entries if e.node == node), default=0.0)
-    ready = data_available_time(instance, partial, task, node)
-    return _append_window(last_end, ready, exec_time(instance, task, node))
+    start = max(last_end, data_available_time(instance, partial, task, node))
+    return Window(start, start + exec_time(instance, task, node))
 
 
 def open_window_insertion(
@@ -146,12 +143,11 @@ def open_window_insertion(
     entries = sorted(
         (e for e in partial.entries if e.node == node), key=lambda e: (e.start, e.end)
     )
-    return _insertion_window(
-        [e.start for e in entries],
-        [e.end for e in entries],
-        ready,
-        exec_time(instance, task, node),
+    duration = exec_time(instance, task, node)
+    start = _insertion_start(
+        [e.start for e in entries], [e.end for e in entries], ready, duration
     )
+    return Window(start, start + duration)
 
 
 class _PlacementState:
@@ -184,26 +180,54 @@ class _PlacementState:
         #: task -> (node, start, end), in placement order
         self.placed: dict[TaskId, tuple[int, float, float]] = {}
 
-    def windows(
-        self, task: TaskId, candidates: Sequence[int], append_only: bool
-    ) -> list[Window]:
-        """``task``'s window on each candidate node, in candidate order."""
+    def _ready_times(self, task: TaskId, candidates: Sequence[int]) -> list[float]:
+        """Data-ready time of ``task`` on each candidate node."""
         placed, strength = self.placed, self.strength
         ready = [0.0] * len(candidates)
         for p, size in self.preds[task]:
             p_node, _, p_end = placed[p]
             row = strength[p_node]
             ready = list(map(max, ready, [p_end + size / row[v] for v in candidates]))
+        return ready
+
+    def windows(self, task: TaskId, candidates: Sequence[int]) -> list[Window]:
+        """``task``'s earliest insertion window on each candidate node, in order."""
         cost, speed, starts, ends = self.cost[task], self.speed, self.starts, self.ends
-        if append_only:
-            return [
-                _append_window(ends[v][-1] if ends[v] else 0.0, r, cost / speed[v])
-                for v, r in zip(candidates, ready)
-            ]
-        return [
-            _insertion_window(starts[v], ends[v], r, cost / speed[v])
-            for v, r in zip(candidates, ready)
-        ]
+        out = []
+        for v, r in zip(candidates, self._ready_times(task, candidates)):
+            d = cost / speed[v]
+            start = _insertion_start(starts[v], ends[v], r, d)
+            out.append(Window(start, start + d))
+        return out
+
+    def best(
+        self, task: TaskId, candidates: Sequence[int], append_only: bool, compare: CompareKind
+    ) -> tuple[int, Window, float, int | None]:
+        """``task``'s best node, its window, the sufferage value and the runner-up.
+
+        The lower key wins, ties go to the earlier candidate, and the
+        sufferage value is the runner-up's key minus the best key (0.0 and
+        runner-up ``None`` for a single candidate).
+        """
+        cost, speed, starts, ends = self.cost[task], self.speed, self.starts, self.ends
+        by_end, by_start = compare is CompareKind.EFT, compare is CompareKind.EST
+        best = second = None
+        best_key = second_key = math.inf
+        for v, r in zip(candidates, self._ready_times(task, candidates)):
+            d = cost / speed[v]
+            if append_only:
+                last = ends[v][-1] if ends[v] else 0.0
+                s = r if r > last else last  # max(last, r)
+            else:
+                s = _insertion_start(starts[v], ends[v], r, d)
+            f = s + d
+            k = f if by_end else s if by_start else f - s
+            if k < best_key or best is None:
+                best, best_key, second, second_key, window = v, k, best, best_key, (s, f)
+            elif k < second_key or second is None:
+                second, second_key = v, k
+        suffer = 0.0 if second is None else second_key - best_key
+        return best, Window(*window), suffer, second
 
     def place(self, task: TaskId, node: int, window: Window) -> None:
         start, end = window

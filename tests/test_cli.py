@@ -327,6 +327,13 @@ class TestAnalyze:
         assert main(["analyze", "--results", str(results_csv),
                      "--mode", "interactions", "--out", str(tmp_path / "x.csv")]) == 2
 
+    def test_interactions_params_checked_before_reading_results(self, tmp_path):
+        # a header-only file used to fail the analysis first, exit 1
+        src = tmp_path / "header.csv"
+        self.write_results(src, [])
+        assert main(["analyze", "--results", str(src),
+                     "--mode", "interactions", "--out", str(tmp_path / "x.csv")]) == 2
+
     def test_ratios_mode_round_trips(self, results_csv, tmp_path):
         out = tmp_path / "ratios.csv"
         assert main(["analyze", "--results", str(results_csv),

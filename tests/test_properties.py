@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from listsched import enumerate_configs, schedule, validate_schedule
 
 from conftest import mk_instance
+from reference import reference_schedule
 
 ALL_CONFIGS = enumerate_configs()
 
@@ -58,3 +59,24 @@ def zero_length_overlap_instance():
 def test_every_config_yields_a_valid_schedule(instance):
     for name, config in ALL_CONFIGS:
         assert validate_schedule(instance, schedule(instance, config)) == [], name
+
+
+def quickest_rounding_instance():
+    """Under Quickest_Ins_UR_Suf, t3 loses a sufferage arbitration on n1,
+    then t0 goes to n0: that delays t3's start on n0 and rounds its key
+    (s + d) - s there below its key on n1.  A Quickest key is not
+    monotone in the start, so the loser's evaluation must not be reused."""
+    return mk_instance(
+        {"t0": 1.0, "t1": 1.0, "t2": 2.0, "t3": 1.6529929366676006, "t4": 1.9654157012217177},
+        {},
+        {"n0": 1.0, "n1": 1.0, "n2": 1.0},
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem_instances())
+@example(zero_length_overlap_instance())
+@example(quickest_rounding_instance())
+def test_every_config_matches_the_reference_scheduler(instance):
+    for name, config in ALL_CONFIGS:
+        assert schedule(instance, config) == reference_schedule(instance, config), name

@@ -16,7 +16,7 @@ from listsched import (
     open_window_append_only,
     open_window_insertion,
 )
-from listsched.selection import _insertion_window, _PlacementState
+from listsched.selection import _insertion_start, _PlacementState
 
 from conftest import mk_instance
 
@@ -181,11 +181,10 @@ class TestInsertion:
     @given(touching_busy_node())
     def test_bisected_scan_matches_oracle_on_touching_entries(self, case):
         intervals, ready, duration = case
-        window = _insertion_window(
+        start = _insertion_start(
             [a for a, _ in intervals], [b for _, b in intervals], ready, duration
         )
-        assert window.start == earliest_fit_oracle(intervals, ready, duration)
-        assert window.end == window.start + duration
+        assert start == earliest_fit_oracle(intervals, ready, duration)
 
     def test_matches_earliest_fit_oracle(self):
         rng = np.random.default_rng(23)
@@ -194,11 +193,10 @@ class TestInsertion:
             duration = float(rng.uniform(0.2, 3.0))
             ready = float(rng.uniform(0.0, 8.0))
             entries = busy_node_schedule(intervals).entries
-            window = _insertion_window(
+            start = _insertion_start(
                 [e.start for e in entries], [e.end for e in entries], ready, duration
             )
-            assert window.start == earliest_fit_oracle(intervals, ready, duration)
-            assert window.end == window.start + duration
+            assert start == earliest_fit_oracle(intervals, ready, duration)
 
 
 class TestPlacementState:
@@ -210,7 +208,7 @@ class TestPlacementState:
         before = (
             [list(s) for s in state.starts], [list(e) for e in state.ends], dict(state.placed)
         )
-        (window,) = state.windows("c", (0,), False)
+        (window,) = state.windows("c", (0,))
         assert window == Window(1.0, 2.0)  # the gap between a and b
         state.place("c", 0, window)
         assert state.starts == [[0.0, 1.0, 3.0]] and state.ends == [[1.0, 2.0, 4.0]]
@@ -229,6 +227,6 @@ class TestPlacementState:
         )
         state.place("z", 0, Window(1.0, 1.0))
         assert state.starts == [[0.0, 1.0, 1.0]] and state.ends == [[1.0, 1.0, 2.0]]
-        assert state.windows("w", (0,), False) == [Window(2.0, 2.2)]
+        assert state.windows("w", (0,)) == [Window(2.0, 2.2)]
         state.unplace("z")
         assert (state.starts, state.ends, state.placed) == before
