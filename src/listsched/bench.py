@@ -29,7 +29,13 @@ from typing import Hashable, Iterable, Sequence
 from .datagen import Dataset
 from .model import ProblemInstance, Schedule, TaskId, makespan
 from .priority import PriorityKind
-from .scheduler import SchedulerConfig, config_by_name, enumerate_configs, schedule
+from .scheduler import (
+    SchedulerConfig,
+    canonical_name,
+    config_by_name,
+    enumerate_configs,
+    schedule,
+)
 from .selection import CompareKind, _PlacementState
 
 RESULTS_HEADER = [
@@ -216,28 +222,11 @@ def pareto_front(points: Sequence[tuple[str, float, float]]) -> list[ParetoPoint
 
     A point is pareto-optimal unless some other point is strictly lower in
     both coordinates; ties and duplicates therefore never dominate.  The
-    sweep is O(n log n): after sorting by makespan ratio, a point is
-    dominated exactly when the smallest runtime ratio among strictly
-    better makespan ratios beats its own.
+    input holds one point per scheduler name, so the pairwise test is cheap.
     """
-    n = len(points)
-    optimal = [True] * n
-    order = sorted(range(n), key=lambda i: (points[i][1], points[i][2]))
-    best_runtime = math.inf
-    i = 0
-    while i < n:
-        j = i
-        while j < n and points[order[j]][1] == points[order[i]][1]:
-            j += 1
-        for k in order[i:j]:
-            if best_runtime < points[k][2]:
-                optimal[k] = False
-        for k in order[i:j]:
-            best_runtime = min(best_runtime, points[k][2])
-        i = j
     return [
-        ParetoPoint(name, mr, rr, optimal[i])
-        for i, (name, mr, rr) in enumerate(points)
+        ParetoPoint(name, mr, rr, not any(m < mr and r < rr for _, m, r in points))
+        for name, mr, rr in points
     ]
 
 
@@ -264,19 +253,21 @@ def _levels_of(rows: Sequence[RatioRow], parameter: str) -> list[str]:
 
 
 def _require_full_cross_product(rows: Sequence[RatioRow]) -> None:
+    """Each (dataset, instance) must hold the 72 configurations once each."""
     if not rows:
         raise ValueError("no ratio rows to analyze")
-    all_configs = {config for _, config in enumerate_configs()}
-    seen: dict[tuple[str, int], set[SchedulerConfig]] = {}
+    expected = sorted(name for name, _ in enumerate_configs())
+    names = dict.fromkeys(row.scheduler for row in rows)
+    canonical = {n: canonical_name(config_by_name(n)) for n in names}
+    seen: dict[tuple[str, int], list[str]] = defaultdict(list)
     for row in rows:
-        key = (row.dataset, row.instance_index)
-        seen.setdefault(key, set()).add(config_by_name(row.scheduler))
+        seen[(row.dataset, row.instance_index)].append(canonical[row.scheduler])
     for key, group in seen.items():
-        if group != all_configs:
+        if sorted(group) != expected:
             raise ValueError(
-                f"instance {key} covers {len(group)} of {len(all_configs)} "
-                "configurations; component means over an incomplete cross "
-                "product would be confounded"
+                f"instance {key} has {len(group)} rows covering {len(set(group))} "
+                f"of {len(expected)} configurations, once each required; component "
+                "means over an unbalanced cross product would be confounded"
             )
 
 
@@ -289,9 +280,10 @@ def _levels_for(parameter: str, observed: set[str]) -> list[str]:
 def component_effects(rows: Sequence[RatioRow]) -> list[EffectRow]:
     """Mean ratios per configuration-parameter level over the full design.
 
-    Requires every (dataset, instance) group to cover all 72
-    configurations; with the balanced design, each level mean aggregates
-    the same number of rows and the parameter means share the grand mean.
+    Requires every (dataset, instance) group to hold each of the 72
+    configurations exactly once, an alias counting as its canonical name;
+    with the balanced design, each level mean aggregates the same number
+    of rows and the parameter means share the grand mean.
     """
     _require_full_cross_product(rows)
     out: list[EffectRow] = []
@@ -390,30 +382,17 @@ def write_results_csv(
     records: Sequence[BenchmarkRecord],
     ratios: Sequence[RatioRow],
 ) -> None:
+    """One line per record; a failed record or a missing ratio leaves its cells empty."""
     by_key = {(r.dataset, r.instance_index, r.scheduler): r for r in ratios}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULTS_HEADER)
-        for record in records:
-            ratio = by_key.get((record.dataset, record.instance_index, record.scheduler))
-            if record.error is not None:
-                writer.writerow(
-                    [record.dataset, record.instance_index, record.scheduler,
-                     "", "", "", "", record.error]
-                )
-                continue
-            writer.writerow(
-                [
-                    record.dataset,
-                    record.instance_index,
-                    record.scheduler,
-                    repr(record.makespan),
-                    repr(record.runtime_seconds),
-                    repr(ratio.makespan_ratio) if ratio else "",
-                    repr(ratio.runtime_ratio) if ratio else "",
-                    "",
-                ]
-            )
+        for r in records:
+            key = (r.dataset, r.instance_index, r.scheduler)
+            ratio = by_key.get(key) if r.error is None else None
+            values = ("", "") if r.error is not None else (r.makespan, r.runtime_seconds)
+            ratio_values = (ratio.makespan_ratio, ratio.runtime_ratio) if ratio else ("", "")
+            writer.writerow([*key, *values, *ratio_values, r.error or ""])
 
 
 def read_results_csv(path: str | Path) -> list[BenchmarkRecord]:
@@ -463,9 +442,9 @@ def write_table_csv(path: str | Path, row_type: type, rows: Iterable[object]) ->
         writer.writerows(astuple(row) for row in rows)
 
 
-def pareto_svg(points: Sequence[ParetoPoint], width: int = 640, height: int = 480) -> str:
-    """Standalone scatter of runtime ratio (x) vs makespan ratio (y)."""
-    margin = 60
+def pareto_svg(points: Sequence[ParetoPoint]) -> str:
+    """Standalone 640x480 scatter of runtime ratio (x) vs makespan ratio (y)."""
+    width, height, margin = 640, 480, 60
     xs = [p.mean_runtime_ratio for p in points] or [1.0]
     ys = [p.mean_makespan_ratio for p in points] or [1.0]
     x_lo, x_hi = min(xs), max(xs)

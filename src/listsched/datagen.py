@@ -26,9 +26,6 @@ import numpy as np
 
 from .model import Network, ProblemInstance, TaskGraph, load_instance, save_instance
 
-#: Relative accuracy of CCR scaling, used by tests and the generators.
-CCR_RTOL = 1e-9
-
 #: The CCR levels studied in the component benchmarks.
 STANDARD_CCRS = (0.2, 0.5, 1.0, 2.0, 5.0)
 
@@ -167,15 +164,13 @@ def dataset_name(kind: GraphKind, target_ccr: float) -> str:
     return f"{kind.value}_ccr_{target_ccr:g}"
 
 
-def gen_dataset(params: GenParams, name: str | None = None) -> Dataset:
+def gen_dataset(params: GenParams) -> Dataset:
     """Generate ``count`` independent instances at the target CCR.
 
     Each instance gets its own generator spawned from the dataset seed, so
     the result depends only on ``params`` and instance i is reproducible
     without drawing instances 0..i-1.
     """
-    if name is None:
-        name = dataset_name(params.kind, params.target_ccr)
     children = np.random.SeedSequence(params.seed).spawn(params.count)
     instances = []
     for child in children:
@@ -184,7 +179,7 @@ def gen_dataset(params: GenParams, name: str | None = None) -> Dataset:
         task_graph = gen_task_graph(rng, params.kind)
         instance = ProblemInstance(network=network, task_graph=task_graph)
         instances.append(scale_to_ccr(instance, params.target_ccr))
-    return Dataset(name=name, instances=tuple(instances))
+    return Dataset(dataset_name(params.kind, params.target_ccr), tuple(instances))
 
 
 # ---------------------------------------------------------------------------

@@ -305,7 +305,9 @@ def validate_schedule(instance: ProblemInstance, schedule: Schedule) -> list[Vio
     for entry in schedule.entries:
         expected = exec_time(instance, entry.task, entry.node)
         actual = entry.end - entry.start
-        if abs(actual - expected) > DURATION_RTOL * max(1.0, expected):
+        # start + duration rounds to an ulp of end, which may swallow a short duration
+        tolerance = DURATION_RTOL * max(1.0, expected) + math.ulp(entry.end)
+        if not (math.isfinite(actual) and abs(actual - expected) <= tolerance):
             violations.append(
                 Violation(
                     ViolationKind.WRONG_DURATION,

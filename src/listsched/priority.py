@@ -30,9 +30,6 @@ class PriorityKind(enum.Enum):
     ARBITRARY_TOPOLOGICAL = "ArbitraryTopological"
 
 
-PriorityMap = dict[TaskId, float]
-
-
 def _mean_recip_speed(instance: ProblemInstance) -> float:
     speeds = instance.network.speed
     return sum(1.0 / s for s in speeds.values()) / len(speeds)
@@ -85,7 +82,7 @@ def downward_rank(instance: ProblemInstance) -> dict[TaskId, float]:
     return ranks
 
 
-def priority_map(instance: ProblemInstance, kind: PriorityKind) -> PriorityMap:
+def priority_map(instance: ProblemInstance, kind: PriorityKind) -> dict[TaskId, float]:
     """Priority value per task for the given prioritization scheme.
 
     UpwardRanking uses the upward rank; CPoPRanking the sum of upward and

@@ -1,6 +1,7 @@
 import csv
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -217,6 +218,17 @@ class TestComponentEffects:
         rows = full_grid_rows(lambda *a: (1.0, 1.0))[:-1]
         with pytest.raises(ValueError, match="confounded"):
             component_effects(rows)
+
+    def test_duplicated_row_rejected(self):
+        rows = full_grid_rows(lambda *a: (1.0, 1.0))
+        with pytest.raises(ValueError, match="confounded"):
+            component_effects(rows + rows[:1])
+
+    def test_alias_stands_for_its_canonical_name(self):
+        rows = full_grid_rows(lambda name, *a: (len(name) / 10, 1.0))
+        aliased = [replace(r, scheduler="HEFT") if r.scheduler == "EFT_Ins_UR" else r
+                   for r in rows]
+        assert component_effects(aliased) == component_effects(rows)
 
 
 class TestInteractionEffects:

@@ -4,7 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from listsched import config_by_name, load_schedule, save_instance, validate_schedule
+from listsched import (
+    config_by_name,
+    enumerate_configs,
+    load_schedule,
+    save_instance,
+    validate_schedule,
+)
 from listsched.bench import RESULTS_HEADER
 from listsched.cli import main
 from listsched.model import load_instance
@@ -313,6 +319,18 @@ class TestAnalyze:
                      "--out", str(src)]) == 0
         assert main(["analyze", "--results", str(src), "--mode", "effects",
                      "--out", str(tmp_path / "x.csv")]) == 1
+
+    def test_alias_beside_its_canonical_name_is_a_duplicate(self, dataset_dir, tmp_path, capsys):
+        # HEFT is EFT_Ins_UR: 73 rows per instance count its configuration twice
+        src = tmp_path / "duplicate.csv"
+        names = ",".join(name for name, _ in enumerate_configs())
+        assert main(["benchmark", "--datasets", str(dataset_dir),
+                     "--schedulers", f"{names},HEFT", "--repeats", "1",
+                     "--out", str(src)]) == 0
+        for mode in (["effects"], ["interactions", "--params", "compare,ccr"]):
+            assert main(["analyze", "--results", str(src), "--mode", *mode,
+                         "--out", str(tmp_path / "x.csv")]) == 1
+            assert "73 rows covering 72 of 72" in capsys.readouterr().err
 
     def test_interactions_shape(self, results_csv, tmp_path):
         out = tmp_path / "inter.csv"

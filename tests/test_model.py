@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -203,6 +204,19 @@ class TestValidateSchedule:
         inst = mk_instance({"a": 2.0}, {}, {"n0": 1.0})
         report = validate_schedule(inst, entries(("a", "n0", 0.5, 2.5 + 1e-12)))
         assert report == []
+
+    def test_duration_tolerance_allows_the_ulp_of_the_end(self):
+        # 1e17 + 1.0 rounds back to 1e17: the entry is what a scheduler writes
+        inst = mk_instance({"a": 1.0}, {}, {"n0": 1.0})
+        assert validate_schedule(inst, entries(("a", "n0", 1e17, 1e17))) == []
+        report = validate_schedule(inst, entries(("a", "n0", 1e15, 1e15)))
+        assert [v.kind for v in report] == [ViolationKind.WRONG_DURATION]
+
+    @pytest.mark.parametrize("start, end", [(0.0, math.inf), (math.inf, math.inf)])
+    def test_infinite_entry_has_wrong_duration(self, start, end):
+        inst = mk_instance({"a": 1.0}, {}, {"n0": 1.0})
+        report = validate_schedule(inst, entries(("a", "n0", start, end)))
+        assert ViolationKind.WRONG_DURATION in [v.kind for v in report]
 
     def test_precedence_violation(self):
         inst = mk_instance(

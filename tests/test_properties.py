@@ -1,8 +1,9 @@
 """Property tests over random DAGs on random networks.
 
 Weights mix ordinary values (~1) with ones that vanish against them (down
-to 1e-300), so a start time plus a duration can round back to the start
-time and windows of zero length reach the placement engine.
+to 1e-300) and ones they vanish against (up to 1e300), so a start time
+plus a duration can round back to the start time and windows of zero
+length reach the placement engine and the validator.
 """
 
 import itertools
@@ -18,10 +19,10 @@ from reference import reference_schedule
 ALL_CONFIGS = enumerate_configs()
 
 FINITE = {"allow_nan": False, "allow_infinity": False}
-#: ordinary weights beside ones that vanish against them
+#: ordinary weights beside ones that vanish against them, and huge ones
 WEIGHTS = st.one_of(
     st.floats(0.1, 5.0, **FINITE),
-    st.sampled_from([1.0, 0.2, 1e-9, 1e-150, 1e-300]),
+    st.sampled_from([1.0, 0.2, 1e-9, 1e-150, 1e-300, 1e17, 1e300]),
 )
 RATES = st.one_of(st.floats(0.3, 3.0, **FINITE), st.just(1.0))
 
@@ -53,9 +54,16 @@ def zero_length_overlap_instance():
     )
 
 
+def vanishing_duration_instance():
+    """b starts at 1e17, where its unit duration is below half an ulp, so
+    its entry is (1e17, 1e17) and the validator must allow for rounding."""
+    return mk_instance({"a": 1e17, "b": 1.0}, {("a", "b"): 1.0}, {"n0": 1.0})
+
+
 @settings(max_examples=100, deadline=None)
 @given(problem_instances())
 @example(zero_length_overlap_instance())
+@example(vanishing_duration_instance())
 def test_every_config_yields_a_valid_schedule(instance):
     for name, config in ALL_CONFIGS:
         assert validate_schedule(instance, schedule(instance, config)) == [], name
