@@ -37,14 +37,12 @@ from .selection import (
     CompareKind,
     Window,
     compare,
-    data_available_time,
     open_window_append_only,
     open_window_insertion,
 )
 from .scheduler import (
     ALIASES,
     SchedulerConfig,
-    best_two_nodes,
     canonical_name,
     config_by_name,
     enumerate_configs,
@@ -102,7 +100,6 @@ __all__ = [
     "Violation",
     "ViolationKind",
     "Window",
-    "best_two_nodes",
     "brute_force_min_makespan",
     "canonical_name",
     "ccr",
@@ -112,7 +109,6 @@ __all__ = [
     "compute_ratios",
     "config_by_name",
     "critical_path_tasks",
-    "data_available_time",
     "downward_rank",
     "enumerate_configs",
     "exec_time",

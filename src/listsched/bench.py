@@ -168,16 +168,26 @@ def run_benchmark(
 
 
 def compute_ratios(records: Iterable[BenchmarkRecord]) -> list[RatioRow]:
-    """Normalize makespan and runtime by the per-(dataset, instance) minimum."""
-    groups: dict[tuple[str, int], list[BenchmarkRecord]] = {}
+    """Normalize makespan and runtime by the per-(dataset, instance) minimum.
+
+    Raises ``ValueError`` when a (dataset, instance, scheduler) key occurs
+    twice, since each row would then count twice in every mean.
+    """
+    groups: dict[tuple[str, int], dict[str, BenchmarkRecord]] = {}
     for record in records:
-        groups.setdefault((record.dataset, record.instance_index), []).append(record)
+        group = groups.setdefault((record.dataset, record.instance_index), {})
+        if record.scheduler in group:
+            raise ValueError(
+                f"duplicate row for ({record.dataset!r}, {record.instance_index}, "
+                f"{record.scheduler!r})"
+            )
+        group[record.scheduler] = record
     if not groups:
         raise ValueError("no records")
 
     rows: list[RatioRow] = []
     for key in groups:
-        ok = [r for r in groups[key] if r.error is None]
+        ok = [r for r in groups[key].values() if r.error is None]
         if not ok:
             raise ValueError(f"no successful records for {key}; cannot normalize")
         min_makespan = min(r.makespan for r in ok)

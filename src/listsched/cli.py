@@ -143,14 +143,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _resolve_schedulers(spec: str) -> list[tuple[str, scheduler.SchedulerConfig]]:
+    """(name, config) pairs; ``KeyError`` on an unknown name, ``ValueError`` on a repeat."""
     if spec == "all":
         return scheduler.enumerate_configs()
-    configs = []
-    for raw in spec.split(","):
-        name = raw.strip()
-        config = scheduler.config_by_name(name)  # KeyError on unknown
-        configs.append((name, config))
-    return configs
+    names = [raw.strip() for raw in spec.split(",")]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"scheduler name(s) given more than once: {', '.join(repeated)}")
+    return [(name, scheduler.config_by_name(name)) for name in names]
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
@@ -158,6 +158,9 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         configs = _resolve_schedulers(args.schedulers)
     except KeyError as exc:
         print(f"{exc.args[0]}; run list-schedulers for valid names", file=sys.stderr)
+        return EXIT_DOMAIN
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return EXIT_DOMAIN
     datasets = []
     for dir_path in args.datasets:

@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 TaskId = str
 NodeId = str
@@ -28,14 +28,10 @@ NodeId = str
 DURATION_RTOL = 1e-9
 
 
-def _check_positive(label: str, mapping: Mapping, keys: Iterable) -> None:
-    for key in keys:
-        if key not in mapping:
-            raise ValueError(f"{label} missing for {key!r}")
-        if not (mapping[key] > 0 and math.isfinite(mapping[key])):
-            raise ValueError(
-                f"{label} for {key!r} must be positive and finite, got {mapping[key]!r}"
-            )
+def _check_positive(label: str, mapping: Mapping) -> None:
+    for key, value in mapping.items():
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{label} for {key!r} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True, eq=True)
@@ -73,8 +69,8 @@ class TaskGraph:
             raise ValueError("compute_cost must be defined for exactly the task set")
         if set(self.data_size) != self.deps:
             raise ValueError("data_size must be defined for exactly the dependency set")
-        _check_positive("compute_cost", self.compute_cost, self.tasks)
-        _check_positive("data_size", self.data_size, self.deps)
+        _check_positive("compute_cost", self.compute_cost)
+        _check_positive("data_size", self.data_size)
 
         succs: dict[TaskId, list[TaskId]] = {t: [] for t in self.tasks}
         preds: dict[TaskId, list[TaskId]] = {t: [] for t in self.tasks}
@@ -161,13 +157,13 @@ class Network:
 
         if set(self.speed) != self.nodes:
             raise ValueError("speed must be defined for exactly the node set")
-        _check_positive("speed", self.speed, self.nodes)
+        _check_positive("speed", self.speed)
         expected = {
             (u, v) for i, u in enumerate(self._order) for v in self._order[i + 1 :]
         }
         if set(self.strength) != expected:
             raise ValueError("strength must cover every unordered pair of distinct nodes")
-        _check_positive("strength", self.strength, expected)
+        _check_positive("strength", self.strength)
 
     def node_order(self) -> tuple[NodeId, ...]:
         return self._order

@@ -29,19 +29,10 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
-from .model import (
-    NodeId,
-    ProblemInstance,
-    Schedule,
-    TaskId,
-    topological_order,
-)
+from .model import ProblemInstance, Schedule, TaskId, topological_order
 from .priority import PriorityKind, critical_path_tasks, priority_map
-from .selection import COMPARE_KEYS, CompareKind, Window, _PlacementState
-
-WindowFinder = Callable[[ProblemInstance, Schedule, NodeId, TaskId], Window]
+from .selection import CompareKind, Window, _PlacementState
 
 
 @dataclass(frozen=True)
@@ -119,26 +110,6 @@ def config_by_name(name: str) -> SchedulerConfig:
         return _BY_NAME[name]
     except KeyError:
         raise KeyError(f"unknown scheduler name {name!r}") from None
-
-
-def best_two_nodes(
-    instance: ProblemInstance,
-    partial: Schedule,
-    task: TaskId,
-    candidates: Sequence[NodeId],
-    compare_kind: CompareKind,
-    window_finder: WindowFinder,
-) -> tuple[NodeId, Window, NodeId | None, Window | None]:
-    """Best and second-best node for ``task`` against a partial schedule."""
-    if not candidates:
-        raise ValueError("candidate node list is empty")
-    windows = [window_finder(instance, partial, node, task) for node in candidates]
-    key = COMPARE_KEYS[compare_kind]
-    # a stable sort: ties go to the earlier candidate
-    best, *rest = sorted(range(len(windows)), key=lambda i: key(windows[i]))
-    if not rest:
-        return candidates[best], windows[best], None, None
-    return candidates[best], windows[best], candidates[rest[0]], windows[rest[0]]
 
 
 def schedule(instance: ProblemInstance, config: SchedulerConfig) -> Schedule:

@@ -1,34 +1,37 @@
-"""Node selection: the placement engine, window finders and comparisons.
+"""Node selection: the placement engine and the compare kinds.
 
 This module is the only place that answers "when can task t start on
 node v".  The data-ready time is the latest arrival of any predecessor's
 output on v.  A window is a candidate (start, end) interval for running
-one task on one node given a partial schedule.  The append-only finder
-only looks past the last entry on the node; the insertion finder returns
+one task on one node given a partial schedule.  Append-only placement
+only looks past the last entry on the node; insertion placement takes
 the earliest idle gap (before the first entry, between two entries, or
 after the last) that fits.  Entries on a node are disjoint and sorted by
-(start, end), so their ends are sorted too: the insertion finder bisects
+(start, end), so their ends are sorted too: the insertion scan bisects
 the ends to the last entry that ends before the data-ready time and
 scans forward from there, since no earlier gap can fit.
 
 A compare kind scores a window (EFT: its end, EST: its start, Quickest:
 its length); the lower score is the better window.  :data:`COMPARE_KEYS`
-maps each kind to that score function and :func:`compare` is the signed
-difference of two scores.
+maps each kind to that score function.
 
-:class:`_PlacementState` is the incremental engine that the scheduler and
-the brute-force oracle place tasks through; the oracle's depth-first
-search also undoes placements as it backtracks.  Its constructor
-compiles the instance into index form (node indices in ``node_order()``,
-a speed list, a dense strength matrix, per-task ``(pred, data_size)``
-tuples) once per ``schedule()`` call, and it keeps each node's timeline
-as parallel start and end lists.  For the scheduler, ``best`` makes one
-pass over the candidate nodes, computes each start, end and score inline
-and builds a :class:`Window` only for the winner; the oracle takes every
-insertion window from ``windows``.  The public ``data_available_time``
-and ``open_window_*`` functions recompute the same quantities from a
-whole :class:`Schedule` on every call and serve as spec-level references
-for it.
+:class:`_PlacementState` is the one implementation of all of this.  The
+scheduler and the brute-force oracle place tasks through it; the
+oracle's depth-first search also undoes placements as it backtracks.
+Its constructor compiles the instance into index form (node indices in
+``node_order()``, a speed list, a dense strength matrix, per-task
+``(pred, data_size)`` tuples) once per ``schedule()`` call, and it keeps
+each node's timeline as parallel start and end lists.  For the
+scheduler, ``best`` makes one pass over the candidate nodes, computes
+each start, end and score inline and builds a :class:`Window` only for
+the winner; the oracle takes every insertion window from ``windows``.
+
+:func:`compare`, :func:`open_window_append_only` and
+:func:`open_window_insertion` each answer one question about one pair of
+windows or one (task, node) pair; the window queries compile a fresh
+engine from a whole :class:`Schedule` on every call.  The plain
+spec-level versions of the window functions, written without the
+engine, live in the test suite's ``reference.py``.
 """
 
 from __future__ import annotations
@@ -40,15 +43,7 @@ from collections import Counter
 from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
-from .model import (
-    NodeId,
-    ProblemInstance,
-    Schedule,
-    ScheduleEntry,
-    TaskId,
-    comm_time,
-    exec_time,
-)
+from .model import NodeId, ProblemInstance, Schedule, ScheduleEntry, TaskId
 
 
 class Window(NamedTuple):
@@ -76,32 +71,6 @@ def compare(kind: CompareKind, a: Window, b: Window) -> float:
     return key(a) - key(b)
 
 
-def data_available_time(
-    instance: ProblemInstance,
-    partial: Schedule,
-    task: TaskId,
-    node: NodeId,
-) -> float:
-    """Earliest time all of ``task``'s dependency data can be on ``node``.
-
-    Every predecessor of ``task`` must appear exactly once in ``partial``.
-    """
-    counts = Counter(e.task for e in partial.entries)
-    for p in instance.task_graph.predecessors(task):
-        if counts[p] != 1:
-            raise ValueError(
-                f"predecessor {p!r} of {task!r} scheduled {counts[p]} times, expected once"
-            )
-    finish = {e.task: e for e in partial.entries}
-    return max(
-        (
-            finish[p].end + comm_time(instance, (p, task), finish[p].node, node)
-            for p in instance.task_graph.predecessors(task)
-        ),
-        default=0.0,
-    )
-
-
 def _insertion_start(
     starts: Sequence[float], ends: Sequence[float], ready: float, duration: float
 ) -> float:
@@ -124,30 +93,6 @@ def _insertion_start(
         i += 1
         start = ends[i]
     return start
-
-
-def open_window_append_only(
-    instance: ProblemInstance, partial: Schedule, node: NodeId, task: TaskId
-) -> Window:
-    """Window starting after the last entry on ``node`` (and data arrival)."""
-    last_end = max((e.end for e in partial.entries if e.node == node), default=0.0)
-    start = max(last_end, data_available_time(instance, partial, task, node))
-    return Window(start, start + exec_time(instance, task, node))
-
-
-def open_window_insertion(
-    instance: ProblemInstance, partial: Schedule, node: NodeId, task: TaskId
-) -> Window:
-    """Earliest idle window on ``node`` large enough for ``task``."""
-    ready = data_available_time(instance, partial, task, node)
-    entries = sorted(
-        (e for e in partial.entries if e.node == node), key=lambda e: (e.start, e.end)
-    )
-    duration = exec_time(instance, task, node)
-    start = _insertion_start(
-        [e.start for e in entries], [e.end for e in entries], ready, duration
-    )
-    return Window(start, start + duration)
 
 
 class _PlacementState:
@@ -261,3 +206,40 @@ class _PlacementState:
                 ]
             )
         )
+
+
+def _query_state(
+    instance: ProblemInstance, partial: Schedule, node: NodeId, task: TaskId
+) -> tuple[_PlacementState, int]:
+    """An engine holding ``partial``'s entries, and ``node``'s index in it.
+
+    Every predecessor of ``task`` must appear exactly once in ``partial``;
+    an entry on a node the instance lacks raises ``KeyError``.
+    """
+    counts = Counter(e.task for e in partial.entries)
+    for p in instance.task_graph.predecessors(task):
+        if counts[p] != 1:
+            raise ValueError(
+                f"predecessor {p!r} of {task!r} scheduled {counts[p]} times, expected once"
+            )
+    state = _PlacementState(instance)
+    index = {v: i for i, v in enumerate(state.nodes)}
+    for e in partial.entries:
+        state.place(e.task, index[e.node], Window(e.start, e.end))
+    return state, index[node]
+
+
+def open_window_append_only(
+    instance: ProblemInstance, partial: Schedule, node: NodeId, task: TaskId
+) -> Window:
+    """Window starting after the last entry on ``node`` (and data arrival)."""
+    state, v = _query_state(instance, partial, node, task)
+    return state.best(task, (v,), True, CompareKind.EFT)[1]
+
+
+def open_window_insertion(
+    instance: ProblemInstance, partial: Schedule, node: NodeId, task: TaskId
+) -> Window:
+    """Earliest idle window on ``node`` large enough for ``task``."""
+    state, v = _query_state(instance, partial, node, task)
+    return state.windows(task, (v,))[0]

@@ -1,5 +1,8 @@
-"""The public surface: every exported name resolves and every demo runs."""
+"""The public surface: every exported name resolves, every module attribute
+the benchmark scripts use resolves, and every demo runs."""
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -11,10 +14,37 @@ import listsched
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+#: the listsched modules that perfbench imports by name
+PERFBENCH_MODULES = ("bench", "cli", "datagen", "model", "priority", "scheduler", "selection")
 
 
 def test_all_names_resolve():
     missing = [name for name in listsched.__all__ if not hasattr(listsched, name)]
+    assert missing == []
+
+
+def perfbench_module_attributes() -> set[tuple[str, str]]:
+    """Every ``<module>.<attr>`` that ``perfbench/*.py`` reaches on a listsched module."""
+    used = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in PERFBENCH_MODULES
+            ):
+                used.add((node.value.id, node.attr))
+    return used
+
+
+def test_perfbench_module_attributes_resolve():
+    used = perfbench_module_attributes()
+    assert ("selection", "open_window_insertion") in used  # the walk finds calls
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in sorted(used)
+        if not hasattr(importlib.import_module(f"listsched.{module}"), attr)
+    ]
     assert missing == []
 
 

@@ -18,7 +18,6 @@ from listsched import (
     interaction_effects,
     makespan,
     mean_ratio_points,
-    open_window_insertion,
     pareto_front,
     run_benchmark,
     schedule,
@@ -35,6 +34,7 @@ from listsched.bench import (
 from listsched.datagen import GenParams, GraphKind, gen_dataset
 
 from conftest import mk_instance, random_instance
+from reference import open_window_insertion
 
 ALL_CONFIGS = enumerate_configs()
 
@@ -127,6 +127,19 @@ class TestComputeRatios:
         ]
         rows = compute_ratios(records)
         assert [r.scheduler for r in rows] == ["A"]
+
+    def test_duplicate_row_rejected(self):
+        # B's repeated row on instance 1 used to count twice in its mean
+        # ratio, 1.333 instead of 1.5
+        records = [
+            record("d", 0, "A", 1.0, 1.0),
+            record("d", 0, "B", 2.0, 1.0),
+            record("d", 1, "A", 4.0, 1.0),
+            record("d", 1, "B", 2.0, 1.0),
+            record("d", 1, "B", 2.0, 1.0),
+        ]
+        with pytest.raises(ValueError, match=r"duplicate row for \('d', 1, 'B'\)"):
+            compute_ratios(records)
 
 
 class TestParetoFront:

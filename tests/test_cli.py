@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from listsched import (
+    bench,
     config_by_name,
     enumerate_configs,
     load_schedule,
@@ -204,6 +205,18 @@ class TestBenchmark:
                      "--schedulers", "HEFT,NOPE", "--out", str(tmp_path / "x.csv")])
         assert code == 1
 
+    def test_repeated_scheduler_name_rejected_before_the_sweep(
+        self, dataset_dir, tmp_path, capsys, monkeypatch
+    ):
+        # HEFT,HEFT used to sweep and write two rows per instance for HEFT
+        monkeypatch.setattr(bench, "run_benchmark", lambda *a, **k: pytest.fail("swept"))
+        out = tmp_path / "x.csv"
+        code = main(["benchmark", "--datasets", str(dataset_dir),
+                     "--schedulers", "HEFT, MET,HEFT", "--out", str(out)])
+        assert code == 1
+        assert "given more than once: HEFT" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture
 def results_csv(dataset_dir, tmp_path):
@@ -302,6 +315,25 @@ class TestAnalyze:
                      "--out", str(tmp_path / "out.csv")]) == 1
         assert "analysis failed: no records" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", [
+        ["--mode", "ratios"],
+        ["--mode", "pareto"],
+        ["--mode", "effects"],
+        ["--mode", "interactions", "--params", "compare,ccr"],
+    ], ids=lambda mode: mode[1])
+    def test_duplicate_row_is_domain_error(self, tmp_path, capsys, mode):
+        # a repeated (dataset, instance, scheduler) row used to count twice
+        # in its scheduler's mean, and ratios mode kept one of its ratios
+        src = tmp_path / "duplicate.csv"
+        self.write_results(src, [["d", 0, "A", 1.0, 0.001, "", "", ""],
+                                 ["d", 0, "B", 2.0, 0.001, "", "", ""],
+                                 ["d", 1, "A", 4.0, 0.001, "", "", ""],
+                                 ["d", 1, "B", 2.0, 0.001, "", "", ""],
+                                 ["d", 1, "B", 2.0, 0.001, "", "", ""]])
+        assert main(["analyze", "--results", str(src), *mode,
+                     "--out", str(tmp_path / "out.csv")]) == 1
+        assert "analysis failed: duplicate row for ('d', 1, 'B')" in capsys.readouterr().err
+
     def test_effects_shape(self, results_csv, tmp_path):
         out = tmp_path / "effects.csv"
         assert main(["analyze", "--results", str(results_csv),
@@ -327,6 +359,10 @@ class TestAnalyze:
         assert main(["benchmark", "--datasets", str(dataset_dir),
                      "--schedulers", f"{names},HEFT", "--repeats", "1",
                      "--out", str(src)]) == 0
+        # each name is its own row, so ratios and pareto accept the pair
+        for mode in ("ratios", "pareto"):
+            assert main(["analyze", "--results", str(src), "--mode", mode,
+                         "--out", str(tmp_path / f"{mode}.csv")]) == 0
         for mode in (["effects"], ["interactions", "--params", "compare,ccr"]):
             assert main(["analyze", "--results", str(src), "--mode", *mode,
                          "--out", str(tmp_path / "x.csv")]) == 1

@@ -12,7 +12,6 @@ from listsched import (
     TaskGraph,
     ViolationKind,
     comm_time,
-    data_available_time,
     exec_time,
     makespan,
     validate_schedule,
@@ -32,6 +31,7 @@ from conftest import (
     random_instance,
     unit_network,
 )
+from reference import data_available_time
 
 
 def entries(*specs):

@@ -7,11 +7,31 @@ length reach the placement engine and the validator.
 """
 
 import itertools
+import json
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from listsched import enumerate_configs, schedule, validate_schedule
+from listsched import (
+    Schedule,
+    ScheduleEntry,
+    brute_force_min_makespan,
+    config_by_name,
+    enumerate_configs,
+    makespan,
+    open_window_append_only,
+    open_window_insertion,
+    schedule,
+    upward_rank,
+    validate_schedule,
+)
+from listsched.model import (
+    instance_from_dict,
+    instance_to_dict,
+    schedule_from_dict,
+    schedule_to_dict,
+    topological_order,
+)
 
 from conftest import mk_instance
 from reference import reference_schedule
@@ -24,21 +44,24 @@ WEIGHTS = st.one_of(
     st.floats(0.1, 5.0, **FINITE),
     st.sampled_from([1.0, 0.2, 1e-9, 1e-150, 1e-300, 1e17, 1e300]),
 )
+#: weights that never vanish against each other
+ORDINARY_WEIGHTS = st.floats(0.1, 5.0, **FINITE)
 RATES = st.one_of(st.floats(0.3, 3.0, **FINITE), st.just(1.0))
 
 
 @st.composite
-def problem_instances(draw):
-    """A DAG of 1-7 tasks (edges only from lower to higher index) on 1-4 nodes."""
-    n_tasks = draw(st.integers(1, 7))
+def problem_instances(draw, weights=WEIGHTS, max_tasks=7, max_nodes=4):
+    """A DAG of 1 to ``max_tasks`` tasks (edges only from lower to higher
+    index) on 1 to ``max_nodes`` nodes, its costs and sizes drawn from ``weights``."""
+    n_tasks = draw(st.integers(1, max_tasks))
     tasks = [f"t{i}" for i in range(n_tasks)]
-    costs = {t: draw(WEIGHTS) for t in tasks}
+    costs = {t: draw(weights) for t in tasks}
     sizes = {
-        (a, b): draw(WEIGHTS)
+        (a, b): draw(weights)
         for a, b in itertools.combinations(tasks, 2)
         if draw(st.booleans())
     }
-    nodes = [f"n{i}" for i in range(draw(st.integers(1, 4)))]
+    nodes = [f"n{i}" for i in range(draw(st.integers(1, max_nodes)))]
     speeds = {v: draw(RATES) for v in nodes}
     strengths = {pair: draw(RATES) for pair in itertools.combinations(nodes, 2)}
     return mk_instance(costs, sizes, speeds, strengths)
@@ -88,3 +111,58 @@ def quickest_rounding_instance():
 def test_every_config_matches_the_reference_scheduler(instance):
     for name, config in ALL_CONFIGS:
         assert schedule(instance, config) == reference_schedule(instance, config), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem_instances())
+def test_json_round_trip_returns_equal_instance_and_schedule(instance):
+    back = instance_from_dict(json.loads(json.dumps(instance_to_dict(instance))))
+    assert back == instance
+    result = schedule(instance, config_by_name("HEFT"))
+    assert schedule_from_dict(json.loads(json.dumps(schedule_to_dict(result)))) == result
+
+
+@settings(max_examples=50, deadline=None)
+@given(problem_instances(max_tasks=6, max_nodes=3))
+@example(vanishing_duration_instance())
+def test_brute_force_optimum_is_at_most_every_config(instance):
+    # exact: a config's placement order is topological, and its windows are
+    # insertion windows or later ones, so the enumeration covers or beats it
+    optimum = brute_force_min_makespan(instance)
+    for name, config in ALL_CONFIGS:
+        assert optimum <= makespan(schedule(instance, config)), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem_instances(), st.data())
+def test_insertion_never_starts_later_than_append_only(instance, data):
+    # the same topological order and node assignment, replayed both ways
+    nodes = instance.network.node_order()
+    inserted, appended = [], []
+    for task in topological_order(instance.task_graph):
+        node = data.draw(st.sampled_from(nodes))
+        ins = open_window_insertion(instance, Schedule(tuple(inserted)), node, task)
+        app = open_window_append_only(instance, Schedule(tuple(appended)), node, task)
+        assert ins.start <= app.start, task
+        inserted.append(ScheduleEntry(task, node, *ins))
+        appended.append(ScheduleEntry(task, node, *app))
+
+
+def assert_ranks_along_edges(instance, strictly):
+    ranks = upward_rank(instance)
+    for a, b in instance.task_graph.deps:
+        assert ranks[a] > ranks[b] if strictly else ranks[a] >= ranks[b], (a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem_instances(weights=ORDINARY_WEIGHTS))
+def test_upward_ranks_strictly_decrease_along_every_edge(instance):
+    assert_ranks_along_edges(instance, strictly=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem_instances())
+@example(mk_instance({"a": 1e-300, "b": 1e17}, {("a", "b"): 1e-300}, {"n0": 1.0}))
+def test_upward_ranks_never_increase_along_an_edge(instance):
+    # a's rank is 1e-300 + 1e-300 * 0.0 + 1e17 == 1e17, b's rank: a tie
+    assert_ranks_along_edges(instance, strictly=False)

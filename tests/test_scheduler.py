@@ -11,15 +11,12 @@ from listsched import (
     Schedule,
     SchedulerConfig,
     Window,
-    best_two_nodes,
     brute_force_min_makespan,
     canonical_name,
     config_by_name,
     critical_path_tasks,
     enumerate_configs,
     makespan,
-    open_window_append_only,
-    open_window_insertion,
     priority_map,
     schedule,
     validate_schedule,
@@ -28,6 +25,7 @@ from listsched.model import schedule_to_dict, topological_order
 from listsched.datagen import GenParams, GraphKind, gen_dataset
 
 from conftest import layered_dag, mk_instance, random_instance
+from reference import best_two_nodes, open_window_append_only, open_window_insertion
 
 ALL_CONFIGS = enumerate_configs()
 

@@ -11,7 +11,6 @@ from listsched import (
     ScheduleEntry,
     Window,
     compare,
-    data_available_time,
     exec_time,
     open_window_append_only,
     open_window_insertion,
@@ -19,6 +18,7 @@ from listsched import (
 from listsched.selection import _insertion_start, _PlacementState
 
 from conftest import mk_instance
+from reference import data_available_time, earliest_fit
 
 ALL_KINDS = list(CompareKind)
 
@@ -42,16 +42,6 @@ def random_busy_intervals(rng, max_count=5):
         intervals.append((cursor, cursor + length))
         cursor += length
     return intervals
-
-
-def earliest_fit_oracle(intervals, ready, duration):
-    """Earliest fitting start by trying every candidate start time."""
-    candidates = sorted({ready} | {end for _, end in intervals if end > ready})
-    for start in candidates:
-        end = start + duration
-        if all(end <= a or start >= b for a, b in intervals):
-            return start
-    raise AssertionError("no fit found")
 
 
 @st.composite
@@ -184,7 +174,7 @@ class TestInsertion:
         start = _insertion_start(
             [a for a, _ in intervals], [b for _, b in intervals], ready, duration
         )
-        assert start == earliest_fit_oracle(intervals, ready, duration)
+        assert start == earliest_fit(intervals, ready, duration)
 
     def test_matches_earliest_fit_oracle(self):
         rng = np.random.default_rng(23)
@@ -196,7 +186,29 @@ class TestInsertion:
             start = _insertion_start(
                 [e.start for e in entries], [e.end for e in entries], ready, duration
             )
-            assert start == earliest_fit_oracle(intervals, ready, duration)
+            assert start == earliest_fit(intervals, ready, duration)
+
+
+@pytest.mark.parametrize("finder", [open_window_append_only, open_window_insertion])
+class TestQueryInput:
+    """The window queries check ``partial`` before they build the engine."""
+
+    def instance(self):
+        return mk_instance(
+            {"p": 1.0, "tk": 1.0, "x": 1.0}, {("p", "tk"): 1.0}, {"n0": 1.0, "n1": 1.0}
+        )
+
+    @pytest.mark.parametrize("copies", [0, 2])
+    def test_predecessor_missing_or_repeated(self, finder, copies):
+        partial = Schedule((ScheduleEntry("p", "n1", 0.0, 1.0),) * copies)
+        with pytest.raises(ValueError, match=f"'p' of 'tk' scheduled {copies} times"):
+            finder(self.instance(), partial, "n0", "tk")
+
+    def test_entry_on_unknown_node(self, finder):
+        # x is unrelated to tk; the spec-level finders used to ignore it
+        partial = Schedule((ScheduleEntry("p", "n1", 0.0, 1.0), ScheduleEntry("x", "n9", 0.0, 1.0)))
+        with pytest.raises(KeyError):
+            finder(self.instance(), partial, "n0", "tk")
 
 
 class TestPlacementState:
