@@ -318,7 +318,9 @@ def validate_schedule(instance: ProblemInstance, schedule: Schedule) -> list[Vio
     for node in sorted(by_node):
         entries = sorted(by_node[node], key=lambda e: (e.start, e.end, e.task))
         for i, a in enumerate(entries):
-            for b in entries[i + 1 :]:
+            # by index, not over a slice: the scan usually stops at once
+            for j in range(i + 1, len(entries)):
+                b = entries[j]
                 if b.start >= a.end:
                     break
                 # open intervals: a.end == b.start is legal

@@ -103,15 +103,20 @@ def priority_map(instance: ProblemInstance, kind: PriorityKind) -> dict[TaskId, 
     raise ValueError(f"unknown priority kind {kind!r}")
 
 
-def critical_path_tasks(instance: ProblemInstance) -> list[TaskId]:
+def critical_path_tasks(
+    instance: ProblemInstance, total: dict[TaskId, float] | None = None
+) -> list[TaskId]:
     """Tasks whose CPoP priority attains the maximum, in topological order.
 
-    The CPoP priority is the upward plus the downward rank.  Membership
-    uses a relative tolerance since ranks are sums of float terms; when the
-    maximum is achieved by a unique path the result is a source-to-sink
-    chain.
+    The CPoP priority is the upward plus the downward rank.  ``total``, if
+    given, must be ``priority_map(instance, PriorityKind.CPOP_RANKING)``,
+    which a caller that already holds it passes to save a second rank
+    pass; otherwise it is computed here.  Membership uses a relative
+    tolerance since ranks are sums of float terms; when the maximum is
+    achieved by a unique path the result is a source-to-sink chain.
     """
-    total = priority_map(instance, PriorityKind.CPOP_RANKING)
+    if total is None:
+        total = priority_map(instance, PriorityKind.CPOP_RANKING)
     if not total:
         return []
     top = max(total.values())

@@ -20,6 +20,8 @@ Each call compiles the instance once into the index form of
 task's candidate nodes yields its best node, that node's window, the
 sufferage value and the runner-up node.  A sufferage loser's pass is
 reused at the next step when the placement in between cannot change it.
+The CPoP ranks are computed once per call: a critical-path config whose
+priority is CPoPRanking takes its critical path from its priority map.
 Nothing is cached across calls, so every timed run pays for its own
 set-up.
 """
@@ -134,15 +136,16 @@ def schedule(instance: ProblemInstance, config: SchedulerConfig) -> Schedule:
     priorities = priority_map(instance, config.initial_priority)
     topo_pos = {t: i for i, t in enumerate(topological_order(tg))}
 
-    all_nodes = tuple(range(len(nodes)))
+    state = _PlacementState(instance)
+    all_nodes = state.all_nodes
     reserved: tuple[int, ...] = ()
     cp_tasks: frozenset[TaskId] = frozenset()
     if config.critical_path:
         speed = instance.network.speed
         reserved = (min(all_nodes, key=lambda v: (-speed[nodes[v]], nodes[v])),)
-        cp_tasks = frozenset(critical_path_tasks(instance))
+        cpop = priorities if config.initial_priority is PriorityKind.CPOP_RANKING else None
+        cp_tasks = frozenset(critical_path_tasks(instance, cpop))
 
-    state = _PlacementState(instance)
     append_only, compare = config.append_only, config.compare
     # A sufferage loser was ready, so its data-ready times are fixed, and a
     # placement on node p can only delay its earliest fitting start on p:

@@ -25,6 +25,15 @@ each node's timeline as parallel start and end lists.  For the
 scheduler, ``best`` makes one pass over the candidate nodes, computes
 each start, end and score inline and builds a :class:`Window` only for
 the winner; the oracle takes every insertion window from ``windows``.
+``best`` runs the insertion scan only where it can change the result.
+A node whose timeline is empty or ends by the data-ready time starts the
+task at ``max(last end, ready)``, as under append-only.  Under EFT and
+EST, once a runner-up exists, a node whose lower bound on the key (the
+data-ready time, plus the duration for EFT) is not below the runner-up's
+key is skipped; this is exact, since the node's key is at least its
+bound and a later candidate with a key equal to the runner-up's
+displaces neither the best nor the runner-up.  Quickest keys have no
+such bound and are never skipped.
 
 :func:`compare`, :func:`open_window_append_only` and
 :func:`open_window_insertion` each answer one question about one pair of
@@ -105,11 +114,16 @@ class _PlacementState:
     ``end + 0.0`` is exactly ``end``.
     """
 
-    __slots__ = ("nodes", "speed", "strength", "cost", "preds", "starts", "ends", "placed")
+    __slots__ = (
+        "nodes", "all_nodes", "speed", "strength", "cost", "preds", "starts", "ends", "placed"
+    )
 
     def __init__(self, instance: ProblemInstance):
         network, tg = instance.network, instance.task_graph
         self.nodes = network.node_order()
+        #: every node index in order; passing this very tuple as the
+        #: candidates lets ``_ready_times`` read strength rows whole
+        self.all_nodes = tuple(range(len(self.nodes)))
         self.speed = [network.speed[v] for v in self.nodes]
         self.strength = [
             [math.inf if u == v else network.link_strength(u, v) for v in self.nodes]
@@ -118,7 +132,7 @@ class _PlacementState:
         self.cost = tg.compute_cost
         sizes = tg.data_size
         self.preds = {
-            t: tuple((p, sizes[(p, t)]) for p in tg.predecessors(t)) for t in tg.tasks
+            t: tuple([(p, sizes[(p, t)]) for p in tg.predecessors(t)]) for t in tg.tasks
         }
         self.starts: list[list[float]] = [[] for _ in self.nodes]
         self.ends: list[list[float]] = [[] for _ in self.nodes]
@@ -126,14 +140,24 @@ class _PlacementState:
         self.placed: dict[TaskId, tuple[int, float, float]] = {}
 
     def _ready_times(self, task: TaskId, candidates: Sequence[int]) -> list[float]:
-        """Data-ready time of ``task`` on each candidate node."""
+        """Data-ready time of ``task`` on each candidate node.
+
+        For ``all_nodes`` each predecessor's arrivals are read off its
+        strength row in order; the first predecessor's arrivals, all
+        ``>= 0.0``, are the running maximum as they are.
+        """
         placed, strength = self.placed, self.strength
-        ready = [0.0] * len(candidates)
+        whole_rows = candidates is self.all_nodes
+        ready = None
         for p, size in self.preds[task]:
             p_node, _, p_end = placed[p]
             row = strength[p_node]
-            ready = list(map(max, ready, [p_end + size / row[v] for v in candidates]))
-        return ready
+            if whole_rows:
+                arrival = [p_end + size / x for x in row]
+            else:
+                arrival = [p_end + size / row[v] for v in candidates]
+            ready = arrival if ready is None else list(map(max, ready, arrival))
+        return [0.0] * len(candidates) if ready is None else ready
 
     def windows(self, task: TaskId, candidates: Sequence[int]) -> list[Window]:
         """``task``'s earliest insertion window on each candidate node, in order."""
@@ -153,18 +177,35 @@ class _PlacementState:
         The lower key wins, ties go to the earlier candidate, and the
         sufferage value is the runner-up's key minus the best key (0.0 and
         runner-up ``None`` for a single candidate).
+
+        A node whose timeline is empty or ends by the data-ready time ``r``
+        starts the task at ``max(last end, r)`` under both schemes, so the
+        insertion scan runs only on a node with an entry ending after ``r``.
+        Under EFT and EST that scan is also skipped once a runner-up exists
+        and the node's lower bound (``r + d`` for EFT, ``r`` for EST) is
+        ``>= second_key``.  This is exact: ``s >= r`` and float addition
+        rounds monotonically, so the node's key is at least its bound, and
+        a later candidate whose key equals ``second_key`` displaces neither
+        the best nor the runner-up.  The rule does not depend on sufferage,
+        so all four return values are those of an unpruned pass.  A
+        Quickest key, ``(s + d) - s``, has no such bound and is never
+        pruned.
         """
         cost, speed, starts, ends = self.cost[task], self.speed, self.starts, self.ends
         by_end, by_start = compare is CompareKind.EFT, compare is CompareKind.EST
+        bounded = by_end or by_start
         best = second = None
         best_key = second_key = math.inf
         for v, r in zip(candidates, self._ready_times(task, candidates)):
             d = cost / speed[v]
-            if append_only:
-                last = ends[v][-1] if ends[v] else 0.0
+            node_ends = ends[v]
+            last = node_ends[-1] if node_ends else 0.0
+            if append_only or r >= last:
                 s = r if r > last else last  # max(last, r)
+            elif bounded and second is not None and (r + d if by_end else r) >= second_key:
+                continue
             else:
-                s = _insertion_start(starts[v], ends[v], r, d)
+                s = _insertion_start(starts[v], node_ends, r, d)
             f = s + d
             k = f if by_end else s if by_start else f - s
             if k < best_key or best is None:

@@ -188,6 +188,17 @@ class TestValidateSchedule:
         )
         assert ViolationKind.NODE_OVERLAP in {v.kind for v in report}
 
+    def test_nested_overlaps_are_all_reported(self):
+        # a contains b and c, which do not touch: a's scan goes on past b
+        inst = mk_instance({"a": 10.0, "b": 1.0, "c": 1.0}, {}, {"n0": 1.0})
+        report = validate_schedule(
+            inst, entries(("a", "n0", 0.0, 10.0), ("b", "n0", 1.0, 2.0), ("c", "n0", 3.0, 4.0))
+        )
+        assert [v.detail for v in report] == [
+            "tasks 'a' (0.0, 10.0) and 'b' (1.0, 2.0) overlap on node 'n0'",
+            "tasks 'a' (0.0, 10.0) and 'c' (3.0, 4.0) overlap on node 'n0'",
+        ]
+
     def test_touching_intervals_are_legal(self):
         inst = mk_instance({"a": 2.0, "b": 2.0}, {}, {"n0": 1.0})
         report = validate_schedule(

@@ -15,6 +15,7 @@ from listsched import (
 from listsched.model import topological_order
 
 from conftest import mk_instance, random_instance
+from test_fingerprint import corpus
 
 
 # ---------------------------------------------------------------------------
@@ -204,3 +205,10 @@ class TestCriticalPath:
             up, up_k = upward_rank(inst), upward_rank(scaled)
             for t in inst.task_graph.tasks:
                 assert up_k[t] == pytest.approx(up[t] / k, rel=1e-9)
+
+    def test_given_cpop_map_gives_the_same_path(self):
+        # the scheduler passes the CPoP priority map it already holds; the
+        # corpus is the standard datasets plus a 300-task layered DAG
+        for label, inst in corpus():
+            total = priority_map(inst, PriorityKind.CPOP_RANKING)
+            assert critical_path_tasks(inst, total) == critical_path_tasks(inst), label

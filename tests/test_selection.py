@@ -1,4 +1,5 @@
 import itertools
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from listsched import (
     open_window_append_only,
     open_window_insertion,
 )
-from listsched.selection import _insertion_start, _PlacementState
+from listsched.selection import COMPARE_KEYS, _insertion_start, _PlacementState
 
 from conftest import mk_instance
 from reference import data_available_time, earliest_fit
@@ -67,6 +68,68 @@ def touching_busy_node(draw):
     if gap_lengths:
         durations = st.one_of(durations, st.sampled_from(gap_lengths))
     return intervals, ready, draw(durations)
+
+
+@st.composite
+def placement_cases(draw):
+    """(engine, task, candidates): random partial timelines on up to 32 nodes.
+
+    Start times, lengths, costs and sizes are small integers and speeds
+    and strengths powers of two, so keys tie often.  The task's
+    predecessors are among the placed entries; the candidates are every
+    node (the engine's own ``all_nodes``) or one node.  The timelines and
+    weights come from a drawn seed: drawing each of them one by one made
+    a 32-node case cost tens of milliseconds.
+    """
+    n_nodes = draw(st.integers(1, 32))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nodes = [f"n{j:02d}" for j in range(n_nodes)]
+    intervals = []
+    for v in nodes:
+        cursor = 0
+        for _ in range(rng.integers(0, 5)):
+            start = cursor + int(rng.integers(0, 5))
+            cursor = start + int(rng.integers(1, 5))
+            intervals.append((f"b{len(intervals)}", v, float(start), float(cursor)))
+    n_preds = min(len(intervals), draw(st.integers(0, 3)))
+    preds = rng.choice(len(intervals), size=n_preds, replace=False)
+    costs = {t: 1.0 for t, *_ in intervals}
+    costs["tk"] = float(draw(st.integers(1, 8)))
+    sizes = {(intervals[i][0], "tk"): float(rng.integers(1, 7)) for i in preds}
+    speeds = {v: float(2 ** rng.integers(0, 3)) for v in nodes}
+    strengths = {
+        pair: float(2 ** rng.integers(0, 3)) for pair in itertools.combinations(nodes, 2)
+    }
+    state = _PlacementState(mk_instance(costs, sizes, speeds, strengths))
+    index = {v: i for i, v in enumerate(state.nodes)}
+    for t, v, start, end in intervals:
+        state.place(t, index[v], Window(start, end))
+    one = st.integers(0, n_nodes - 1).map(lambda v: (v,))
+    return state, "tk", draw(st.one_of(st.just(state.all_nodes), one))
+
+
+def unpruned_best(state, task, candidates, append_only, kind):
+    """``_PlacementState.best`` as one plain pass: every candidate scanned."""
+    keyed = []
+    for v in candidates:
+        ready = 0.0
+        for p, size in state.preds[task]:
+            p_node, _, p_end = state.placed[p]
+            ready = max(ready, p_end + (0.0 if p_node == v else size / state.strength[p_node][v]))
+        d = state.cost[task] / state.speed[v]
+        if append_only:
+            start = max(state.ends[v][-1] if state.ends[v] else 0.0, ready)
+        else:
+            start = _insertion_start(state.starts[v], state.ends[v], ready, d)
+        window = Window(start, start + d)
+        keyed.append((COMPARE_KEYS[kind](window), v, window))
+    # first minimum wins; the runner-up is the first minimum of the rest
+    best = min(keyed, key=itemgetter(0))
+    rest = [k for k in keyed if k is not best]
+    if not rest:
+        return best[1], best[2], 0.0, None
+    second = min(rest, key=itemgetter(0))
+    return best[1], best[2], second[0] - best[0], second[1]
 
 
 class TestCompare:
@@ -212,6 +275,17 @@ class TestQueryInput:
 
 
 class TestPlacementState:
+    @pytest.mark.parametrize("append_only", [False, True])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @settings(max_examples=300, deadline=None)
+    @given(case=placement_cases())
+    def test_best_equals_an_unpruned_pass(self, kind, append_only, case):
+        # the skipped scans and the whole-row ready times change no value
+        state, task, candidates = case
+        assert state.best(task, candidates, append_only, kind) == unpruned_best(
+            state, task, candidates, append_only, kind
+        )
+
     def test_unplace_restores_timeline_after_gap_insertion(self):
         inst = mk_instance({"a": 1.0, "b": 1.0, "c": 1.0}, {}, {"n0": 1.0})
         state = _PlacementState(inst)
