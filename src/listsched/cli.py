@@ -1,9 +1,16 @@
 """Command-line interface: generate, schedule, validate, benchmark, analyze.
 
+One table, ``COMMANDS``, holds every command: its help, the function
+that adds its arguments and the function that runs it.  Each call builds
+only the parser of the command it names; the full parser, with the top
+level and every command, is built only for a call that names none or
+leaves arguments unrecognized, and for ``build_parser()``.  Nothing is
+cached between calls, so a call costs what it costs in a new process.
+
 Exit codes: 0 on success, 1 on domain errors (invalid schedule, unknown
-scheduler name, malformed instance or dataset files, results that cannot
-be normalized), 2 on usage or IO errors.  All randomness enters through
-explicit --seed flags.
+scheduler name, malformed instance or dataset files, JSON of the wrong
+shape, results that cannot be normalized), 2 on usage or IO errors.  All
+randomness enters through explicit --seed flags.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import bench, datagen, model, scheduler
 
@@ -40,14 +48,7 @@ def _seed(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="listsched",
-        description="Parametric list scheduling for heterogeneous task graphs.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", help="generate a dataset of random instances")
+def _generate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", required=True, choices=[k.value for k in datagen.GraphKind])
     p.add_argument("--ccr", type=_positive_float, default=1.0,
                    help="target communication-to-computation ratio (default 1)")
@@ -56,17 +57,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=0, help="dataset seed (default 0)")
     p.add_argument("--out", required=True, help="output dataset directory")
 
-    p = sub.add_parser("schedule", help="schedule one instance with one scheduler")
+
+def _schedule_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--instance", required=True)
     p.add_argument("--scheduler", required=True,
                    help="canonical name or alias (see list-schedulers)")
     p.add_argument("--out", required=True, help="output schedule JSON")
 
-    p = sub.add_parser("validate", help="check a schedule against an instance")
+
+def _validate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--instance", required=True)
     p.add_argument("--schedule", required=True)
 
-    p = sub.add_parser("benchmark", help="run schedulers over datasets")
+
+def _benchmark_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--datasets", required=True, nargs="+",
                    help="one or more dataset directories")
     p.add_argument("--schedulers", default="all",
@@ -78,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "is timed serially (default 1)")
     p.add_argument("--out", required=True, help="output results CSV")
 
-    p = sub.add_parser("analyze", help="derive tables from a results CSV")
+
+def _analyze_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--results", required=True)
     p.add_argument("--mode", required=True,
                    choices=["ratios", "pareto", "effects", "interactions"])
@@ -87,8 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "(e.g. compare,ccr)")
     p.add_argument("--out", required=True)
 
-    sub.add_parser("list-schedulers", help="print the 72 scheduler names")
-    return parser
+
+def _no_arguments(p: argparse.ArgumentParser) -> None:
+    pass
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -222,29 +228,69 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_list_schedulers() -> int:
+def cmd_list_schedulers(args: argparse.Namespace) -> int:
     for name, config in scheduler.enumerate_configs():
         alias = scheduler.alias_of(config)
         print(f"{name} (alias: {alias})" if alias else name)
     return EXIT_OK
 
 
+class Command(NamedTuple):
+    help: str
+    #: adds the command's arguments to its parser
+    arguments: Callable[[argparse.ArgumentParser], None]
+    run: Callable[[argparse.Namespace], int]
+
+
+#: every command, in the order the top-level help lists them
+COMMANDS: dict[str, Command] = {
+    "generate": Command("generate a dataset of random instances",
+                        _generate_arguments, cmd_generate),
+    "schedule": Command("schedule one instance with one scheduler",
+                        _schedule_arguments, cmd_schedule),
+    "validate": Command("check a schedule against an instance",
+                        _validate_arguments, cmd_validate),
+    "benchmark": Command("run schedulers over datasets", _benchmark_arguments, cmd_benchmark),
+    "analyze": Command("derive tables from a results CSV", _analyze_arguments, cmd_analyze),
+    "list-schedulers": Command("print the 72 scheduler names", _no_arguments,
+                               cmd_list_schedulers),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: the top level and every command's sub-parser."""
+    parser = argparse.ArgumentParser(
+        prog="listsched",
+        description="Parametric list scheduling for heterogeneous task graphs.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        command.arguments(sub.add_parser(name, help=command.help))
+    return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` as ``build_parser().parse_args(argv)`` would.
+
+    A call whose first word names a command builds only that command's
+    parser, the same one the full parser would hand the rest of ``argv``
+    to.  Everything else, and a call that leaves arguments unrecognized,
+    goes to the full parser, which prints the top-level usage or error.
+    """
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is not None:
+        parser = argparse.ArgumentParser(prog=f"listsched {argv[0]}")
+        command.arguments(parser)
+        args, rest = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        if args.command == "generate":
-            return cmd_generate(args)
-        if args.command == "schedule":
-            return cmd_schedule(args)
-        if args.command == "validate":
-            return cmd_validate(args)
-        if args.command == "benchmark":
-            return cmd_benchmark(args)
-        if args.command == "analyze":
-            return cmd_analyze(args)
-        if args.command == "list-schedulers":
-            return cmd_list_schedulers()
-        raise AssertionError(f"unhandled command {args.command!r}")
+        return COMMANDS[args.command].run(args)
     except OSError as exc:
         print(f"IO error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -205,7 +205,9 @@ def save_dataset(dataset: Dataset, params: GenParams, out_dir: str | Path) -> No
 def load_dataset(dir_path: str | Path) -> Dataset:
     path = Path(dir_path)
     manifest = json.loads((path / "manifest.json").read_text())
-    instances = tuple(
-        load_instance(path / f"instance_{i:03d}.json") for i in range(int(manifest["count"]))
-    )
-    return Dataset(name=str(manifest["name"]), instances=instances)
+    try:
+        name, count = str(manifest["name"]), int(manifest["count"])
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"wrong JSON shape in manifest: {exc}") from None
+    instances = tuple(load_instance(path / f"instance_{i:03d}.json") for i in range(count))
+    return Dataset(name=name, instances=instances)

@@ -397,24 +397,31 @@ def _unique(label: str, keys: list) -> list:
 
 
 def instance_from_dict(data: Mapping) -> ProblemInstance:
-    """Parse an instance; a node, link, task or dep listed twice is an error."""
-    net = data["network"]
-    tg = data["task_graph"]
-    nodes = _unique("node", [str(n["id"]) for n in net["nodes"]])
-    links = [(str(l["u"]), str(l["v"])) for l in net["links"]]
-    _unique("link", [(min(u, v), max(u, v)) for u, v in links])
-    tasks = _unique("task", [str(t["id"]) for t in tg["tasks"]])
-    deps = _unique("dep", [(str(d["src"]), str(d["dst"])) for d in tg["deps"]])
-    network = Network(
-        nodes=frozenset(nodes),
-        speed={n: float(x["speed"]) for n, x in zip(nodes, net["nodes"])},
-        strength={pair: float(l["strength"]) for pair, l in zip(links, net["links"])},
-    )
+    """Parse an instance; a node, link, task or dep listed twice is an error.
+
+    JSON of the wrong shape (a list where an object belongs, a null or a
+    list where a number belongs) is a ``ValueError`` naming the part.
+    """
+    part = "instance"
+    try:
+        net, tg = data["network"], data["task_graph"]
+        part = "network"
+        nodes = _unique("node", [str(n["id"]) for n in net["nodes"]])
+        links = [(str(l["u"]), str(l["v"])) for l in net["links"]]
+        _unique("link", [(min(u, v), max(u, v)) for u, v in links])
+        speed = {n: float(x["speed"]) for n, x in zip(nodes, net["nodes"])}
+        strength = {pair: float(l["strength"]) for pair, l in zip(links, net["links"])}
+        part = "task_graph"
+        tasks = _unique("task", [str(t["id"]) for t in tg["tasks"]])
+        deps = _unique("dep", [(str(d["src"]), str(d["dst"])) for d in tg["deps"]])
+        compute_cost = {t: float(x["cost"]) for t, x in zip(tasks, tg["tasks"])}
+        data_size = {dep: float(x["size"]) for dep, x in zip(deps, tg["deps"])}
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"wrong JSON shape in {part}: {exc}") from None
+    network = Network(nodes=frozenset(nodes), speed=speed, strength=strength)
     task_graph = TaskGraph(
-        tasks=frozenset(tasks),
-        deps=frozenset(deps),
-        compute_cost={t: float(x["cost"]) for t, x in zip(tasks, tg["tasks"])},
-        data_size={dep: float(x["size"]) for dep, x in zip(deps, tg["deps"])},
+        tasks=frozenset(tasks), deps=frozenset(deps),
+        compute_cost=compute_cost, data_size=data_size,
     )
     return ProblemInstance(network=network, task_graph=task_graph)
 
@@ -429,17 +436,15 @@ def schedule_to_dict(schedule: Schedule) -> dict:
 
 
 def schedule_from_dict(data: Mapping) -> Schedule:
-    return Schedule(
-        entries=tuple(
-            ScheduleEntry(
-                task=str(e["task"]),
-                node=str(e["node"]),
-                start=float(e["start"]),
-                end=float(e["end"]),
-            )
+    """Parse a schedule; JSON of the wrong shape is a ``ValueError``."""
+    try:
+        rows = [
+            (str(e["task"]), str(e["node"]), float(e["start"]), float(e["end"]))
             for e in data["entries"]
-        )
-    )
+        ]
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"wrong JSON shape in schedule entries: {exc}") from None
+    return Schedule(entries=tuple(ScheduleEntry(*row) for row in rows))
 
 
 def save_instance(instance: ProblemInstance, path: str | Path) -> None:

@@ -125,10 +125,10 @@ class _PlacementState:
         #: candidates lets ``_ready_times`` read strength rows whole
         self.all_nodes = tuple(range(len(self.nodes)))
         self.speed = [network.speed[v] for v in self.nodes]
-        self.strength = [
-            [math.inf if u == v else network.link_strength(u, v) for v in self.nodes]
-            for u in self.nodes
-        ]
+        index = {v: i for i, v in enumerate(self.nodes)}
+        self.strength = [[math.inf] * len(self.nodes) for _ in self.nodes]
+        for (u, v), x in network.strength.items():
+            self.strength[index[u]][index[v]] = self.strength[index[v]][index[u]] = x
         self.cost = tg.compute_cost
         sizes = tg.data_size
         self.preds = {

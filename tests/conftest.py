@@ -108,11 +108,16 @@ MALFORMED_CASES = (
 )
 
 
-def malformed_instance_dict(case: str) -> dict:
-    """Instance JSON for a -> b on n0 (speed 1) and n1 (speed 2), broken as ``case``."""
-    data = instance_to_dict(
+def ab_instance_dict() -> dict:
+    """Instance JSON for a -> b on n0 (speed 1) and n1 (speed 2)."""
+    return instance_to_dict(
         mk_instance({"a": 1.0, "b": 2.0}, {("a", "b"): 1.0}, {"n0": 1.0, "n1": 2.0})
     )
+
+
+def malformed_instance_dict(case: str) -> dict:
+    """``ab_instance_dict()`` broken as ``case``."""
+    data = ab_instance_dict()
     net, tg = data["network"], data["task_graph"]
     if case == "duplicate node":
         net["nodes"].append(dict(net["nodes"][0]))
@@ -129,3 +134,51 @@ def malformed_instance_dict(case: str) -> dict:
     elif case == "no nodes":
         net["nodes"], net["links"] = [], []
     return data
+
+
+#: Instance JSON of the wrong shape, each with the part its error names.
+WRONG_SHAPE_INSTANCES = (
+    ("root is a list", "instance"),
+    ("network is null", "network"),
+    ("speed is null", "network"),
+    ("nodes is a number", "network"),
+    ("speed is a list", "network"),
+    ("task is a string", "task_graph"),
+)
+
+#: Schedule JSON of the wrong shape, for the instance of ``ab_instance_dict()``.
+WRONG_SHAPE_SCHEDULES = ("entries is null", "entry is a string", "start is null")
+
+
+def wrong_shape_instance(case: str):
+    """``ab_instance_dict()`` with one part of the wrong shape."""
+    data = ab_instance_dict()
+    net = data["network"]
+    if case == "root is a list":
+        return [data]
+    if case == "network is null":
+        data["network"] = None
+    elif case == "speed is null":
+        net["nodes"][0]["speed"] = None
+    elif case == "nodes is a number":
+        net["nodes"] = 5
+    elif case == "speed is a list":
+        net["nodes"][0]["speed"] = [1.0]
+    elif case == "task is a string":
+        data["task_graph"]["tasks"][0] = "a"
+    return data
+
+
+def wrong_shape_schedule(case: str | None = None) -> dict:
+    """Both tasks of ``ab_instance_dict()`` on n1, valid unless ``case`` breaks it."""
+    entries = [
+        {"task": "a", "node": "n1", "start": 0.0, "end": 0.5},
+        {"task": "b", "node": "n1", "start": 0.5, "end": 1.5},
+    ]
+    if case == "entries is null":
+        return {"entries": None}
+    if case == "entry is a string":
+        entries[1] = "b"
+    elif case == "start is null":
+        entries[1]["start"] = None
+    return {"entries": entries}

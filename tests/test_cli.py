@@ -1,5 +1,9 @@
+import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,10 +17,21 @@ from listsched import (
     validate_schedule,
 )
 from listsched.bench import RESULTS_HEADER
+from listsched import cli
 from listsched.cli import main
 from listsched.model import load_instance
 
-from conftest import MALFORMED_CASES, malformed_instance_dict
+from conftest import (
+    MALFORMED_CASES,
+    WRONG_SHAPE_INSTANCES,
+    WRONG_SHAPE_SCHEDULES,
+    ab_instance_dict,
+    malformed_instance_dict,
+    wrong_shape_instance,
+    wrong_shape_schedule,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -118,6 +133,45 @@ def test_malformed_instance_is_domain_error(tmp_path, capsys, command, case):
     assert "invalid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case, part", WRONG_SHAPE_INSTANCES)
+@pytest.mark.parametrize("command", ["schedule", "validate"])
+def test_wrong_shape_instance_is_domain_error(tmp_path, capsys, command, case, part):
+    # each used to escape as a TypeError with a traceback
+    instance = tmp_path / "instance.json"
+    instance.write_text(json.dumps(wrong_shape_instance(case)))
+    sched = tmp_path / "sched.json"
+    sched.write_text(json.dumps(wrong_shape_schedule()))
+    if command == "schedule":
+        args = ["schedule", "--instance", str(instance), "--scheduler", "HEFT",
+                "--out", str(tmp_path / "out.json")]
+        message = f"invalid instance file: wrong JSON shape in {part}: "
+    else:
+        args = ["validate", "--instance", str(instance), "--schedule", str(sched)]
+        message = f"invalid input: wrong JSON shape in {part}: "
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", WRONG_SHAPE_SCHEDULES)
+def test_wrong_shape_schedule_is_domain_error(tmp_path, capsys, case):
+    instance = tmp_path / "instance.json"
+    instance.write_text(json.dumps(ab_instance_dict()))
+    sched = tmp_path / "sched.json"
+    sched.write_text(json.dumps(wrong_shape_schedule(case)))
+    assert main(["validate", "--instance", str(instance), "--schedule", str(sched)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: wrong JSON shape in schedule entries: ") and err.count("\n") == 1
+
+
+def test_wrong_shape_fixtures_are_valid_unbroken(tmp_path, capsys):
+    instance = tmp_path / "instance.json"
+    instance.write_text(json.dumps(ab_instance_dict()))
+    sched = tmp_path / "sched.json"
+    sched.write_text(json.dumps(wrong_shape_schedule()))
+    assert main(["validate", "--instance", str(instance), "--schedule", str(sched)]) == 0
+
+
 class TestValidate:
     def test_valid_pair(self, instance_file, tmp_path, capsys):
         out = tmp_path / "sched.json"
@@ -189,6 +243,18 @@ class TestBenchmark:
                      "--schedulers", "HEFT", "--out", str(tmp_path / "x.csv")])
         assert code == 1
         assert "invalid dataset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("manifest", [["chains_ccr_1", 3], {"name": "d", "count": None}],
+                             ids=["list", "null count"])
+    def test_wrong_shape_manifest_is_domain_error(self, dataset_dir, tmp_path, capsys, manifest):
+        # each used to escape as a TypeError with a traceback
+        (dataset_dir / "manifest.json").write_text(json.dumps(manifest))
+        code = main(["benchmark", "--datasets", str(dataset_dir),
+                     "--schedulers", "HEFT", "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid dataset {dataset_dir}: wrong JSON shape in manifest: ")
+        assert err.count("\n") == 1
 
     def test_empty_dataset_is_domain_error(self, dataset_dir, tmp_path, capsys):
         # a manifest with count 0 used to write a header-only results file, exit 0
@@ -394,6 +460,118 @@ class TestAnalyze:
                      "--mode", "ratios", "--out", str(out)]) == 0
         a, b = read_rows(results_csv), read_rows(out)
         assert [r["makespan_ratio"] for r in a] == [r["makespan_ratio"] for r in b]
+
+
+#: argv for the differential parse test: every command valid, with -h and
+#: broken, plus the calls that must reach the full parser
+PARSE_CASES = [
+    [], ["-h"], ["nope"], ["--", "schedule"], ["--help", "schedule"], ["-x", "schedule"],
+    *([name, "-h"] for name in cli.COMMANDS),
+    ["generate", "--kind", "chains", "--ccr", "0.5", "--count", "4", "--seed", "3",
+     "--out", "d"],
+    ["generate", "--kind", "chains", "--out", "d"],
+    ["generate", "--kind", "grid", "--out", "d"],
+    ["generate", "--kind", "chains", "--count", "0", "--out", "d"],
+    ["generate", "--kind", "chains", "--seed", "-1", "--out", "d"],
+    ["schedule", "--instance", "i.json", "--scheduler", "HEFT", "--out", "s.json"],
+    ["schedule", "--inst", "i.json", "--sched", "HEFT", "--out=s.json"],
+    ["schedule", "--instance", "i.json", "--out", "s.json"],
+    ["schedule", "--instance", "i.json", "--scheduler", "HEFT", "--out", "s.json", "extra"],
+    ["schedule", "--bogus"],
+    ["validate", "--instance", "i.json", "--schedule", "s.json"],
+    ["validate", "--instance", "i.json", "--schedule", "s.json", "--", "x"],
+    ["validate", "-h", "--bogus"],
+    ["benchmark", "--datasets", "a", "b", "--schedulers", "HEFT,MET", "--repeats", "2",
+     "--jobs", "2", "--out", "r.csv"],
+    ["benchmark", "--datasets", "--out", "r.csv"],
+    ["analyze", "--results", "r.csv", "--mode", "interactions", "--params", "compare,ccr",
+     "--out", "x.csv"],
+    ["analyze", "--results", "r.csv", "--mode", "bogus", "--out", "x.csv"],
+    ["list-schedulers"],
+    ["list-schedulers", "--x"],
+    ["list-schedulers", "--"],
+]
+
+
+def parse_outcome(parse, argv, capsys):
+    """``vars`` of the namespace, or the exit code, with the bytes printed."""
+    try:
+        result = vars(parse(argv))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    out, err = capsys.readouterr()
+    return result, out, err
+
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    """The ``prog`` of every ArgumentParser built while the test runs."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+class TestParse:
+    @pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+    def test_equals_the_full_parser(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        full = parse_outcome(lambda a: cli.build_parser().parse_args(a), argv, capsys)
+        assert parse_outcome(cli._parse, argv, capsys) == full
+
+    def test_table_and_full_parser_list_the_same_commands(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(cli.COMMANDS) == [
+            "generate", "schedule", "validate", "benchmark", "analyze", "list-schedulers",
+        ]
+
+    @pytest.mark.parametrize("argv", [
+        ["list-schedulers"],
+        ["schedule", "--instance", "i.json", "--scheduler", "HEFT", "--out", "s.json"],
+        ["validate", "--instance", "i.json", "--schedule", "s.json"],
+    ], ids=lambda argv: argv[0])
+    def test_a_valid_call_builds_only_its_own_parser(self, argv, parsers_built):
+        cli._parse(argv)
+        assert parsers_built == [f"listsched {argv[0]}"]
+
+    def test_nothing_is_cached_between_calls(self, parsers_built, capsys):
+        assert main(["list-schedulers"]) == 0
+        assert len(parsers_built) == 1
+        assert main(["list-schedulers"]) == 0
+        assert len(parsers_built) == 2
+
+    def test_leftover_arguments_reach_the_full_parser(self, parsers_built, capsys):
+        with pytest.raises(SystemExit):
+            cli._parse(["list-schedulers", "--x"])
+        # its own parser, then the full parser: top level and six commands
+        assert len(parsers_built) == 1 + 7
+        assert "listsched: error: unrecognized arguments: --x" in capsys.readouterr().err
+
+
+class TestEntryPoint:
+    """``python -m listsched.cli`` reads its arguments from ``sys.argv``."""
+
+    def run(self, *argv):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        return subprocess.run([sys.executable, "-m", "listsched.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    def test_schedule_prints_the_makespan(self, instance_file, tmp_path):
+        result = self.run("schedule", "--instance", str(instance_file),
+                          "--scheduler", "HEFT", "--out", str(tmp_path / "s.json"))
+        assert (result.returncode, result.stdout, result.stderr) == (0, "1.0\n", "")
+
+    def test_no_arguments_is_a_usage_error(self):
+        result = self.run()
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr.startswith("usage: listsched [-h]")
+        assert "the following arguments are required: command" in result.stderr
 
 
 class TestListSchedulers:

@@ -26,10 +26,14 @@ from listsched.model import (
 
 from conftest import (
     MALFORMED_CASES,
+    WRONG_SHAPE_INSTANCES,
+    WRONG_SHAPE_SCHEDULES,
     malformed_instance_dict,
     mk_instance,
     random_instance,
     unit_network,
+    wrong_shape_instance,
+    wrong_shape_schedule,
 )
 from reference import data_available_time
 
@@ -339,6 +343,16 @@ class TestJson:
     def test_malformed_instance_rejected(self, case):
         with pytest.raises(ValueError, match="duplicate|finite|no nodes"):
             instance_from_dict(malformed_instance_dict(case))
+
+    @pytest.mark.parametrize("case, part", WRONG_SHAPE_INSTANCES)
+    def test_wrong_shape_instance_names_the_part(self, case, part):
+        with pytest.raises(ValueError, match=f"^wrong JSON shape in {part}: "):
+            instance_from_dict(wrong_shape_instance(case))
+
+    @pytest.mark.parametrize("case", WRONG_SHAPE_SCHEDULES)
+    def test_wrong_shape_schedule_names_the_part(self, case):
+        with pytest.raises(ValueError, match="^wrong JSON shape in schedule entries: "):
+            schedule_from_dict(wrong_shape_schedule(case))
 
     def test_serialization_is_stable(self):
         rng = np.random.default_rng(7)
