@@ -122,7 +122,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         return EXIT_DOMAIN
     try:
         instance = model.load_instance(args.instance)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"invalid instance file: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     result = scheduler.schedule(instance, config)
@@ -175,7 +175,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
             return EXIT_USAGE
         try:
             datasets.append(datagen.load_dataset(dir_path))
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             print(f"invalid dataset {dir_path}: {exc}", file=sys.stderr)
             return EXIT_DOMAIN
     records = bench.run_benchmark(

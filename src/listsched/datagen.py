@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import Network, ProblemInstance, TaskGraph, load_instance, save_instance
+from .model import _count, _id, _json_shape
 
 #: The CCR levels studied in the component benchmarks.
 STANDARD_CCRS = (0.2, 0.5, 1.0, 2.0, 5.0)
@@ -205,9 +206,7 @@ def save_dataset(dataset: Dataset, params: GenParams, out_dir: str | Path) -> No
 def load_dataset(dir_path: str | Path) -> Dataset:
     path = Path(dir_path)
     manifest = json.loads((path / "manifest.json").read_text())
-    try:
-        name, count = str(manifest["name"]), int(manifest["count"])
-    except (TypeError, AttributeError) as exc:
-        raise ValueError(f"wrong JSON shape in manifest: {exc}") from None
+    with _json_shape("manifest"):
+        name, count = _id(manifest["name"]), _count(manifest["count"])
     instances = tuple(load_instance(path / f"instance_{i:03d}.json") for i in range(count))
     return Dataset(name=name, instances=instances)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping
@@ -56,7 +57,7 @@ class TaskGraph:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tasks", frozenset(self.tasks))
-        object.__setattr__(self, "deps", frozenset((str(a), str(b)) for a, b in self.deps))
+        object.__setattr__(self, "deps", frozenset(self.deps))
         object.__setattr__(self, "compute_cost", dict(self.compute_cost))
         object.__setattr__(self, "data_size", dict(self.data_size))
 
@@ -360,10 +361,44 @@ def validate_schedule(instance: ProblemInstance, schedule: Schedule) -> list[Vio
 # Schedule files:
 #   {"entries": [{"task", "node", "start", "end"}...]}
 #
-# Floats are emitted with Python's repr, the shortest decimal form that
-# parses back to the exact same double, so files round-trip losslessly and
-# regeneration is byte-identical.
+# Each leaf goes through one parser: an id is a JSON string (integer ids are
+# rejected), a number a JSON int or float (not a bool, not quoted), a count
+# a JSON int >= 1.  A missing key or a leaf or container of the wrong type
+# is a ``ValueError`` naming the part; constructors check value ranges.
+# Floats are written with repr, the shortest decimal that parses back to the
+# same double, so files round-trip losslessly and regenerate byte-identically.
 # ---------------------------------------------------------------------------
+
+
+@contextmanager
+def _json_shape(part: str) -> Iterator[None]:
+    """Turn a failed lookup or leaf parse in the block into a ``ValueError`` naming ``part``."""
+    try:
+        yield
+    except (TypeError, AttributeError, KeyError, OverflowError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"wrong JSON shape in {part}: {detail}") from None
+
+
+def _number(value: object) -> float:
+    """A JSON number (an int or a float, not a bool) as a float."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _id(value: object) -> str:
+    """A JSON string."""
+    if type(value) is not str:
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _count(value: object) -> int:
+    """A JSON int of at least 1 that a float can hold."""
+    if type(value) is not int or not 1 <= _number(value):
+        raise TypeError(f"expected a positive integer, got {value!r}")
+    return value
 
 
 def instance_to_dict(instance: ProblemInstance) -> dict:
@@ -397,27 +432,20 @@ def _unique(label: str, keys: list) -> list:
 
 
 def instance_from_dict(data: Mapping) -> ProblemInstance:
-    """Parse an instance; a node, link, task or dep listed twice is an error.
-
-    JSON of the wrong shape (a list where an object belongs, a null or a
-    list where a number belongs) is a ``ValueError`` naming the part.
-    """
-    part = "instance"
-    try:
+    """Parse an instance by the leaf rules above; a repeated node, link, task or dep is an error."""
+    with _json_shape("instance"):
         net, tg = data["network"], data["task_graph"]
-        part = "network"
-        nodes = _unique("node", [str(n["id"]) for n in net["nodes"]])
-        links = [(str(l["u"]), str(l["v"])) for l in net["links"]]
+    with _json_shape("network"):
+        nodes = _unique("node", [_id(n["id"]) for n in net["nodes"]])
+        links = [(_id(l["u"]), _id(l["v"])) for l in net["links"]]
         _unique("link", [(min(u, v), max(u, v)) for u, v in links])
-        speed = {n: float(x["speed"]) for n, x in zip(nodes, net["nodes"])}
-        strength = {pair: float(l["strength"]) for pair, l in zip(links, net["links"])}
-        part = "task_graph"
-        tasks = _unique("task", [str(t["id"]) for t in tg["tasks"]])
-        deps = _unique("dep", [(str(d["src"]), str(d["dst"])) for d in tg["deps"]])
-        compute_cost = {t: float(x["cost"]) for t, x in zip(tasks, tg["tasks"])}
-        data_size = {dep: float(x["size"]) for dep, x in zip(deps, tg["deps"])}
-    except (TypeError, AttributeError) as exc:
-        raise ValueError(f"wrong JSON shape in {part}: {exc}") from None
+        speed = {n: _number(x["speed"]) for n, x in zip(nodes, net["nodes"])}
+        strength = {pair: _number(l["strength"]) for pair, l in zip(links, net["links"])}
+    with _json_shape("task_graph"):
+        tasks = _unique("task", [_id(t["id"]) for t in tg["tasks"]])
+        deps = _unique("dep", [(_id(d["src"]), _id(d["dst"])) for d in tg["deps"]])
+        compute_cost = {t: _number(x["cost"]) for t, x in zip(tasks, tg["tasks"])}
+        data_size = {dep: _number(x["size"]) for dep, x in zip(deps, tg["deps"])}
     network = Network(nodes=frozenset(nodes), speed=speed, strength=strength)
     task_graph = TaskGraph(
         tasks=frozenset(tasks), deps=frozenset(deps),
@@ -436,14 +464,12 @@ def schedule_to_dict(schedule: Schedule) -> dict:
 
 
 def schedule_from_dict(data: Mapping) -> Schedule:
-    """Parse a schedule; JSON of the wrong shape is a ``ValueError``."""
-    try:
+    """Parse a schedule by the leaf rules above; its part is the schedule entries."""
+    with _json_shape("schedule entries"):
         rows = [
-            (str(e["task"]), str(e["node"]), float(e["start"]), float(e["end"]))
+            (_id(e["task"]), _id(e["node"]), _number(e["start"]), _number(e["end"]))
             for e in data["entries"]
         ]
-    except (TypeError, AttributeError) as exc:
-        raise ValueError(f"wrong JSON shape in schedule entries: {exc}") from None
     return Schedule(entries=tuple(ScheduleEntry(*row) for row in rows))
 
 

@@ -128,9 +128,9 @@ def malformed_instance_dict(case: str) -> dict:
     elif case == "duplicate dep":
         tg["deps"].append(dict(tg["deps"][0]))
     elif case == "infinite strength":
-        net["links"][0]["strength"] = "inf"
+        net["links"][0]["strength"] = math.inf
     elif case == "infinite cost":
-        tg["tasks"][1]["cost"] = "inf"
+        tg["tasks"][1]["cost"] = math.inf
     elif case == "no nodes":
         net["nodes"], net["links"] = [], []
     return data
@@ -144,10 +144,18 @@ WRONG_SHAPE_INSTANCES = (
     ("nodes is a number", "network"),
     ("speed is a list", "network"),
     ("task is a string", "task_graph"),
+    ("speed is true", "network"),
+    ("speed is a numeric string", "network"),
+    ("speed is missing", "network"),
+    ("node id is null", "network"),
+    ("task id is an integer", "task_graph"),
+    ("cost is a 400-digit integer", "task_graph"),
 )
 
 #: Schedule JSON of the wrong shape, for the instance of ``ab_instance_dict()``.
-WRONG_SHAPE_SCHEDULES = ("entries is null", "entry is a string", "start is null")
+WRONG_SHAPE_SCHEDULES = (
+    "entries is null", "entry is a string", "start is null", "start is a numeric string",
+)
 
 
 def wrong_shape_instance(case: str):
@@ -166,6 +174,20 @@ def wrong_shape_instance(case: str):
         net["nodes"][0]["speed"] = [1.0]
     elif case == "task is a string":
         data["task_graph"]["tasks"][0] = "a"
+    elif case == "speed is true":
+        net["nodes"][0]["speed"] = True
+    elif case == "speed is a numeric string":
+        net["nodes"][0]["speed"] = "2"
+    elif case == "speed is missing":
+        del net["nodes"][0]["speed"]
+    elif case == "node id is null":
+        # with its link, so reading null as the id "None" would load
+        net["nodes"][0]["id"] = net["links"][0]["u"] = None
+    elif case == "task id is an integer":
+        # with its dep, so reading 1 as the id "1" would load
+        data["task_graph"]["tasks"][0]["id"] = data["task_graph"]["deps"][0]["src"] = 1
+    elif case == "cost is a 400-digit integer":
+        data["task_graph"]["tasks"][0]["cost"] = 10**400
     return data
 
 
@@ -181,4 +203,6 @@ def wrong_shape_schedule(case: str | None = None) -> dict:
         entries[1] = "b"
     elif case == "start is null":
         entries[1]["start"] = None
+    elif case == "start is a numeric string":
+        entries[0]["start"] = "0"
     return {"entries": entries}

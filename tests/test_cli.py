@@ -1,19 +1,32 @@
 import argparse
+import copy
 import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from listsched import (
+    GenParams,
+    GraphKind,
     bench,
     config_by_name,
     enumerate_configs,
+    gen_dataset,
     load_schedule,
+    save_dataset,
     save_instance,
+    save_schedule,
+    schedule,
     validate_schedule,
 )
 from listsched.bench import RESULTS_HEADER
@@ -244,11 +257,17 @@ class TestBenchmark:
         assert code == 1
         assert "invalid dataset" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("manifest", [["chains_ccr_1", 3], {"name": "d", "count": None}],
-                             ids=["list", "null count"])
+    @pytest.mark.parametrize("manifest", [
+        '["chains_ccr_1", 3]', '{"name": "d", "count": null}',
+        '{"name": "d", "count": 1e999}', '{"name": "d", "count": 1.5}',
+        '{"name": "d", "count": true}', '{"name": "d", "count": "2"}',
+        '{"name": "d", "count": -1}', '{"name": "d", "count": 1%s}' % ("0" * 399),
+    ], ids=["list", "null count", "1e999 count", "fractional count", "true count",
+            "string count", "negative count", "400-digit count"])
     def test_wrong_shape_manifest_is_domain_error(self, dataset_dir, tmp_path, capsys, manifest):
-        # each used to escape as a TypeError with a traceback
-        (dataset_dir / "manifest.json").write_text(json.dumps(manifest))
+        # list and null escaped as a TypeError, 1e999 as an OverflowError, the
+        # 400-digit count ended in an IO error and the others loaded silently
+        (dataset_dir / "manifest.json").write_text(manifest)
         code = main(["benchmark", "--datasets", str(dataset_dir),
                      "--schedulers", "HEFT", "--out", str(tmp_path / "x.csv")])
         assert code == 1
@@ -263,7 +282,8 @@ class TestBenchmark:
         out = tmp_path / "x.csv"
         code = main(["benchmark", "--datasets", str(dataset_dir), "--out", str(out)])
         assert code == 1
-        assert "cannot normalize results: no records" in capsys.readouterr().err
+        assert ("wrong JSON shape in manifest: expected a positive integer, got 0"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_unknown_scheduler_name(self, dataset_dir, tmp_path):
@@ -587,3 +607,68 @@ class TestListSchedulers:
 
     def test_instance_file_round_trips_through_cli(self, instance_file, chain_fast_slow):
         assert load_instance(instance_file) == chain_fast_slow
+
+
+#: what one leaf or container of a valid file is replaced by; ``math.inf``
+#: is written as the literal ``1e999``
+MUTANTS = (None, True, "2", "x", [], {}, math.inf, -1, 1.5, 10**400)
+#: a one-instance dataset; its instance and HEFT schedule are the other files
+BASE_PARAMS = GenParams(GraphKind.CHAINS, seed=3, count=1, target_ccr=1.0)
+BASE_DATASET = gen_dataset(BASE_PARAMS)
+BASE_SCHEDULE = schedule(BASE_DATASET.instances[0], config_by_name("HEFT"))
+
+
+def json_parts(doc, path=()):
+    """The path of ``doc`` and of every leaf and container inside it."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from json_parts(value, path + (key,))
+
+
+def mutated_json(doc, path, value) -> str:
+    """``doc`` as JSON text with the part at ``path`` replaced by ``value``."""
+    holder = [copy.deepcopy(doc)]
+    parent, key = holder, 0
+    for step in path:
+        parent, key = parent[key], step
+    parent[key] = value
+    return json.dumps(holder[0]).replace("Infinity", "1e999")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mutated_file_is_loaded_or_rejected_in_one_line(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        ds, sched, out = Path(tmp, "ds"), Path(tmp, "sched.json"), Path(tmp, "out")
+        save_dataset(BASE_DATASET, BASE_PARAMS, ds)
+        save_schedule(BASE_SCHEDULE, sched)
+        instance = ds / "instance_000.json"
+        command, target = data.draw(st.sampled_from([
+            ("schedule", instance), ("validate", instance), ("validate", sched),
+            ("benchmark", ds / "manifest.json"),
+        ]))
+        doc = json.loads(target.read_text())
+        path = data.draw(st.sampled_from(list(json_parts(doc))))
+        target.write_text(mutated_json(doc, path, data.draw(st.sampled_from(MUTANTS))))
+        argv = {
+            "schedule": ["--instance", str(instance), "--scheduler", "HEFT", "--out", str(out)],
+            "validate": ["--instance", str(instance), "--schedule", str(sched)],
+            "benchmark": ["--datasets", str(ds), "--schedulers", "HEFT", "--repeats", "1",
+                          "--out", str(out)],
+        }[command]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main([command, *argv])
+        err = stderr.getvalue()
+        assert code in (0, 1)
+        if code == 0:
+            assert err == ""
+            if command == "schedule":
+                assert validate_schedule(load_instance(instance), load_schedule(out)) == []
+        elif command == "validate" and not err:
+            # violations of a loaded pair go to stdout
+            assert stdout.getvalue().endswith(" violation(s)\n")
+        else:
+            assert err.count("\n") == 1 and err.endswith("\n"), err
+            assert stdout.getvalue() == ""
