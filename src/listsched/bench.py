@@ -358,7 +358,6 @@ def brute_force_min_makespan(instance: ProblemInstance) -> float:
         return 0.0
 
     state = _PlacementState(instance)
-    all_nodes = range(len(nodes))
     best = math.inf
 
     def extend(indeg: dict[TaskId, int], peak: float) -> None:
@@ -371,7 +370,8 @@ def brute_force_min_makespan(instance: ProblemInstance) -> float:
             del rest[t]
             for s in tg.successors(t):
                 rest[s] -= 1
-            for v, window in enumerate(state.windows(t, all_nodes)):
+            for v in state.all_nodes:
+                window = state.best(t, (v,), False, CompareKind.EFT)[1]
                 end = max(peak, window.end)
                 if end < best:
                     state.place(t, v, window)
@@ -409,7 +409,8 @@ def read_results_csv(path: str | Path) -> list[BenchmarkRecord]:
     """Records of a results CSV; an error row's empty values load as NaN.
 
     Raises ``ValueError`` when a column is missing, a value does not
-    parse, or a row without an error lacks a finite makespan or runtime.
+    parse, or a row without an error lacks a finite, non-negative makespan
+    or runtime.
     """
     records = []
     with open(path, newline="") as fh:
@@ -422,11 +423,11 @@ def read_results_csv(path: str | Path) -> list[BenchmarkRecord]:
             error = row.get("error") or None
             span = float(row["makespan"]) if row["makespan"] else math.nan
             runtime = float(row["runtime_seconds"]) if row["runtime_seconds"] else math.nan
-            if error is None and not (math.isfinite(span) and math.isfinite(runtime)):
+            if error is None and not (0 <= span < math.inf and 0 <= runtime < math.inf):
                 raise ValueError(
                     f"line {reader.line_num} ({row['dataset']}, {row['instance']}, "
                     f"{row['scheduler']}) has no error but makespan {row['makespan']!r} "
-                    f"and runtime {row['runtime_seconds']!r}"
+                    f"and runtime {row['runtime_seconds']!r}; both must be finite and >= 0"
                 )
             records.append(
                 BenchmarkRecord(

@@ -16,6 +16,7 @@ randomness enters through explicit --seed flags.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -36,8 +37,8 @@ def _positive_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
     return value
 
 
@@ -104,7 +105,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
         count=args.count,
         target_ccr=args.ccr,
     )
-    dataset = datagen.gen_dataset(params)
+    try:
+        dataset = datagen.gen_dataset(params)
+    except (ValueError, OverflowError) as exc:
+        print(f"cannot generate dataset: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
     datagen.save_dataset(dataset, params, args.out)
     print(f"wrote {params.count} instances to {args.out} ({dataset.name})")
     return EXIT_OK

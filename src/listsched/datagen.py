@@ -200,13 +200,26 @@ def save_dataset(dataset: Dataset, params: GenParams, out_dir: str | Path) -> No
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     for i, instance in enumerate(dataset.instances):
-        save_instance(instance, out / f"instance_{i:03d}.json")
+        save_instance(instance, out / _instance_file(i))
+
+
+def _instance_file(i: int) -> str:
+    return f"instance_{i:03d}.json"
 
 
 def load_dataset(dir_path: str | Path) -> Dataset:
+    """The dataset in ``dir_path``; its ``instance_*.json`` files must be the manifest's."""
     path = Path(dir_path)
     manifest = json.loads((path / "manifest.json").read_text())
     with _json_shape("manifest"):
         name, count = _id(manifest["name"]), _count(manifest["count"])
-    instances = tuple(load_instance(path / f"instance_{i:03d}.json") for i in range(count))
+    # a set, since instance_1000 sorts before instance_101; the sizes are
+    # compared first so a huge count builds no name set
+    found = {p.name for p in path.glob("instance_*.json")}
+    if len(found) != count or found != {_instance_file(i) for i in range(count)}:
+        raise ValueError(
+            f"manifest count {count} expects {_instance_file(0)} to "
+            f"{_instance_file(count - 1)}, found {len(found)} instance_*.json files"
+        )
+    instances = tuple(load_instance(path / _instance_file(i)) for i in range(count))
     return Dataset(name=name, instances=instances)

@@ -130,7 +130,6 @@ def schedule(instance: ProblemInstance, config: SchedulerConfig) -> Schedule:
 
     Entries appear in the returned schedule in placement order.
     """
-    nodes = instance.network.node_order()
     tg = instance.task_graph
 
     priorities = priority_map(instance, config.initial_priority)
@@ -141,8 +140,8 @@ def schedule(instance: ProblemInstance, config: SchedulerConfig) -> Schedule:
     reserved: tuple[int, ...] = ()
     cp_tasks: frozenset[TaskId] = frozenset()
     if config.critical_path:
-        speed = instance.network.speed
-        reserved = (min(all_nodes, key=lambda v: (-speed[nodes[v]], nodes[v])),)
+        # node indices follow sorted ids, so min keeps the smallest fastest id
+        reserved = (min(all_nodes, key=lambda v: -state.speed[v]),)
         cpop = priorities if config.initial_priority is PriorityKind.CPOP_RANKING else None
         cp_tasks = frozenset(critical_path_tasks(instance, cpop))
 

@@ -21,19 +21,12 @@ oracle's depth-first search also undoes placements as it backtracks.
 Its constructor compiles the instance into index form (node indices in
 ``node_order()``, a speed list, a dense strength matrix, per-task
 ``(pred, data_size)`` tuples) once per ``schedule()`` call, and it keeps
-each node's timeline as parallel start and end lists.  For the
-scheduler, ``best`` makes one pass over the candidate nodes, computes
-each start, end and score inline and builds a :class:`Window` only for
-the winner; the oracle takes every insertion window from ``windows``.
-``best`` runs the insertion scan only where it can change the result.
-A node whose timeline is empty or ends by the data-ready time starts the
-task at ``max(last end, ready)``, as under append-only.  Under EFT and
-EST, once a runner-up exists, a node whose lower bound on the key (the
-data-ready time, plus the duration for EFT) is not below the runner-up's
-key is skipped; this is exact, since the node's key is at least its
-bound and a later candidate with a key equal to the runner-up's
-displaces neither the best nor the runner-up.  Quickest keys have no
-such bound and are never skipped.
+each node's timeline as parallel start and end lists.  ``best`` is its
+one evaluation: a pass over the candidate nodes that computes each
+start, end and score inline and builds a :class:`Window` only for the
+winner.  The oracle and the window queries pass one node at a time.
+``best`` runs the insertion scan only where it can change the result;
+its docstring gives the rule and why it is exact.
 
 :func:`compare`, :func:`open_window_append_only` and
 :func:`open_window_insertion` each answer one question about one pair of
@@ -121,8 +114,6 @@ class _PlacementState:
     def __init__(self, instance: ProblemInstance):
         network, tg = instance.network, instance.task_graph
         self.nodes = network.node_order()
-        #: every node index in order; passing this very tuple as the
-        #: candidates lets ``_ready_times`` read strength rows whole
         self.all_nodes = tuple(range(len(self.nodes)))
         self.speed = [network.speed[v] for v in self.nodes]
         index = {v: i for i, v in enumerate(self.nodes)}
@@ -139,35 +130,20 @@ class _PlacementState:
         #: task -> (node, start, end), in placement order
         self.placed: dict[TaskId, tuple[int, float, float]] = {}
 
-    def _ready_times(self, task: TaskId, candidates: Sequence[int]) -> list[float]:
-        """Data-ready time of ``task`` on each candidate node.
+    def _ready_times(self, task: TaskId) -> list[float]:
+        """Data-ready time of ``task`` on every node, in node order.
 
-        For ``all_nodes`` each predecessor's arrivals are read off its
-        strength row in order; the first predecessor's arrivals, all
-        ``>= 0.0``, are the running maximum as they are.
+        Each predecessor's arrivals are read off its strength row; the
+        first predecessor's arrivals, all ``>= 0.0``, are the running
+        maximum as they are.
         """
         placed, strength = self.placed, self.strength
-        whole_rows = candidates is self.all_nodes
         ready = None
         for p, size in self.preds[task]:
             p_node, _, p_end = placed[p]
-            row = strength[p_node]
-            if whole_rows:
-                arrival = [p_end + size / x for x in row]
-            else:
-                arrival = [p_end + size / row[v] for v in candidates]
+            arrival = [p_end + size / x for x in strength[p_node]]
             ready = arrival if ready is None else list(map(max, ready, arrival))
-        return [0.0] * len(candidates) if ready is None else ready
-
-    def windows(self, task: TaskId, candidates: Sequence[int]) -> list[Window]:
-        """``task``'s earliest insertion window on each candidate node, in order."""
-        cost, speed, starts, ends = self.cost[task], self.speed, self.starts, self.ends
-        out = []
-        for v, r in zip(candidates, self._ready_times(task, candidates)):
-            d = cost / speed[v]
-            start = _insertion_start(starts[v], ends[v], r, d)
-            out.append(Window(start, start + d))
-        return out
+        return [0.0] * len(self.nodes) if ready is None else ready
 
     def best(
         self, task: TaskId, candidates: Sequence[int], append_only: bool, compare: CompareKind
@@ -196,8 +172,9 @@ class _PlacementState:
         bounded = by_end or by_start
         best = second = None
         best_key = second_key = math.inf
-        for v, r in zip(candidates, self._ready_times(task, candidates)):
-            d = cost / speed[v]
+        ready = self._ready_times(task)
+        for v in candidates:
+            r, d = ready[v], cost / speed[v]
             node_ends = ends[v]
             last = node_ends[-1] if node_ends else 0.0
             if append_only or r >= last:
@@ -283,4 +260,4 @@ def open_window_insertion(
 ) -> Window:
     """Earliest idle window on ``node`` large enough for ``task``."""
     state, v = _query_state(instance, partial, node, task)
-    return state.windows(task, (v,))[0]
+    return state.best(task, (v,), False, CompareKind.EFT)[1]

@@ -98,6 +98,31 @@ class TestGenerate:
                   "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("ccr", ["inf", "-inf", "nan", "0"])
+    def test_non_finite_or_non_positive_ccr_is_usage_error(self, tmp_path, capsys, ccr):
+        # inf used to reach Network as zero strengths, a ValueError traceback
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--kind", "chains", "--count", "1", f"--ccr={ccr}",
+                  "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "expected a positive finite number" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flag, message", [
+        (["--count", "1", "--ccr", "1e-320"], "must be positive and finite, got inf"),
+        (["--count", "1" + "0" * 20], "too large"),
+    ], ids=["ccr 1e-320", "count 1e20"])
+    def test_unbuildable_dataset_is_domain_error(self, tmp_path, capsys, flag, message):
+        # a ccr of 1e-320 scales the strengths to inf (a ValueError from
+        # Network) and a count past ssize_t overflows SeedSequence.spawn;
+        # both used to end in a traceback
+        out = tmp_path / "x"
+        assert main(["generate", "--kind", "chains", *flag, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cannot generate dataset: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
+
 
 class TestSchedule:
     def test_alias_accepted(self, instance_file, tmp_path, capsys, chain_fast_slow):
@@ -275,6 +300,33 @@ class TestBenchmark:
         assert err.startswith(f"invalid dataset {dataset_dir}: wrong JSON shape in manifest: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("count", [5, 1], ids=["count above files", "count below files"])
+    def test_manifest_count_must_match_the_files(self, dataset_dir, tmp_path, capsys, count):
+        # 5 used to end in an IO error naming instance_003.json (exit 2);
+        # 1 silently dropped two of the three instances (exit 0)
+        manifest = dataset_dir / "manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "count": count}))
+        out = tmp_path / "x.csv"
+        code = main(["benchmark", "--datasets", str(dataset_dir),
+                     "--schedulers", "HEFT", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"invalid dataset {dataset_dir}: manifest count {count} expects "
+            f"instance_000.json to instance_{count - 1:03d}.json, found 3 "
+            f"instance_*.json files\n"
+        )
+        assert not out.exists()
+
+    def test_renamed_instance_file_is_domain_error(self, dataset_dir, tmp_path, capsys):
+        # the right number of files under names the manifest does not list
+        (dataset_dir / "instance_002.json").rename(dataset_dir / "instance_1000.json")
+        code = main(["benchmark", "--datasets", str(dataset_dir),
+                     "--schedulers", "HEFT", "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "manifest count 3 expects instance_000.json to instance_002.json, found 3" in (
+            capsys.readouterr().err
+        )
+
     def test_empty_dataset_is_domain_error(self, dataset_dir, tmp_path, capsys):
         # a manifest with count 0 used to write a header-only results file, exit 0
         manifest = dataset_dir / "manifest.json"
@@ -377,6 +429,29 @@ class TestAnalyze:
         assert main(["analyze", "--results", str(src), "--mode", "ratios",
                      "--out", str(tmp_path / "ratios.csv")]) == 1
         assert "'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column, value", [
+        (3, "-2.0"), (4, "-0.001"), (3, "inf"), (4, "nan"),
+    ], ids=["negative makespan", "negative runtime", "infinite makespan", "nan runtime"])
+    @pytest.mark.parametrize("mode", ["ratios", "pareto"])
+    def test_negative_or_non_finite_value_is_domain_error(
+        self, tmp_path, capsys, column, value, mode
+    ):
+        # a negated HEFT makespan used to give MCT and MET negative mean
+        # ratios and mark MET pareto-optimal, exit 0
+        rows = [["d", 0, "HEFT", 2.0, 0.002, "", "", ""],
+                ["d", 0, "MCT", 2.8, 0.001, "", "", ""],
+                ["d", 0, "MET", 4.0, 0.001, "", "", ""]]
+        rows[0][column] = value
+        src = tmp_path / "signed.csv"
+        self.write_results(src, rows)
+        out = tmp_path / "out.csv"
+        assert main(["analyze", "--results", str(src), "--mode", mode,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid results file: line 2 (d, 0, HEFT) has no error")
+        assert "both must be finite and >= 0" in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_missing_column_is_domain_error(self, tmp_path, capsys):
         src = tmp_path / "short.csv"
@@ -672,3 +747,44 @@ def test_mutated_file_is_loaded_or_rejected_in_one_line(data):
         else:
             assert err.count("\n") == 1 and err.endswith("\n"), err
             assert stdout.getvalue() == ""
+
+
+#: what one makespan or runtime cell of a valid results file is replaced by
+RESULT_CELL_MUTANTS = ("-1", "0", "nan", "inf", "", "x")
+
+
+@st.composite
+def results_rows(draw):
+    """Rows of a valid results file: 1-2 instances x 2-3 schedulers, maybe a failed row."""
+    positive = st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False)
+    rows = [
+        [f"d{i}", i, s, draw(positive), draw(positive), "", "", ""]
+        for i in range(draw(st.integers(1, 2)))
+        for s in ("HEFT", "MCT", "MET")[: draw(st.integers(2, 3))]
+    ]
+    if draw(st.booleans()):
+        rows.append(["d0", 0, "Sufferage", "", "", "", "", "boom"])
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=results_rows(), data=st.data())
+def test_mutated_results_cell_is_rejected_or_ratios_are_at_least_one(rows, data):
+    row = data.draw(st.sampled_from(rows))
+    row[data.draw(st.sampled_from([3, 4]))] = data.draw(st.sampled_from(RESULT_CELL_MUTANTS))
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp, "results.csv"), Path(tmp, "ratios.csv")
+        with open(src, "w", newline="") as fh:
+            csv.writer(fh).writerows([RESULTS_HEADER, *rows])
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(["analyze", "--results", str(src), "--mode", "ratios",
+                         "--out", str(out)])
+        err = stderr.getvalue()
+        if code == 1:
+            assert err.count("\n") == 1 and err.endswith("\n"), err
+        else:
+            assert code == 0 and err == ""
+            ratios = [float(r[c]) for r in read_rows(out)
+                      for c in ("makespan_ratio", "runtime_ratio") if r[c]]
+            assert ratios and all(x >= 1.0 for x in ratios)

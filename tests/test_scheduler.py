@@ -247,6 +247,23 @@ class TestInvariants:
                     if entry.task in cp:
                         assert entry.node == reserved
 
+    def test_critical_path_tie_for_fastest_goes_to_smallest_id(self):
+        # "b" and "a" tie for the top speed, and "b" comes first in the
+        # speed dict; the reserved node is the smaller id, "a"
+        inst = mk_instance(
+            {"p1": 2.0, "p2": 2.0, "q1": 1.0, "q2": 1.0},
+            {("p1", "p2"): 1.0, ("q1", "q2"): 1.0},
+            {"b": 2.0, "a": 2.0, "c": 1.0},
+        )
+        cp = set(critical_path_tasks(inst))
+        assert cp == {"p1", "p2"}
+        for _, config in ALL_CONFIGS:
+            if not config.critical_path:
+                continue
+            for entry in schedule(inst, config):
+                if entry.task in cp:
+                    assert entry.node == "a"
+
     def test_placement_order_is_topological(self):
         for inst in fuzz_instances(46, 25):
             pos = {t: i for i, t in enumerate(topological_order(inst.task_graph))}

@@ -77,9 +77,10 @@ def placement_cases(draw):
     Start times, lengths, costs and sizes are small integers and speeds
     and strengths powers of two, so keys tie often.  The task's
     predecessors are among the placed entries; the candidates are every
-    node (the engine's own ``all_nodes``) or one node.  The timelines and
-    weights come from a drawn seed: drawing each of them one by one made
-    a 32-node case cost tens of milliseconds.
+    node, as the scheduler passes them, or one node, as the oracle and the
+    window queries do.  The timelines and weights come from a drawn seed:
+    drawing each of them one by one made a 32-node case cost tens of
+    milliseconds.
     """
     n_nodes = draw(st.integers(1, 32))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -294,7 +295,7 @@ class TestPlacementState:
         before = (
             [list(s) for s in state.starts], [list(e) for e in state.ends], dict(state.placed)
         )
-        (window,) = state.windows("c", (0,))
+        window = state.best("c", (0,), False, CompareKind.EFT)[1]
         assert window == Window(1.0, 2.0)  # the gap between a and b
         state.place("c", 0, window)
         assert state.starts == [[0.0, 1.0, 3.0]] and state.ends == [[1.0, 2.0, 4.0]]
@@ -313,6 +314,6 @@ class TestPlacementState:
         )
         state.place("z", 0, Window(1.0, 1.0))
         assert state.starts == [[0.0, 1.0, 1.0]] and state.ends == [[1.0, 1.0, 2.0]]
-        assert state.windows("w", (0,)) == [Window(2.0, 2.2)]
+        assert state.best("w", (0,), False, CompareKind.EFT)[1] == Window(2.0, 2.2)
         state.unplace("z")
         assert (state.starts, state.ends, state.placed) == before
