@@ -408,37 +408,40 @@ def write_results_csv(
 def read_results_csv(path: str | Path) -> list[BenchmarkRecord]:
     """Records of a results CSV; an error row's empty values load as NaN.
 
-    Raises ``ValueError`` when a column is missing, a value does not
-    parse, or a row without an error lacks a finite, non-negative makespan
-    or runtime.
+    Raises ``ValueError`` when a line is not CSV, a column is missing, a
+    value does not parse, or a row without an error lacks a finite,
+    non-negative makespan or runtime.
     """
     records = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         required = ("dataset", "instance", "scheduler", "makespan", "runtime_seconds")
-        missing = [c for c in required if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"missing column(s): {', '.join(missing)}")
-        for row in reader:
-            error = row.get("error") or None
-            span = float(row["makespan"]) if row["makespan"] else math.nan
-            runtime = float(row["runtime_seconds"]) if row["runtime_seconds"] else math.nan
-            if error is None and not (0 <= span < math.inf and 0 <= runtime < math.inf):
-                raise ValueError(
-                    f"line {reader.line_num} ({row['dataset']}, {row['instance']}, "
-                    f"{row['scheduler']}) has no error but makespan {row['makespan']!r} "
-                    f"and runtime {row['runtime_seconds']!r}; both must be finite and >= 0"
+        try:
+            missing = [c for c in required if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ValueError(f"missing column(s): {', '.join(missing)}")
+            for row in reader:
+                error = row.get("error") or None
+                span = float(row["makespan"]) if row["makespan"] else math.nan
+                runtime = float(row["runtime_seconds"]) if row["runtime_seconds"] else math.nan
+                if error is None and not (0 <= span < math.inf and 0 <= runtime < math.inf):
+                    raise ValueError(
+                        f"line {reader.line_num} ({row['dataset']}, {row['instance']}, "
+                        f"{row['scheduler']}) has no error but makespan {row['makespan']!r} "
+                        f"and runtime {row['runtime_seconds']!r}; both must be finite and >= 0"
+                    )
+                records.append(
+                    BenchmarkRecord(
+                        dataset=row["dataset"],
+                        instance_index=int(row["instance"]),
+                        scheduler=row["scheduler"],
+                        makespan=span,
+                        runtime_seconds=runtime,
+                        error=error,
+                    )
                 )
-            records.append(
-                BenchmarkRecord(
-                    dataset=row["dataset"],
-                    instance_index=int(row["instance"]),
-                    scheduler=row["scheduler"],
-                    makespan=span,
-                    runtime_seconds=runtime,
-                    error=error,
-                )
-            )
+        except csv.Error as exc:  # the DictReader's line_num counts returned rows only
+            raise ValueError(f"line {reader.reader.line_num}: {exc}") from None
     return records
 
 

@@ -8,8 +8,12 @@ leaves arguments unrecognized, and for ``build_parser()``.  Nothing is
 cached between calls, so a call costs what it costs in a new process.
 
 Exit codes: 0 on success, 1 on domain errors (invalid schedule, unknown
-scheduler name, malformed instance or dataset files, JSON of the wrong
-shape, results that cannot be normalized), 2 on usage or IO errors.  All
+scheduler name, malformed instance, dataset or results files, JSON of
+the wrong shape, results that cannot be normalized), 2 on usage or IO
+errors.  No command catches an error: each stage runs in
+``_fails_as(prefix)``, which turns a ``ValueError``, ``KeyError`` or
+``OverflowError`` into a prefixed ``_Failure``; ``main`` alone prints
+it (exit 1) or an ``OSError`` (``IO error: ...``, exit 2).  All
 randomness enters through explicit --seed flags.
 """
 
@@ -18,8 +22,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import bench, datagen, model, scheduler
 
@@ -98,6 +103,31 @@ def _no_arguments(p: argparse.ArgumentParser) -> None:
     pass
 
 
+class _Failure(Exception):
+    """A domain error's one-line message; ``main`` prints it and exits 1."""
+
+
+@contextmanager
+def _fails_as(prefix: str) -> Iterator[None]:
+    """Re-raise a domain error from the block as a ``_Failure`` starting with ``prefix``."""
+    try:
+        yield
+    except (ValueError, KeyError, OverflowError) as exc:
+        # str() of a KeyError is the repr of its message, quotes and all
+        detail = exc.args[0] if isinstance(exc, KeyError) else exc
+        raise _Failure(f"{prefix}{detail}") from exc
+
+
+def _config(name: str) -> scheduler.SchedulerConfig:
+    """The configuration called ``name``; ``ValueError`` listing the valid names if none is."""
+    try:
+        return scheduler.config_by_name(name)
+    except KeyError:
+        names = "".join(f"\n  {n}" for n, _ in scheduler.enumerate_configs())
+        raise ValueError(f"unknown scheduler {name!r}; valid names:{names}\n"
+                         f"aliases: {', '.join(sorted(scheduler.ALIASES))}") from None
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     params = datagen.GenParams(
         kind=datagen.GraphKind(args.kind),
@@ -105,31 +135,18 @@ def cmd_generate(args: argparse.Namespace) -> int:
         count=args.count,
         target_ccr=args.ccr,
     )
-    try:
+    with _fails_as("cannot generate dataset: "):
         dataset = datagen.gen_dataset(params)
-    except (ValueError, OverflowError) as exc:
-        print(f"cannot generate dataset: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     datagen.save_dataset(dataset, params, args.out)
     print(f"wrote {params.count} instances to {args.out} ({dataset.name})")
     return EXIT_OK
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
-    try:
-        config = scheduler.config_by_name(args.scheduler)
-    except KeyError:
-        names = [name for name, _ in scheduler.enumerate_configs()]
-        print(f"unknown scheduler {args.scheduler!r}; valid names:", file=sys.stderr)
-        for name in names:
-            print(f"  {name}", file=sys.stderr)
-        print(f"aliases: {', '.join(sorted(scheduler.ALIASES))}", file=sys.stderr)
-        return EXIT_DOMAIN
-    try:
+    with _fails_as(""):
+        config = _config(args.scheduler)
+    with _fails_as("invalid instance file: "):
         instance = model.load_instance(args.instance)
-    except ValueError as exc:
-        print(f"invalid instance file: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     result = scheduler.schedule(instance, config)
     model.save_schedule(result, args.out)
     print(repr(model.makespan(result)))
@@ -137,13 +154,10 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
+    with _fails_as("invalid input: "):
         instance = model.load_instance(args.instance)
         sched = model.load_schedule(args.schedule)
         violations = model.validate_schedule(instance, sched)
-    except (ValueError, KeyError) as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     for violation in violations:
         print(f"{violation.kind.value}: {violation.detail}")
     if violations:
@@ -154,43 +168,28 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _resolve_schedulers(spec: str) -> list[tuple[str, scheduler.SchedulerConfig]]:
-    """(name, config) pairs; ``KeyError`` on an unknown name, ``ValueError`` on a repeat."""
+    """(name, config) pairs; ``ValueError`` on an unknown or repeated name."""
     if spec == "all":
         return scheduler.enumerate_configs()
     names = [raw.strip() for raw in spec.split(",")]
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise ValueError(f"scheduler name(s) given more than once: {', '.join(repeated)}")
-    return [(name, scheduler.config_by_name(name)) for name in names]
+    return [(name, _config(name)) for name in names]
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
-    try:
+    with _fails_as(""):
         configs = _resolve_schedulers(args.schedulers)
-    except KeyError as exc:
-        print(f"{exc.args[0]}; run list-schedulers for valid names", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_DOMAIN
     datasets = []
     for dir_path in args.datasets:
-        if not Path(dir_path, "manifest.json").is_file():
-            print(f"not a dataset directory: {dir_path}", file=sys.stderr)
-            return EXIT_USAGE
-        try:
+        with _fails_as(f"invalid dataset {dir_path}: "):
             datasets.append(datagen.load_dataset(dir_path))
-        except ValueError as exc:
-            print(f"invalid dataset {dir_path}: {exc}", file=sys.stderr)
-            return EXIT_DOMAIN
     records = bench.run_benchmark(
         datasets, configs, timing_repeats=args.repeats, jobs=args.jobs
     )
-    try:
+    with _fails_as("cannot normalize results: "):
         ratios = bench.compute_ratios(records)
-    except ValueError as exc:
-        print(f"cannot normalize results: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     bench.write_results_csv(args.out, records, ratios)
     failures = sum(1 for r in records if r.error is not None)
     print(f"wrote {len(records)} records to {args.out}"
@@ -202,15 +201,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.mode == "interactions" and len((args.params or "").split(",")) != 2:
         print("--mode interactions requires --params A,B", file=sys.stderr)
         return EXIT_USAGE
-    try:
+    with _fails_as("invalid results file: "):
         records = bench.read_results_csv(args.results)
-    except OSError as exc:
-        print(f"cannot read results: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (KeyError, ValueError) as exc:
-        print(f"invalid results file: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    try:
+    with _fails_as("analysis failed: "):
         ratios = bench.compute_ratios(records)
         if args.mode == "ratios":
             bench.write_results_csv(args.out, records, ratios)
@@ -226,9 +219,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             param_a, param_b = (p.strip() for p in args.params.split(","))
             cells = bench.interaction_effects(ratios, param_a, param_b)
             bench.write_table_csv(args.out, bench.InteractionCell, cells)
-    except ValueError as exc:
-        print(f"analysis failed: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -296,6 +286,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return COMMANDS[args.command].run(args)
+    except _Failure as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_DOMAIN
     except OSError as exc:
         print(f"IO error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -199,6 +199,8 @@ def save_dataset(dataset: Dataset, params: GenParams, out_dir: str | Path) -> No
         "count": params.count,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    for stale in out.glob("instance_*.json"):  # left by an earlier, larger dataset
+        stale.unlink()
     for i, instance in enumerate(dataset.instances):
         save_instance(instance, out / _instance_file(i))
 

@@ -12,7 +12,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from listsched import (
@@ -91,6 +91,16 @@ class TestGenerate:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+
+    def test_smaller_regeneration_leaves_no_stale_instances(self, dataset_dir, tmp_path):
+        # instance_002.json of the 3-instance dataset used to stay behind,
+        # so benchmark rejected the directory against its count-2 manifest
+        assert main(["generate", "--kind", "chains", "--count", "2",
+                     "--out", str(dataset_dir)]) == 0
+        out = tmp_path / "x.csv"
+        assert main(["benchmark", "--datasets", str(dataset_dir), "--schedulers", "HEFT",
+                     "--repeats", "1", "--out", str(out)]) == 0
+        assert len(read_rows(out)) == 2
 
     def test_zero_count_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -239,6 +249,23 @@ class TestValidate:
                      "--schedule", str(partial)]) == 1
         assert "UnscheduledTask" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("task, node, part", [
+        ("zzz", "n1", "task"), ("A", "zzz", "node"),
+    ])
+    def test_unknown_task_or_node_is_one_unquoted_line(
+        self, instance_file, tmp_path, capsys, task, node, part
+    ):
+        # the message used to be printed as the KeyError's repr, in "..."
+        sched = tmp_path / "sched.json"
+        sched.write_text(json.dumps({"entries": [
+            {"task": task, "node": node, "start": 0.0, "end": 1.0},
+        ]}))
+        assert main(["validate", "--instance", str(instance_file),
+                     "--schedule", str(sched)]) == 1
+        assert capsys.readouterr().err == (
+            f"invalid input: schedule references unknown {part} 'zzz'\n"
+        )
+
 
 class TestBenchmark:
     def test_subset_of_schedulers(self, dataset_dir, tmp_path):
@@ -271,6 +298,15 @@ class TestBenchmark:
         code = main(["benchmark", "--datasets", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+    def test_directory_without_manifest_is_io_error(self, dataset_dir, tmp_path, capsys):
+        (dataset_dir / "manifest.json").unlink()
+        code = main(["benchmark", "--datasets", str(dataset_dir),
+                     "--schedulers", "HEFT", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("IO error: ") and err.count("\n") == 1
+        assert "manifest.json" in err
 
     def test_malformed_instance_in_dataset(self, dataset_dir, tmp_path, capsys):
         path = dataset_dir / "instance_001.json"
@@ -342,6 +378,16 @@ class TestBenchmark:
         code = main(["benchmark", "--datasets", str(dataset_dir),
                      "--schedulers", "HEFT,NOPE", "--out", str(tmp_path / "x.csv")])
         assert code == 1
+
+    def test_unknown_scheduler_lists_names(self, dataset_dir, tmp_path, capsys):
+        # the same listing as schedule's, not a pointer to list-schedulers
+        code = main(["benchmark", "--datasets", str(dataset_dir),
+                     "--schedulers", "HEFT,FOO", "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("unknown scheduler 'FOO'; valid names:\n")
+        listed = [line.strip() for line in err.splitlines() if line.startswith("  ")]
+        assert listed == [name for name, _ in enumerate_configs()]
 
     def test_repeated_scheduler_name_rejected_before_the_sweep(
         self, dataset_dir, tmp_path, capsys, monkeypatch
@@ -429,6 +475,35 @@ class TestAnalyze:
         assert main(["analyze", "--results", str(src), "--mode", "ratios",
                      "--out", str(tmp_path / "ratios.csv")]) == 1
         assert "'abc'" in capsys.readouterr().err
+
+    def test_field_over_the_csv_limit_is_domain_error(self, tmp_path, capsys):
+        # csv.Error used to escape read_results_csv with a traceback
+        src = tmp_path / "long.csv"
+        self.write_results(src, [["d", 0, "A", 1.0, 0.001, "", "", ""],
+                                 ["d", 0, "B", 2.0, 0.001, "", "", "x" * 200_000]])
+        assert main(["analyze", "--results", str(src), "--mode", "ratios",
+                     "--out", str(tmp_path / "ratios.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid results file: line 3: field larger than field limit")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("mode", [
+        ["--mode", "effects"], ["--mode", "interactions", "--params", "compare,ccr"],
+    ], ids=lambda mode: mode[1])
+    def test_unknown_scheduler_is_domain_error(self, tmp_path, capsys, mode):
+        # the KeyError used to escape main with a traceback
+        src = tmp_path / "foo.csv"
+        self.write_results(src, [["d", 0, "HEFT", 1.0, 0.001, "", "", ""],
+                                 ["d", 0, "FOO", 2.0, 0.002, "", "", ""]])
+        assert main(["analyze", "--results", str(src), *mode,
+                     "--out", str(tmp_path / "out.csv")]) == 1
+        assert capsys.readouterr().err == "analysis failed: unknown scheduler name 'FOO'\n"
+
+    def test_missing_results_file_is_io_error(self, tmp_path, capsys):
+        assert main(["analyze", "--results", str(tmp_path / "nope.csv"), "--mode", "ratios",
+                     "--out", str(tmp_path / "ratios.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("IO error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("column, value", [
         (3, "-2.0"), (4, "-0.001"), (3, "inf"), (4, "nan"),
@@ -788,3 +863,30 @@ def test_mutated_results_cell_is_rejected_or_ratios_are_at_least_one(rows, data)
             ratios = [float(r[c]) for r in read_rows(out)
                       for c in ("makespan_ratio", "runtime_ratio") if r[c]]
             assert ratios and all(x >= 1.0 for x in ratios)
+
+
+ANALYZE_MODES = (["ratios"], ["pareto"], ["effects"], ["interactions", "--params", "compare,ccr"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=results_rows(), pick=st.integers(0, 6), column=st.integers(0, 4),
+       mutant=st.sampled_from(RESULT_CELL_MUTANTS), mode=st.sampled_from(ANALYZE_MODES))
+# a scheduler cell of "x" under effects used to escape main as a KeyError
+@example(rows=[["d0", 0, "HEFT", 1.0, 1.0, "", "", ""], ["d0", 0, "MCT", 2.0, 1.0, "", "", ""]],
+         pick=1, column=2, mutant="x", mode=["effects"])
+def test_mutated_results_cell_fails_in_one_line_in_every_mode(rows, pick, column, mutant, mode):
+    rows = copy.deepcopy(rows)
+    rows[pick % len(rows)][column] = mutant
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp, "results.csv")
+        with open(src, "w", newline="") as fh:
+            csv.writer(fh).writerows([RESULTS_HEADER, *rows])
+        stderr = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+            code = main(["analyze", "--results", str(src), "--mode", *mode,
+                         "--out", str(Path(tmp, "out.csv"))])
+    err = stderr.getvalue()
+    if code == 1:
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+    else:
+        assert code == 0 and err == ""
