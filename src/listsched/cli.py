@@ -129,13 +129,10 @@ def _config(name: str) -> scheduler.SchedulerConfig:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    params = datagen.GenParams(
-        kind=datagen.GraphKind(args.kind),
-        seed=args.seed,
-        count=args.count,
-        target_ccr=args.ccr,
-    )
     with _fails_as("cannot generate dataset: "):
+        params = datagen.GenParams(
+            datagen.GraphKind(args.kind), seed=args.seed, count=args.count, target_ccr=args.ccr
+        )
         dataset = datagen.gen_dataset(params)
     datagen.save_dataset(dataset, params, args.out)
     print(f"wrote {params.count} instances to {args.out} ({dataset.name})")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,6 +48,8 @@ class GenParams:
     def __post_init__(self) -> None:
         if self.count < 1:
             raise ValueError("count must be at least 1")
+        if self.count > sys.maxsize:
+            raise ValueError(f"count is too large to seed: at most {sys.maxsize}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if not self.target_ccr > 0:

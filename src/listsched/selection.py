@@ -20,13 +20,14 @@ scheduler and the brute-force oracle place tasks through it; the
 oracle's depth-first search also undoes placements as it backtracks.
 Its constructor compiles the instance into index form (node indices in
 ``node_order()``, a speed list, a dense strength matrix, per-task
-``(pred, data_size)`` tuples) once per ``schedule()`` call, and it keeps
-each node's timeline as parallel start and end lists.  ``best`` is its
-one evaluation: a pass over the candidate nodes that computes each
-start, end and score inline and builds a :class:`Window` only for the
-winner.  The oracle and the window queries pass one node at a time.
-``best`` runs the insertion scan only where it can change the result;
-its docstring gives the rule and why it is exact.
+``(pred, data_size)`` pairs listed in ``data_size`` order) once per
+``schedule()`` call, and it keeps each node's timeline as parallel start
+and end lists.  ``best`` is its one evaluation: a pass over the
+candidate nodes that computes each start, end and score inline and
+builds a :class:`Window` only for the winner.  The oracle and the window
+queries pass one node at a time.  ``best`` runs the insertion scan only
+where it can change the result; its docstring gives the rule and why it
+is exact.
 
 :func:`compare`, :func:`open_window_append_only` and
 :func:`open_window_insertion` each answer one question about one pair of
@@ -121,10 +122,9 @@ class _PlacementState:
         for (u, v), x in network.strength.items():
             self.strength[index[u]][index[v]] = self.strength[index[v]][index[u]] = x
         self.cost = tg.compute_cost
-        sizes = tg.data_size
-        self.preds = {
-            t: tuple([(p, sizes[(p, t)]) for p in tg.predecessors(t)]) for t in tg.tasks
-        }
+        self.preds: dict[TaskId, list[tuple[TaskId, float]]] = {t: [] for t in tg.tasks}
+        for (p, t), size in tg.data_size.items():
+            self.preds[t].append((p, size))
         self.starts: list[list[float]] = [[] for _ in self.nodes]
         self.ends: list[list[float]] = [[] for _ in self.nodes]
         #: task -> (node, start, end), in placement order
@@ -133,16 +133,21 @@ class _PlacementState:
     def _ready_times(self, task: TaskId) -> list[float]:
         """Data-ready time of ``task`` on every node, in node order.
 
-        Each predecessor's arrivals are read off its strength row; the
-        first predecessor's arrivals, all ``>= 0.0``, are the running
-        maximum as they are.
+        Each predecessor's arrivals are read off its strength row.  The
+        first one's are the running maximum; a later one's arrival ``a``
+        replaces the running ``r`` only if ``a > r``, as ``max(r, a)`` does,
+        so the row is bit-identical to a ``max`` merge.  Arrivals are never
+        negative or NaN, so the order of ``preds`` does not matter.
         """
         placed, strength = self.placed, self.strength
         ready = None
         for p, size in self.preds[task]:
             p_node, _, p_end = placed[p]
-            arrival = [p_end + size / x for x in strength[p_node]]
-            ready = arrival if ready is None else list(map(max, ready, arrival))
+            row = strength[p_node]
+            if ready is None:
+                ready = [p_end + size / x for x in row]
+            else:
+                ready = [a if (a := p_end + size / x) > r else r for r, x in zip(ready, row)]
         return [0.0] * len(self.nodes) if ready is None else ready
 
     def best(
