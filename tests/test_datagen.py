@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,12 @@ class TestGenDataset:
     def test_count_must_be_positive(self):
         with pytest.raises(ValueError):
             GenParams(GraphKind.CHAINS, seed=1, count=0, target_ccr=1.0)
+
+    def test_count_must_fit_a_seed_spawn(self):
+        # SeedSequence.spawn takes an ssize_t; a larger count is a ValueError
+        # naming the limit, not an OverflowError from numpy
+        with pytest.raises(ValueError, match=f"count is too large to seed: at most {sys.maxsize}"):
+            GenParams(GraphKind.CHAINS, seed=1, count=sys.maxsize + 1, target_ccr=1.0)
 
     def test_distinct_seeds_differ(self):
         a = gen_dataset(GenParams(GraphKind.CHAINS, seed=1, count=3, target_ccr=1.0))

@@ -12,13 +12,15 @@ from listsched import (
     ScheduleEntry,
     Window,
     compare,
+    enumerate_configs,
     exec_time,
     open_window_append_only,
     open_window_insertion,
+    schedule,
 )
 from listsched.selection import COMPARE_KEYS, _insertion_start, _PlacementState
 
-from conftest import mk_instance
+from conftest import layered_dag, mk_instance
 from reference import data_available_time, earliest_fit
 
 ALL_KINDS = list(CompareKind)
@@ -72,11 +74,12 @@ def touching_busy_node(draw):
 
 @st.composite
 def placement_cases(draw):
-    """(engine, task, candidates): random partial timelines on up to 32 nodes.
+    """(engine, task, candidates, instance): random partial timelines on up to 32 nodes.
 
     Start times, lengths, costs and sizes are small integers and speeds
-    and strengths powers of two, so keys tie often.  The task's
-    predecessors are among the placed entries; the candidates are every
+    and strengths powers of two, so keys and arrivals tie often.  The
+    task's up to 4 predecessors are among the placed entries, in the
+    engine's ``data_size`` order; the candidates are every
     node, as the scheduler passes them, or one node, as the oracle and the
     window queries do.  The timelines and weights come from a drawn seed:
     drawing each of them one by one made a 32-node case cost tens of
@@ -92,7 +95,7 @@ def placement_cases(draw):
             start = cursor + int(rng.integers(0, 5))
             cursor = start + int(rng.integers(1, 5))
             intervals.append((f"b{len(intervals)}", v, float(start), float(cursor)))
-    n_preds = min(len(intervals), draw(st.integers(0, 3)))
+    n_preds = min(len(intervals), draw(st.integers(0, 4)))
     preds = rng.choice(len(intervals), size=n_preds, replace=False)
     costs = {t: 1.0 for t, *_ in intervals}
     costs["tk"] = float(draw(st.integers(1, 8)))
@@ -101,12 +104,13 @@ def placement_cases(draw):
     strengths = {
         pair: float(2 ** rng.integers(0, 3)) for pair in itertools.combinations(nodes, 2)
     }
-    state = _PlacementState(mk_instance(costs, sizes, speeds, strengths))
+    instance = mk_instance(costs, sizes, speeds, strengths)
+    state = _PlacementState(instance)
     index = {v: i for i, v in enumerate(state.nodes)}
     for t, v, start, end in intervals:
         state.place(t, index[v], Window(start, end))
     one = st.integers(0, n_nodes - 1).map(lambda v: (v,))
-    return state, "tk", draw(st.one_of(st.just(state.all_nodes), one))
+    return state, "tk", draw(st.one_of(st.just(state.all_nodes), one)), instance
 
 
 def unpruned_best(state, task, candidates, append_only, kind):
@@ -282,10 +286,36 @@ class TestPlacementState:
     @given(case=placement_cases())
     def test_best_equals_an_unpruned_pass(self, kind, append_only, case):
         # the skipped scans and the whole-row ready times change no value
-        state, task, candidates = case
+        state, task, candidates, _ = case
         assert state.best(task, candidates, append_only, kind) == unpruned_best(
             state, task, candidates, append_only, kind
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=placement_cases())
+    def test_ready_times_equal_the_spec_bit_for_bit(self, case):
+        # the fused merge and the data_size order of preds change no bit
+        state, task, _, instance = case
+        partial = state.to_schedule()
+        expected = [data_available_time(instance, partial, task, v) for v in state.nodes]
+        assert list(map(float.hex, state._ready_times(task))) == list(map(float.hex, expected))
+
+    def test_data_size_order_moves_no_entry(self):
+        # preds follow data_size order; integer weights and power-of-two
+        # speeds and strengths make tied arrivals common, and reversing
+        # that order must give every config the same entries
+        base = layered_dag(20261018, 120, 8)
+        tg, network = base.task_graph, base.network
+        costs = {t: float(max(1, round(4 * c))) for t, c in tg.compute_cost.items()}
+        edges = sorted(tg.data_size)
+        sizes = {e: float(max(1, round(4 * tg.data_size[e]))) for e in edges}
+        speeds = {v: 2.0 ** round(x) for v, x in network.speed.items()}
+        strengths = {pair: 2.0 ** round(x) for pair, x in network.strength.items()}
+        forward = mk_instance(costs, sizes, speeds, strengths)
+        backward = mk_instance(costs, dict(reversed(sizes.items())), speeds, strengths)
+        assert list(backward.task_graph.data_size) == edges[::-1]
+        for name, config in enumerate_configs():
+            assert schedule(backward, config).entries == schedule(forward, config).entries, name
 
     def test_unplace_restores_timeline_after_gap_insertion(self):
         inst = mk_instance({"a": 1.0, "b": 1.0, "c": 1.0}, {}, {"n0": 1.0})
