@@ -21,7 +21,8 @@ task's candidate nodes yields its best node, that node's window, the
 sufferage value and the runner-up node.  A sufferage loser's pass is
 reused at the next step when the placement in between cannot change it.
 The CPoP ranks are computed once per call: a critical-path config whose
-priority is CPoPRanking takes its critical path from its priority map.
+priority is CPoPRanking takes its critical path from its priority map,
+and one whose priority is UpwardRanking adds the downward ranks to it.
 Nothing is cached across calls, so every timed run pays for its own
 set-up.
 """
@@ -33,7 +34,7 @@ import itertools
 from dataclasses import dataclass
 
 from .model import ProblemInstance, Schedule, TaskId, topological_order
-from .priority import PriorityKind, critical_path_tasks, priority_map
+from .priority import PriorityKind, critical_path_tasks, downward_rank, priority_map
 from .selection import CompareKind, Window, _PlacementState
 
 
@@ -142,7 +143,13 @@ def schedule(instance: ProblemInstance, config: SchedulerConfig) -> Schedule:
     if config.critical_path:
         # node indices follow sorted ids, so min keeps the smallest fastest id
         reserved = (min(all_nodes, key=lambda v: -state.speed[v]),)
-        cpop = priorities if config.initial_priority is PriorityKind.CPOP_RANKING else None
+        cpop = None
+        if config.initial_priority is PriorityKind.CPOP_RANKING:
+            cpop = priorities
+        elif config.initial_priority is PriorityKind.UPWARD_RANKING:
+            # the CPoP map's own sum, with the upward ranks already at hand
+            down = downward_rank(instance)
+            cpop = {t: priorities[t] + down[t] for t in tg.tasks}
         cp_tasks = frozenset(critical_path_tasks(instance, cpop))
 
     append_only, compare = config.append_only, config.compare

@@ -26,8 +26,13 @@ and end lists.  ``best`` is its one evaluation: a pass over the
 candidate nodes that computes each start, end and score inline and
 builds a :class:`Window` only for the winner.  The oracle and the window
 queries pass one node at a time.  ``best`` runs the insertion scan only
-where it can change the result; its docstring gives the rule and why it
-is exact.
+where it can change the result; its docstring gives the rules and why
+they are exact.  One of them needs per-node state: each node keeps its
+last end and a no-fit threshold, its largest idle gap plus
+``2 * ulp(last end)``.  A longer task fits no gap, so it goes after the
+last entry without a scan.  The two ulps absorb the rounding of the gap
+subtraction and of the scan's ``start + duration``; without them a task
+one ulp longer than the computed gap can still fit.
 
 :func:`compare`, :func:`open_window_append_only` and
 :func:`open_window_insertion` each answer one question about one pair of
@@ -43,7 +48,8 @@ import enum
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from operator import itemgetter
+from itertools import chain
+from operator import itemgetter, sub
 from typing import Callable, NamedTuple, Sequence
 
 from .model import NodeId, ProblemInstance, Schedule, ScheduleEntry, TaskId
@@ -98,6 +104,21 @@ def _insertion_start(
     return start
 
 
+def _no_fit_threshold(starts: Sequence[float], ends: Sequence[float]) -> float:
+    """A duration above this fits no idle gap of a non-empty node.
+
+    The gaps are ``[0, starts[0])`` and every ``[ends[j], starts[j + 1])``;
+    the threshold is the largest computed gap plus ``2 * ulp(last end)``.
+    Every entry bound ``a`` and ``b`` is at most the last end ``L``, so a
+    computed gap ``fl(b - a)`` is within ``ulp(L) / 2`` of the true one,
+    and adding the margin rounds by at most ``ulp(L)``.  A duration ``d``
+    above the threshold thus has ``a + d > b + ulp(L) / 2`` exactly, which
+    rounds to a float above ``b``: every comparison of
+    :func:`_insertion_start` fails to fit, and it returns the last end.
+    """
+    return max(map(sub, starts, chain((0.0,), ends))) + 2 * math.ulp(ends[-1])
+
+
 class _PlacementState:
     """Incremental partial schedule on an instance compiled to index form.
 
@@ -106,10 +127,20 @@ class _PlacementState:
     by (start, end).  The strength matrix holds ``inf`` on its diagonal,
     so data already on the node arrives after ``size / inf == 0.0``, and
     ``end + 0.0`` is exactly ``end``.
+
+    ``lasts[v]`` is node v's last end, 0.0 while it is empty.  ``fit[v]``
+    is its :func:`_no_fit_threshold`, or ``None`` when unknown; ``best``
+    computes an unknown one when it first needs it.  An append keeps a
+    known threshold in O(1): it adds one gap, ``start - lasts[v]``, and
+    since rounding is monotone, ``max(old, fl(gap + 2 * ulp))`` is the
+    fresh threshold bit for bit as long as the ulp of the last end stays
+    the same.  An append that changes that ulp, a middle insertion (which
+    splits a gap) and ``unplace`` make the threshold unknown.
     """
 
     __slots__ = (
-        "nodes", "all_nodes", "speed", "strength", "cost", "preds", "starts", "ends", "placed"
+        "nodes", "all_nodes", "speed", "strength", "cost", "preds", "starts", "ends", "placed",
+        "lasts", "fit",
     )
 
     def __init__(self, instance: ProblemInstance):
@@ -127,6 +158,8 @@ class _PlacementState:
             self.preds[t].append((p, size))
         self.starts: list[list[float]] = [[] for _ in self.nodes]
         self.ends: list[list[float]] = [[] for _ in self.nodes]
+        self.lasts = [0.0] * len(self.nodes)
+        self.fit: list[float | None] = [None] * len(self.nodes)
         #: task -> (node, start, end), in placement order
         self.placed: dict[TaskId, tuple[int, float, float]] = {}
 
@@ -162,32 +195,36 @@ class _PlacementState:
         A node whose timeline is empty or ends by the data-ready time ``r``
         starts the task at ``max(last end, r)`` under both schemes, so the
         insertion scan runs only on a node with an entry ending after ``r``.
-        Under EFT and EST that scan is also skipped once a runner-up exists
-        and the node's lower bound (``r + d`` for EFT, ``r`` for EST) is
-        ``>= second_key``.  This is exact: ``s >= r`` and float addition
-        rounds monotonically, so the node's key is at least its bound, and
-        a later candidate whose key equals ``second_key`` displaces neither
-        the best nor the runner-up.  The rule does not depend on sufferage,
-        so all four return values are those of an unpruned pass.  A
-        Quickest key, ``(s + d) - s``, has no such bound and is never
-        pruned.
+        There, a duration ``d`` above the node's no-fit threshold fits no
+        gap (see :func:`_no_fit_threshold`), so the task starts at the last
+        end, as the scan would return.  Under EFT and EST the scan is also
+        skipped once a runner-up exists and the node's lower bound (``r + d``
+        for EFT, ``r`` for EST) is ``>= second_key``.  This is exact:
+        ``s >= r`` and float addition rounds monotonically, so the node's
+        key is at least its bound, and a later candidate whose key equals
+        ``second_key`` displaces neither the best nor the runner-up.  No
+        rule depends on sufferage, so all four return values are those of
+        an unpruned pass.  A Quickest key, ``(s + d) - s``, has no such
+        bound and is never pruned, but the threshold skip applies to it.
+        The bound check comes first because it needs no threshold.
         """
-        cost, speed, starts, ends = self.cost[task], self.speed, self.starts, self.ends
+        cost, speed, lasts, fit = self.cost[task], self.speed, self.lasts, self.fit
         by_end, by_start = compare is CompareKind.EFT, compare is CompareKind.EST
         bounded = by_end or by_start
         best = second = None
         best_key = second_key = math.inf
         ready = self._ready_times(task)
         for v in candidates:
-            r, d = ready[v], cost / speed[v]
-            node_ends = ends[v]
-            last = node_ends[-1] if node_ends else 0.0
+            r, d, last = ready[v], cost / speed[v], lasts[v]
             if append_only or r >= last:
                 s = r if r > last else last  # max(last, r)
             elif bounded and second is not None and (r + d if by_end else r) >= second_key:
                 continue
             else:
-                s = _insertion_start(starts[v], node_ends, r, d)
+                no_fit = fit[v]
+                if no_fit is None:
+                    no_fit = fit[v] = _no_fit_threshold(self.starts[v], self.ends[v])
+                s = last if d > no_fit else _insertion_start(self.starts[v], self.ends[v], r, d)
             f = s + d
             k = f if by_end else s if by_start else f - s
             if k < best_key or best is None:
@@ -206,6 +243,17 @@ class _PlacementState:
         starts.insert(i, start)
         self.ends[node].insert(i, end)
         self.placed[task] = (node, start, end)
+        if i < len(starts) - 1:  # a middle insertion splits a gap
+            self.fit[node] = None
+            return
+        last, self.lasts[node] = self.lasts[node], end
+        no_fit = self.fit[node]
+        if no_fit is not None:
+            ulp = math.ulp(end)
+            if ulp != math.ulp(last):
+                self.fit[node] = None
+            elif (threshold := start - last + 2 * ulp) > no_fit:
+                self.fit[node] = threshold
 
     def unplace(self, task: TaskId) -> None:
         """Undo the latest ``place``, which must have placed ``task``."""
@@ -216,6 +264,8 @@ class _PlacementState:
         i = bisect_left(starts, start) if end == start else bisect_right(starts, start) - 1
         del starts[i]
         del self.ends[node][i]
+        self.lasts[node] = self.ends[node][-1] if starts else 0.0
+        self.fit[node] = None
 
     def to_schedule(self) -> Schedule:
         """The placed entries, in placement order."""
@@ -224,7 +274,7 @@ class _PlacementState:
         return Schedule(
             entries=tuple(
                 [
-                    ScheduleEntry(task=t, node=self.nodes[v], start=s, end=e)
+                    ScheduleEntry(t, self.nodes[v], s, e)
                     for t, (v, s, e) in self.placed.items()
                 ]
             )

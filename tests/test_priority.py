@@ -207,8 +207,13 @@ class TestCriticalPath:
                 assert up_k[t] == pytest.approx(up[t] / k, rel=1e-9)
 
     def test_given_cpop_map_gives_the_same_path(self):
-        # the scheduler passes the CPoP priority map it already holds; the
-        # corpus is the standard datasets plus a 300-task layered DAG
+        # the scheduler passes the CPoP priority map it already holds, or
+        # under UpwardRanking builds it from its priorities and the downward
+        # ranks; the corpus is the standard datasets plus a 300-task layered DAG
         for label, inst in corpus():
             total = priority_map(inst, PriorityKind.CPOP_RANKING)
             assert critical_path_tasks(inst, total) == critical_path_tasks(inst), label
+            up, down = priority_map(inst, PriorityKind.UPWARD_RANKING), downward_rank(inst)
+            summed = {t: up[t] + down[t] for t in inst.task_graph.tasks}
+            assert list(map(float.hex, summed.values())) == list(map(float.hex, total.values()))
+            assert critical_path_tasks(inst, summed) == critical_path_tasks(inst), label

@@ -1,9 +1,10 @@
 import itertools
+import math
 from operator import itemgetter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from listsched import (
@@ -18,7 +19,12 @@ from listsched import (
     open_window_insertion,
     schedule,
 )
-from listsched.selection import COMPARE_KEYS, _insertion_start, _PlacementState
+from listsched.selection import (
+    COMPARE_KEYS,
+    _insertion_start,
+    _no_fit_threshold,
+    _PlacementState,
+)
 
 from conftest import layered_dag, mk_instance
 from reference import data_available_time, earliest_fit
@@ -73,13 +79,16 @@ def touching_busy_node(draw):
 
 
 @st.composite
-def placement_cases(draw):
+def placement_cases(draw, floats=False):
     """(engine, task, candidates, instance): random partial timelines on up to 32 nodes.
 
     Start times, lengths, costs and sizes are small integers and speeds
-    and strengths powers of two, so keys and arrivals tie often.  The
-    task's up to 4 predecessors are among the placed entries, in the
-    engine's ``data_size`` order; the candidates are every
+    and strengths powers of two, so keys and arrivals tie often.  With
+    ``floats``, gaps and lengths are floats instead, and the task's
+    duration on one node is within 4 ulps of one of that node's gaps or of
+    its no-fit threshold, so the threshold skip is tried on both sides of
+    its boundary.  The task's up to 4 predecessors are among the placed
+    entries, in the engine's ``data_size`` order; the candidates are every
     node, as the scheduler passes them, or one node, as the oracle and the
     window queries do.  The timelines and weights come from a drawn seed:
     drawing each of them one by one made a 32-node case cost tens of
@@ -92,8 +101,12 @@ def placement_cases(draw):
     for v in nodes:
         cursor = 0
         for _ in range(rng.integers(0, 5)):
-            start = cursor + int(rng.integers(0, 5))
-            cursor = start + int(rng.integers(1, 5))
+            if floats:
+                start = cursor + rng.choice([0.0, rng.uniform(0.0, 4.0)])
+                cursor = start + rng.uniform(0.25, 4.0)
+            else:
+                start = cursor + int(rng.integers(0, 5))
+                cursor = start + int(rng.integers(1, 5))
             intervals.append((f"b{len(intervals)}", v, float(start), float(cursor)))
     n_preds = min(len(intervals), draw(st.integers(0, 4)))
     preds = rng.choice(len(intervals), size=n_preds, replace=False)
@@ -104,6 +117,16 @@ def placement_cases(draw):
     strengths = {
         pair: float(2 ** rng.integers(0, 3)) for pair in itertools.combinations(nodes, 2)
     }
+    if floats and intervals:
+        _, v, *_ = intervals[rng.integers(len(intervals))]
+        starts = [a for _, u, a, _ in intervals if u == v]
+        ends = [b for _, u, _, b in intervals if u == v]
+        targets = [starts[0], *(b - a for a, b in zip(ends, starts[1:]))]
+        duration = rng.choice([*targets, _no_fit_threshold(starts, ends)])
+        for _ in range(draw(st.integers(0, 4))):
+            duration = math.nextafter(duration, math.inf if rng.integers(2) else 0.0)
+        if duration > 0.0:
+            costs["tk"] = duration * speeds[v]  # a power of two: d is exactly duration
     instance = mk_instance(costs, sizes, speeds, strengths)
     state = _PlacementState(instance)
     index = {v: i for i, v in enumerate(state.nodes)}
@@ -111,6 +134,44 @@ def placement_cases(draw):
         state.place(t, index[v], Window(start, end))
     one = st.integers(0, n_nodes - 1).map(lambda v: (v,))
     return state, "tk", draw(st.one_of(st.just(state.all_nodes), one)), instance
+
+
+#: timeline offsets where one ulp is below, at and far above 1.0
+OFFSETS = [0.0, 3.0, 1e15, 1e16, 2.0**53, 1e17, 1e300]
+
+
+@st.composite
+def float_timelines(draw):
+    """(starts, ends, ready, duration) for one node, built to sit on rounding edges.
+
+    The entries start at one of :data:`OFFSETS`; each step to the next
+    entry bound is 0, 1-4 ulps of the running bound, or a float up to 10
+    (scaled to at least one ulp of the offset), so the entries are sorted
+    and disjoint and many gaps are a few ulps wide.  ``ready`` is below the
+    last end, so the insertion scan runs, and ``duration`` is within 4 ulps
+    of a gap or of the no-fit threshold.
+    """
+    cursor = draw(st.sampled_from(OFFSETS))
+    scale = max(1.0, math.ulp(cursor))
+    bounds = []
+    for _ in range(2 * draw(st.integers(1, 6))):
+        step = draw(st.sampled_from(["none", "ulps", "float"]))
+        if step == "ulps":
+            cursor += draw(st.integers(1, 4)) * math.ulp(cursor)
+        elif step == "float":
+            cursor += draw(st.floats(0.0, 10.0)) * scale
+        bounds.append(cursor)
+    starts, ends = bounds[0::2], bounds[1::2]
+    assume(ends[-1] > 0.0)
+    below = [b for b in bounds if b < ends[-1]]
+    anywhere = st.floats(0.0, ends[-1], exclude_max=True)
+    ready = draw(st.one_of(st.sampled_from(below), anywhere) if below else anywhere)
+    gaps = [starts[0], *(b - a for a, b in zip(ends, starts[1:]))]
+    duration = draw(st.sampled_from([*gaps, _no_fit_threshold(starts, ends)]))
+    toward = draw(st.sampled_from([math.inf, 0.0]))
+    for _ in range(draw(st.integers(0, 4))):
+        duration = math.nextafter(duration, toward)
+    return starts, ends, ready, duration
 
 
 def unpruned_best(state, task, candidates, append_only, kind):
@@ -283,7 +344,7 @@ class TestPlacementState:
     @pytest.mark.parametrize("append_only", [False, True])
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @settings(max_examples=300, deadline=None)
-    @given(case=placement_cases())
+    @given(case=st.one_of(placement_cases(), placement_cases(floats=True)))
     def test_best_equals_an_unpruned_pass(self, kind, append_only, case):
         # the skipped scans and the whole-row ready times change no value
         state, task, candidates, _ = case
@@ -347,3 +408,60 @@ class TestPlacementState:
         assert state.best("w", (0,), False, CompareKind.EFT)[1] == Window(2.0, 2.2)
         state.unplace("z")
         assert (state.starts, state.ends, state.placed) == before
+
+
+class TestNoFitThreshold:
+    @settings(max_examples=1000, deadline=None)
+    @given(float_timelines())
+    @example(
+        (
+            [3.0, 3.0000000000000004, 3.0000000000000107, 3.0000000000000107,
+             3.951265940762113, 8.956214793836498],
+            [3.0, 3.0000000000000075, 3.0000000000000107, 3.951265940762113,
+             3.951265940762113, 8.9562147938365],
+            3.0,
+            5.004948853074386,  # one ulp above the last computed gap, and it fits
+        )
+    )
+    def test_a_longer_task_fits_no_gap(self, case):
+        starts, ends, ready, duration = case
+        if duration > _no_fit_threshold(starts, ends):
+            assert _insertion_start(starts, ends, ready, duration) == ends[-1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_place_and_unplace_keep_lasts_and_thresholds(self, seed):
+        # a random depth-first walk like the oracle's: every node is
+        # evaluated before each placement, so thresholds become known and
+        # then live through appends, middle insertions and unplacements
+        rng = np.random.default_rng(seed)
+        n_tasks, n_nodes = 12, int(rng.integers(1, 4))
+        tasks = [f"t{i:02d}" for i in range(n_tasks)]
+        costs = {t: float(rng.choice([0.5, 1.0, 3.0, rng.uniform(0.1, 4.0)])) for t in tasks}
+        sizes = {
+            (a, b): float(rng.uniform(0.5, 6.0))
+            for a, b in itertools.combinations(tasks, 2)
+            if rng.random() < 0.2
+        }
+        nodes = [f"n{j}" for j in range(n_nodes)]
+        state = _PlacementState(mk_instance(costs, sizes, {v: 1.0 for v in nodes}))
+        preds = {t: [p for p, u in sizes if u == t] for t in tasks}
+        stack = []
+        for _ in range(40):
+            ready = [
+                t for t in tasks
+                if t not in state.placed and all(p in state.placed for p in preds[t])
+            ]
+            if ready and (not stack or rng.random() < 0.7):
+                task = ready[rng.integers(len(ready))]
+                windows = [state.best(task, (v,), False, CompareKind.EFT)[1] for v in range(n_nodes)]
+                v = int(rng.integers(n_nodes))
+                state.place(task, v, windows[v])
+                stack.append(task)
+            elif stack:
+                state.unplace(stack.pop())
+            for v in state.all_nodes:
+                starts, ends = state.starts[v], state.ends[v]
+                assert state.lasts[v] == (ends[-1] if ends else 0.0)
+                if state.fit[v] is not None:
+                    assert state.fit[v] == _no_fit_threshold(starts, ends)
