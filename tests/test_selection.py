@@ -122,7 +122,7 @@ def placement_cases(draw, floats=False):
         starts = [a for _, u, a, _ in intervals if u == v]
         ends = [b for _, u, _, b in intervals if u == v]
         targets = [starts[0], *(b - a for a, b in zip(ends, starts[1:]))]
-        duration = rng.choice([*targets, _no_fit_threshold(starts, ends)])
+        duration = float(rng.choice([*targets, _no_fit_threshold(starts, ends)]))
         for _ in range(draw(st.integers(0, 4))):
             duration = math.nextafter(duration, math.inf if rng.integers(2) else 0.0)
         if duration > 0.0:
@@ -136,7 +136,7 @@ def placement_cases(draw, floats=False):
     return state, "tk", draw(st.one_of(st.just(state.all_nodes), one)), instance
 
 
-#: timeline offsets where one ulp is below, at and far above 1.0
+#: timeline offsets where one ulp is far below, near and far above 1.0
 OFFSETS = [0.0, 3.0, 1e15, 1e16, 2.0**53, 1e17, 1e300]
 
 
