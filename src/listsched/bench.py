@@ -372,7 +372,7 @@ def brute_force_min_makespan(instance: ProblemInstance) -> float:
                 rest[s] -= 1
             for v in state.all_nodes:
                 window = state.best(t, (v,), False, CompareKind.EFT)[1]
-                end = max(peak, window.end)
+                end = max(peak, window[1])
                 if end < best:
                     state.place(t, v, window)
                     extend(rest, end)

@@ -183,20 +183,37 @@ class ProblemInstance:
     task_graph: TaskGraph
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=True, slots=True, init=False)
 class ScheduleEntry:
-    """One placed task: runs on ``node`` over the interval [start, end]."""
+    """One placed task: runs on ``node`` over the interval [start, end].
+
+    Entries are slotted, so they carry no ``__dict__``.  The constructor
+    below is the one way to build an entry, for the scheduler, the loader
+    and callers alike: it rejects a negative start and an end before the
+    start, then writes the four slots through their member descriptors,
+    since the frozen ``__setattr__`` refuses assignment.
+    """
 
     task: TaskId
     node: NodeId
     start: float
     end: float
 
-    def __post_init__(self) -> None:
-        if self.start < 0:
-            raise ValueError(f"entry for {self.task!r} has negative start {self.start!r}")
-        if self.end < self.start:
-            raise ValueError(f"entry for {self.task!r} ends before it starts")
+    def __init__(self, task: TaskId, node: NodeId, start: float, end: float) -> None:
+        if start < 0:
+            raise ValueError(f"entry for {task!r} has negative start {start!r}")
+        if end < start:
+            raise ValueError(f"entry for {task!r} ends before it starts")
+        _set_task(self, task)
+        _set_node(self, node)
+        _set_start(self, start)
+        _set_end(self, end)
+
+
+_set_task = ScheduleEntry.__dict__["task"].__set__
+_set_node = ScheduleEntry.__dict__["node"].__set__
+_set_start = ScheduleEntry.__dict__["start"].__set__
+_set_end = ScheduleEntry.__dict__["end"].__set__
 
 
 @dataclass(frozen=True, eq=True)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 from .model import ProblemInstance, Schedule, TaskId, topological_order
 from .priority import PriorityKind, critical_path_tasks, downward_rank, priority_map
-from .selection import CompareKind, Window, _PlacementState
+from .selection import CompareKind, _PlacementState
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ def schedule(instance: ProblemInstance, config: SchedulerConfig) -> Schedule:
     ready = [(-priorities[t], topo_pos[t], t) for t in tg.tasks if indeg[t] == 0]
     heapq.heapify(ready)
 
-    def evaluate(task: TaskId) -> tuple[int, Window, float, int | None]:
+    def evaluate(task: TaskId) -> tuple[int, tuple[float, float], float, int | None]:
         if kept is not None and kept[0] == task:
             return kept[1]
         candidates = reserved if task in cp_tasks else all_nodes

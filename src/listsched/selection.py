@@ -24,15 +24,17 @@ Its constructor compiles the instance into index form (node indices in
 ``schedule()`` call, and it keeps each node's timeline as parallel start
 and end lists.  ``best`` is its one evaluation: a pass over the
 candidate nodes that computes each start, end and score inline and
-builds a :class:`Window` only for the winner.  The oracle and the window
-queries pass one node at a time.  ``best`` runs the insertion scan only
-where it can change the result; its docstring gives the rules and why
-they are exact.  One of them needs per-node state: each node keeps its
-last end and a no-fit threshold, its largest idle gap plus
-``2 * ulp(last end)``.  A longer task fits no gap, so it goes after the
-last entry without a scan.  The two ulps absorb the rounding of the gap
-subtraction and of the scan's ``start + duration``; without them a task
-one ulp longer than the computed gap can still fit.
+returns the winner's window as a plain ``(start, end)`` pair, which
+``place`` takes back unchanged; only the public window queries wrap it
+in a :class:`Window`.  The oracle and the window queries pass one node
+at a time.  ``best`` runs the insertion scan only where it can change
+the result; its docstring gives the rules and why they are exact.  One
+of them needs per-node state: each node keeps its last end and a no-fit
+threshold, its largest idle gap plus ``2 * ulp(last end)``.  A longer
+task fits no gap, so it goes after the last entry without a scan.  The
+two ulps absorb the rounding of the gap subtraction and of the scan's
+``start + duration``; without them a task one ulp longer than the
+computed gap can still fit.
 
 :func:`compare`, :func:`open_window_append_only` and
 :func:`open_window_insertion` each answer one question about one pair of
@@ -185,12 +187,13 @@ class _PlacementState:
 
     def best(
         self, task: TaskId, candidates: Sequence[int], append_only: bool, compare: CompareKind
-    ) -> tuple[int, Window, float, int | None]:
+    ) -> tuple[int, tuple[float, float], float, int | None]:
         """``task``'s best node, its window, the sufferage value and the runner-up.
 
-        The lower key wins, ties go to the earlier candidate, and the
-        sufferage value is the runner-up's key minus the best key (0.0 and
-        runner-up ``None`` for a single candidate).
+        The window is a plain ``(start, end)`` tuple.  The lower key wins,
+        ties go to the earlier candidate, and the sufferage value is the
+        runner-up's key minus the best key (0.0 and runner-up ``None`` for
+        a single candidate).
 
         A node whose timeline is empty or ends by the data-ready time ``r``
         starts the task at ``max(last end, r)`` under both schemes, so the
@@ -232,9 +235,9 @@ class _PlacementState:
             elif k < second_key or second is None:
                 second, second_key = v, k
         suffer = 0.0 if second is None else second_key - best_key
-        return best, Window(*window), suffer, second
+        return best, window, suffer, second
 
-    def place(self, task: TaskId, node: int, window: Window) -> None:
+    def place(self, task: TaskId, node: int, window: tuple[float, float]) -> None:
         start, end = window
         starts = self.starts[node]
         # only a zero-length entry can share its start with another entry;
@@ -298,7 +301,7 @@ def _query_state(
     state = _PlacementState(instance)
     index = {v: i for i, v in enumerate(state.nodes)}
     for e in partial.entries:
-        state.place(e.task, index[e.node], Window(e.start, e.end))
+        state.place(e.task, index[e.node], (e.start, e.end))
     return state, index[node]
 
 
@@ -307,7 +310,7 @@ def open_window_append_only(
 ) -> Window:
     """Window starting after the last entry on ``node`` (and data arrival)."""
     state, v = _query_state(instance, partial, node, task)
-    return state.best(task, (v,), True, CompareKind.EFT)[1]
+    return Window(*state.best(task, (v,), True, CompareKind.EFT)[1])
 
 
 def open_window_insertion(
@@ -315,4 +318,4 @@ def open_window_insertion(
 ) -> Window:
     """Earliest idle window on ``node`` large enough for ``task``."""
     state, v = _query_state(instance, partial, node, task)
-    return state.best(task, (v,), False, CompareKind.EFT)[1]
+    return Window(*state.best(task, (v,), False, CompareKind.EFT)[1])

@@ -14,6 +14,7 @@ from listsched import (
     brute_force_min_makespan,
     component_effects,
     compute_ratios,
+    config_by_name,
     enumerate_configs,
     interaction_effects,
     makespan,
@@ -383,6 +384,34 @@ class TestRunBenchmark:
             for inst in tiny_dataset.instances
             for _, config in ALL_CONFIGS[:4]
         ]
+
+    def test_every_timed_run_pays_for_its_own_set_up(self, monkeypatch):
+        # runtime_ratio compares what each run pays: a cache that carried
+        # priorities or the compiled engine from one run to the next would
+        # make the later repeats cheaper and skew the medians
+        import listsched.scheduler as scheduler_mod
+        from listsched.selection import _PlacementState
+
+        priority_calls, engines = [], []
+        priority_map = scheduler_mod.priority_map
+        engine_init = _PlacementState.__init__
+
+        def counting_priority_map(instance, kind):
+            priority_calls.append(kind)
+            return priority_map(instance, kind)
+
+        def counting_init(self, instance):
+            engines.append(instance)
+            engine_init(self, instance)
+
+        monkeypatch.setattr(scheduler_mod, "priority_map", counting_priority_map)
+        monkeypatch.setattr(_PlacementState, "__init__", counting_init)
+        one = gen_dataset(GenParams(GraphKind.CHAINS, seed=3, count=1, target_ccr=1.0))
+        configs = [(name, config_by_name(name)) for name in ("HEFT", "MCT")]
+        records = run_benchmark([one], configs, timing_repeats=3)
+        assert [r.error for r in records] == [None, None]
+        assert len(priority_calls) == 6
+        assert len(engines) == 6
 
     def test_failure_is_recorded_and_the_sweep_continues(self, tiny_dataset, monkeypatch):
         import listsched.bench as bench_mod

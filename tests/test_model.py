@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -19,6 +22,8 @@ from listsched import (
 from listsched.model import (
     instance_from_dict,
     instance_to_dict,
+    load_schedule,
+    save_schedule,
     schedule_from_dict,
     schedule_to_dict,
     topological_order,
@@ -313,10 +318,13 @@ class TestConstruction:
         assert net.node_order() == ("n0",)
 
     def test_entry_rejects_negative_duration(self):
-        with pytest.raises(ValueError):
+        # the messages are part of the contract: the CLI prints them after its prefix
+        with pytest.raises(ValueError) as backwards:
             ScheduleEntry("a", "n0", 2.0, 1.0)
-        with pytest.raises(ValueError):
+        assert str(backwards.value) == "entry for 'a' ends before it starts"
+        with pytest.raises(ValueError) as negative:
             ScheduleEntry("a", "n0", -1.0, 1.0)
+        assert str(negative.value) == "entry for 'a' has negative start -1.0"
 
     def test_topological_order_is_deterministic_kahn(self):
         tg = TaskGraph.from_costs(
@@ -360,3 +368,72 @@ class TestJson:
         a = json.dumps(instance_to_dict(inst), indent=2)
         b = json.dumps(instance_to_dict(inst), indent=2)
         assert a == b
+
+
+#: ``save_schedule`` output for :meth:`TestScheduleEntry.fixed_schedule`;
+#: the schedule file format is frozen, so these bytes must not change.
+FIXED_SCHEDULE_FILE = (
+    b'{\n  "entries": [\n'
+    b'    {\n      "task": "a",\n      "node": "n0",\n'
+    b'      "start": 0.0,\n      "end": 0.30000000000000004\n    },\n'
+    b'    {\n      "task": "b",\n      "node": "n1",\n'
+    b'      "start": 0.1,\n      "end": 2.0\n    },\n'
+    b'    {\n      "task": "t\\u00e2che",\n      "node": "n0",\n'
+    b'      "start": 1e+16,\n      "end": 1.0000000000000002e+16\n    }\n'
+    b"  ]\n}\n"
+)
+
+
+class TestScheduleEntry:
+    """The entry contract: one checked constructor, frozen dataclass behaviour, no ``__dict__``."""
+
+    def entry(self):
+        return ScheduleEntry("a", "n0", 0.5, 1.25)
+
+    def fixed_schedule(self):
+        return entries(
+            ("a", "n0", 0.0, 0.1 + 0.2), ("b", "n1", 0.1, 2.0), ("t\u00e2che", "n0", 1e16, 1e16 + 2.0)
+        )
+
+    def test_equal_and_hash_as_keyword_construction(self):
+        keyword = ScheduleEntry(task="a", node="n0", start=0.5, end=1.25)
+        assert self.entry() == keyword
+        assert hash(self.entry()) == hash(keyword)
+        assert self.entry() != ScheduleEntry("a", "n0", 0.5, 1.5)
+
+    def test_dataclass_behaviour(self):
+        e = self.entry()
+        assert repr(e) == "ScheduleEntry(task='a', node='n0', start=0.5, end=1.25)"
+        assert dataclasses.astuple(e) == ("a", "n0", 0.5, 1.25)
+        assert [f.name for f in dataclasses.fields(e)] == ["task", "node", "start", "end"]
+        moved = dataclasses.replace(e, end=2.0)
+        assert moved == ScheduleEntry("a", "n0", 0.5, 2.0)
+        assert copy.deepcopy(e) == e
+        assert pickle.loads(pickle.dumps(e)) == e
+
+    def test_replace_runs_the_checks(self):
+        with pytest.raises(ValueError, match="^entry for 'a' ends before it starts$"):
+            dataclasses.replace(self.entry(), end=0.25)
+
+    @pytest.mark.parametrize("field", ["task", "node", "start", "end"])
+    def test_assignment_is_refused(self, field):
+        e = self.entry()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(e, field, 3.0)
+        assert e == self.entry()
+
+    def test_loader_runs_the_checks(self):
+        row = {"task": "a", "node": "n0", "start": 2.0, "end": 1.0}
+        with pytest.raises(ValueError, match="^entry for 'a' ends before it starts$"):
+            schedule_from_dict({"entries": [row]})
+
+    def test_fields_are_slots(self):
+        e = self.entry()
+        assert not hasattr(e, "__dict__")
+        assert (e.task, e.node, e.start, e.end) == ("a", "n0", 0.5, 1.25)
+
+    def test_schedule_file_bytes_are_frozen(self, tmp_path):
+        path = tmp_path / "s.json"
+        save_schedule(self.fixed_schedule(), path)
+        assert path.read_bytes() == FIXED_SCHEDULE_FILE
+        assert load_schedule(path) == self.fixed_schedule()

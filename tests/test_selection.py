@@ -378,6 +378,28 @@ class TestPlacementState:
         for name, config in enumerate_configs():
             assert schedule(backward, config).entries == schedule(forward, config).entries, name
 
+    @pytest.mark.parametrize(
+        "append_only, finder", [(True, open_window_append_only), (False, open_window_insertion)]
+    )
+    @pytest.mark.parametrize(
+        "intervals, ready", [([], 0.0), ([(2.0, 4.0), (8.0, 10.0)], 0.0), ([(0.0, 1.0)], 3.0)]
+    )
+    def test_best_window_is_the_plain_pair_the_queries_wrap(
+        self, append_only, finder, intervals, ready
+    ):
+        # inside the engine a window is a plain (start, end) tuple; the
+        # public queries, which perfbench and users consume, return Window
+        inst, partial = instance_with_busy(2.0, intervals, ready=ready)
+        state = _PlacementState(inst)
+        index = {v: i for i, v in enumerate(state.nodes)}
+        for e in partial.entries:
+            state.place(e.task, index[e.node], (e.start, e.end))
+        pair = state.best("tk", (index["n0"],), append_only, CompareKind.EFT)[1]
+        window = finder(inst, partial, "n0", "tk")
+        assert type(pair) is tuple and len(pair) == 2
+        assert type(window) is Window
+        assert tuple(window) == pair
+
     def test_unplace_restores_timeline_after_gap_insertion(self):
         inst = mk_instance({"a": 1.0, "b": 1.0, "c": 1.0}, {}, {"n0": 1.0})
         state = _PlacementState(inst)
