@@ -187,11 +187,11 @@ class ProblemInstance:
 class ScheduleEntry:
     """One placed task: runs on ``node`` over the interval [start, end].
 
-    Entries are slotted, so they carry no ``__dict__``.  The constructor
-    below is the one way to build an entry, for the scheduler, the loader
-    and callers alike: it rejects a negative start and an end before the
-    start, then writes the four slots through their member descriptors,
-    since the frozen ``__setattr__`` refuses assignment.
+    Entries are slotted, so they carry no ``__dict__``.  The scheduler,
+    the loader and callers all build entries through the one constructor
+    below: it rejects a negative start and an end before the start, then
+    writes the four slots through their member descriptors, since the
+    frozen ``__setattr__`` refuses assignment.
     """
 
     task: TaskId
