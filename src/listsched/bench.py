@@ -8,6 +8,10 @@ estimates.  Ratios normalize each value by the per-instance minimum over
 the schedulers benchmarked together, so 1.0 marks the best scheduler on
 that instance and every ratio is at least 1.
 
+A results CSV is read by its header row, which comes first: blank rows
+are skipped, every other row has the header's field count, and a row
+without an error has a finite, non-negative makespan and runtime.
+
 The brute-force oracle enumerates all task-to-node assignments and all
 topological orders for tiny instances, timing each task at its earliest
 insertion window; it bounds from below what any scheduler in the
@@ -22,7 +26,7 @@ import math
 import statistics
 import time
 from collections import defaultdict
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Hashable, Iterable, Sequence
 
@@ -173,39 +177,41 @@ def compute_ratios(records: Iterable[BenchmarkRecord]) -> list[RatioRow]:
     Raises ``ValueError`` when a (dataset, instance, scheduler) key occurs
     twice, since each row would then count twice in every mean.
     """
-    groups: dict[tuple[str, int], dict[str, BenchmarkRecord]] = {}
+    # per (dataset, instance): scheduler names seen, successful records and their minima
+    groups: dict[tuple[str, int], list] = {}
     for record in records:
-        group = groups.setdefault((record.dataset, record.instance_index), {})
-        if record.scheduler in group:
+        key = (record.dataset, record.instance_index)
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = [set(), [], math.inf, math.inf]
+        if record.scheduler in group[0]:
             raise ValueError(
                 f"duplicate row for ({record.dataset!r}, {record.instance_index}, "
                 f"{record.scheduler!r})"
             )
-        group[record.scheduler] = record
+        group[0].add(record.scheduler)
+        if record.error is None:
+            group[1].append(record)
+            if record.makespan < group[2]:
+                group[2] = record.makespan
+            if record.runtime_seconds < group[3]:
+                group[3] = record.runtime_seconds
     if not groups:
         raise ValueError("no records")
 
     rows: list[RatioRow] = []
-    for key in groups:
-        ok = [r for r in groups[key].values() if r.error is None]
+    for key, (_, ok, min_makespan, min_runtime) in groups.items():
         if not ok:
             raise ValueError(f"no successful records for {key}; cannot normalize")
-        min_makespan = min(r.makespan for r in ok)
-        min_runtime = min(r.runtime_seconds for r in ok)
         if min_makespan == 0:
             raise ValueError(f"degenerate instance {key}: minimum makespan is 0")
         if min_runtime == 0:
             raise ValueError(f"degenerate instance {key}: minimum runtime is 0")
-        for r in ok:
-            rows.append(
-                RatioRow(
-                    dataset=r.dataset,
-                    instance_index=r.instance_index,
-                    scheduler=r.scheduler,
-                    makespan_ratio=r.makespan / min_makespan,
-                    runtime_ratio=r.runtime_seconds / min_runtime,
-                )
-            )
+        rows += [
+            RatioRow(r.dataset, r.instance_index, r.scheduler,
+                     r.makespan / min_makespan, r.runtime_seconds / min_runtime)
+            for r in ok
+        ]
     return rows
 
 
@@ -408,40 +414,44 @@ def write_results_csv(
 def read_results_csv(path: str | Path) -> list[BenchmarkRecord]:
     """Records of a results CSV; an error row's empty values load as NaN.
 
-    Raises ``ValueError`` when a line is not CSV, a column is missing, a
-    value does not parse, or a row without an error lacks a finite,
-    non-negative makespan or runtime.
+    The first row is the header, even when blank; with a repeated column
+    name the last such column counts.  Blank rows are skipped.  Raises
+    ``ValueError`` when a line is not CSV, a column is missing, a row's
+    field count differs from the header's, a value does not parse, or a
+    row without an error lacks a finite, non-negative makespan or runtime.
     """
+    required = ("dataset", "instance", "scheduler", "makespan", "runtime_seconds")
     records = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = ("dataset", "instance", "scheduler", "makespan", "runtime_seconds")
+        reader = csv.reader(fh)
         try:
-            missing = [c for c in required if c not in (reader.fieldnames or ())]
+            header = next(reader, [])
+            column = {name: i for i, name in enumerate(header)}
+            missing = [c for c in required if c not in column]
             if missing:
                 raise ValueError(f"missing column(s): {', '.join(missing)}")
+            d, i, s, m, r = (column[c] for c in required)
+            e = column.get("error")
+            width = len(header)
             for row in reader:
-                error = row.get("error") or None
-                span = float(row["makespan"]) if row["makespan"] else math.nan
-                runtime = float(row["runtime_seconds"]) if row["runtime_seconds"] else math.nan
+                if not row:
+                    continue
+                if len(row) != width:
+                    raise ValueError(
+                        f"line {reader.line_num}: {len(row)} fields, the header has {width}"
+                    )
+                error = (row[e] or None) if e is not None else None
+                span = float(row[m]) if row[m] else math.nan
+                runtime = float(row[r]) if row[r] else math.nan
                 if error is None and not (0 <= span < math.inf and 0 <= runtime < math.inf):
                     raise ValueError(
-                        f"line {reader.line_num} ({row['dataset']}, {row['instance']}, "
-                        f"{row['scheduler']}) has no error but makespan {row['makespan']!r} "
-                        f"and runtime {row['runtime_seconds']!r}; both must be finite and >= 0"
+                        f"line {reader.line_num} ({row[d]}, {row[i]}, {row[s]}) has no error "
+                        f"but makespan {row[m]!r} and runtime {row[r]!r}; "
+                        "both must be finite and >= 0"
                     )
-                records.append(
-                    BenchmarkRecord(
-                        dataset=row["dataset"],
-                        instance_index=int(row["instance"]),
-                        scheduler=row["scheduler"],
-                        makespan=span,
-                        runtime_seconds=runtime,
-                        error=error,
-                    )
-                )
-        except csv.Error as exc:  # the DictReader's line_num counts returned rows only
-            raise ValueError(f"line {reader.reader.line_num}: {exc}") from None
+                records.append(BenchmarkRecord(row[d], int(row[i]), row[s], span, runtime, error))
+        except csv.Error as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
     return records
 
 
@@ -452,8 +462,9 @@ def write_table_csv(path: str | Path, row_type: type, rows: Iterable[object]) ->
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(field.name for field in fields(row_type))
-        writer.writerows(astuple(row) for row in rows)
+        names = [field.name for field in fields(row_type)]
+        writer.writerow(names)
+        writer.writerows([getattr(row, name) for name in names] for row in rows)
 
 
 def pareto_svg(points: Sequence[ParetoPoint]) -> str:

@@ -189,9 +189,9 @@ class ScheduleEntry:
 
     Entries are slotted, so they carry no ``__dict__``.  The scheduler,
     the loader and callers all build entries through the one constructor
-    below: it rejects a negative start and an end before the start, then
-    writes the four slots through their member descriptors, since the
-    frozen ``__setattr__`` refuses assignment.
+    below: it rejects a negative start, an end before the start and a
+    non-finite time, then writes the four slots through their member
+    descriptors, since the frozen ``__setattr__`` refuses assignment.
     """
 
     task: TaskId
@@ -200,16 +200,19 @@ class ScheduleEntry:
     end: float
 
     def __init__(self, task: TaskId, node: NodeId, start: float, end: float) -> None:
-        if start < 0:
-            raise ValueError(f"entry for {task!r} has negative start {start!r}")
-        if end < start:
-            raise ValueError(f"entry for {task!r} ends before it starts")
+        if not 0 <= start <= end < _INF:
+            if start < 0:
+                raise ValueError(f"entry for {task!r} has negative start {start!r}")
+            if end < start:
+                raise ValueError(f"entry for {task!r} ends before it starts")
+            raise ValueError(f"entry for {task!r} has a non-finite time: {start!r} to {end!r}")
         _set_task(self, task)
         _set_node(self, node)
         _set_start(self, start)
         _set_end(self, end)
 
 
+_INF = math.inf
 _set_task = ScheduleEntry.__dict__["task"].__set__
 _set_node = ScheduleEntry.__dict__["node"].__set__
 _set_start = ScheduleEntry.__dict__["start"].__set__

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Mutant kill-matrix for the placement engine, the scheduler and the schedule entry.
+"""Mutant kill-matrix for the placement engine, scheduler, schedule entry and results reader.
 
 Run from the root of a checkout, with pytest and hypothesis installed::
 
@@ -35,6 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SELECTION = "src/listsched/selection.py"
 SCHEDULER = "src/listsched/scheduler.py"
 MODEL = "src/listsched/model.py"
+BENCH = "src/listsched/bench.py"
 
 UNPRUNED = "tests/test_selection.py::TestPlacementState::test_best_equals_an_unpruned_pass"
 READY_TIMES = "tests/test_selection.py::TestPlacementState::test_ready_times_equal_the_spec_bit_for_bit"
@@ -46,6 +47,8 @@ ENTRY = (
     "tests/test_model.py::TestScheduleEntry",
     "tests/test_model.py::TestConstruction::test_entry_rejects_negative_duration",
 )
+ANALYZE = "tests/test_cli.py::TestAnalyze"
+READER_REFERENCE = "tests/test_cli.py::test_results_reader_equals_the_reference_reader"
 
 
 class Mutant(NamedTuple):
@@ -172,9 +175,42 @@ MUTANTS = [
     Mutant(
         "entry end-before-start check dropped",
         MODEL,
-        '        if end < start:\n            raise ValueError(f"entry for {task!r} ends before it starts")\n',
+        "if not 0 <= start <= end < _INF:",
+        "if not (0 <= start < _INF and end < _INF):",
+        ENTRY,
+    ),
+    Mutant(
+        "entry non-finite check dropped",
+        MODEL,
+        '            raise ValueError(f"entry for {task!r} has a non-finite time: '
+        '{start!r} to {end!r}")\n',
         "",
         ENTRY,
+    ),
+    Mutant(
+        "results row-length rule dropped",
+        BENCH,
+        "                if len(row) != width:\n"
+        "                    raise ValueError(\n"
+        '                        f"line {reader.line_num}: {len(row)} fields, '
+        'the header has {width}"\n'
+        "                    )\n",
+        "",
+        (ANALYZE,),
+    ),
+    Mutant(
+        "results blank-row skip dropped",
+        BENCH,
+        "                if not row:\n                    continue\n",
+        "",
+        (ANALYZE, READER_REFERENCE),
+    ),
+    Mutant(
+        "results row counter in place of line_num",
+        BENCH,
+        'f"line {reader.line_num} ({row[d]}',
+        'f"line {len(records) + 2} ({row[d]}',
+        (ANALYZE, READER_REFERENCE),
     ),
 ]
 

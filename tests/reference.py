@@ -1,6 +1,7 @@
-"""The spec-level placement functions and the paper's list scheduler built on them.
+"""Slow reference versions of fast paths, for differential tests.
 
-The window functions here recompute everything from a whole
+The spec-level placement functions and the paper's list scheduler built
+on them: the window functions here recompute everything from a whole
 :class:`Schedule` on every call, straight from the definitions, and share
 no code with the placement engine in ``listsched.selection``: the
 insertion finder tries every candidate start time instead of bisecting
@@ -9,12 +10,20 @@ before every node choice, recomputes the ready set from scratch at every
 step, and picks nodes through ``best_two_nodes`` with these finders.  So
 ``schedule()`` agreeing with it entry for entry is a differential check
 of the engine and of every shortcut the scheduler takes.
+
+The results-table reader and writer: ``reference_read_results_csv``
+reads by column name through ``csv.DictReader``, and
+``reference_write_table_csv`` writes ``dataclasses.astuple`` rows.
 """
 
+import csv
+import dataclasses
+import math
 from collections import Counter
 from typing import Callable, Sequence
 
 from listsched import (
+    BenchmarkRecord,
     CompareKind,
     Schedule,
     ScheduleEntry,
@@ -142,3 +151,46 @@ def reference_schedule(instance, config):
         entries.append(ScheduleEntry(task=task, node=node, start=window.start, end=window.end))
         placed.add(task)
     return Schedule(entries=tuple(entries))
+
+
+def reference_read_results_csv(path):
+    """Records of a results CSV, read by column name; rows must have the header's length."""
+    records = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        required = ("dataset", "instance", "scheduler", "makespan", "runtime_seconds")
+        try:
+            missing = [c for c in required if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ValueError(f"missing column(s): {', '.join(missing)}")
+            for row in reader:
+                error = row.get("error") or None
+                span = float(row["makespan"]) if row["makespan"] else math.nan
+                runtime = float(row["runtime_seconds"]) if row["runtime_seconds"] else math.nan
+                if error is None and not (0 <= span < math.inf and 0 <= runtime < math.inf):
+                    raise ValueError(
+                        f"line {reader.line_num} ({row['dataset']}, {row['instance']}, "
+                        f"{row['scheduler']}) has no error but makespan {row['makespan']!r} "
+                        f"and runtime {row['runtime_seconds']!r}; both must be finite and >= 0"
+                    )
+                records.append(
+                    BenchmarkRecord(
+                        dataset=row["dataset"],
+                        instance_index=int(row["instance"]),
+                        scheduler=row["scheduler"],
+                        makespan=span,
+                        runtime_seconds=runtime,
+                        error=error,
+                    )
+                )
+        except csv.Error as exc:  # the DictReader's line_num counts returned rows only
+            raise ValueError(f"line {reader.reader.line_num}: {exc}") from None
+    return records
+
+
+def reference_write_table_csv(path, row_type, rows):
+    """An analysis table written from ``dataclasses.astuple`` rows."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(field.name for field in dataclasses.fields(row_type))
+        writer.writerows(dataclasses.astuple(row) for row in rows)

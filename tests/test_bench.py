@@ -26,6 +26,7 @@ from listsched import (
 from listsched.bench import (
     RESULTS_HEADER,
     EffectRow,
+    InteractionCell,
     ParetoPoint,
     pareto_svg,
     read_results_csv,
@@ -35,7 +36,7 @@ from listsched.bench import (
 from listsched.datagen import GenParams, GraphKind, gen_dataset
 
 from conftest import mk_instance, random_instance
-from reference import open_window_insertion
+from reference import open_window_insertion, reference_write_table_csv
 
 ALL_CONFIGS = enumerate_configs()
 
@@ -141,6 +142,35 @@ class TestComputeRatios:
         ]
         with pytest.raises(ValueError, match=r"duplicate row for \('d', 1, 'B'\)"):
             compute_ratios(records)
+
+
+    def test_rows_come_in_group_then_record_order(self):
+        # every mean ratio sums its rows in this order
+        records = [
+            record("d", 1, "A", 2.0, 1.0),
+            record("d", 0, "A", 1.0, 1.0),
+            record("d", 1, "B", 1.0, 2.0),
+            record("d", 0, "B", math.nan, math.nan, error="boom"),
+            record("d", 0, "C", 3.0, 3.0),
+        ]
+        rows = compute_ratios(records)
+        assert [(r.instance_index, r.scheduler) for r in rows] == [
+            (1, "A"), (1, "B"), (0, "A"), (0, "C")
+        ]
+        assert [(r.makespan_ratio, r.runtime_ratio) for r in rows] == [
+            (2.0, 1.0), (1.0, 2.0), (1.0, 1.0), (3.0, 3.0)
+        ]
+
+    def test_duplicate_is_reported_before_a_failed_instance(self):
+        records = [
+            record("d", 0, "A", math.nan, math.nan, error="boom"),
+            record("d", 1, "A", 1.0, 1.0),
+            record("d", 1, "A", 1.0, 1.0),
+        ]
+        with pytest.raises(ValueError, match=r"duplicate row for \('d', 1, 'A'\)"):
+            compute_ratios(records)
+        with pytest.raises(ValueError, match=r"no successful records for \('d', 0\)"):
+            compute_ratios(records[:2])
 
 
 class TestParetoFront:
@@ -501,6 +531,24 @@ class TestCsv:
         ]
         write_table_csv(path, EffectRow, [])
         assert path.read_bytes() == b"parameter,level,mean_makespan_ratio,mean_runtime_ratio\r\n"
+
+    def test_tables_equal_astuple_rows_byte_for_byte(self, tmp_path):
+        rows = full_grid_rows(lambda name, config, dataset, idx: (
+            1.0 + 0.1 * len(name) + 1 / 3 * idx, 1.0 + 0.7 * config.sufferage + 1e-9 * len(dataset)
+        ))
+        points = pareto_front(mean_ratio_points(rows))
+        tables = [
+            (ParetoPoint, points),
+            (EffectRow, component_effects(rows)),
+            (InteractionCell, interaction_effects(rows, "compare", "ccr")),
+        ]
+        assert {p.pareto_optimal for p in points} == {True, False}
+        for row_type, table in tables:
+            ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+            write_table_csv(ours, row_type, table)
+            reference_write_table_csv(theirs, row_type, table)
+            assert ours.read_bytes() == theirs.read_bytes()
+            assert len(ours.read_bytes().splitlines()) == len(table) + 1
 
     def test_svg_export(self):
         points = pareto_front([("A", 1.0, 2.0), ("B", 2.0, 1.0), ("C", 2.5, 2.5)])

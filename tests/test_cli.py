@@ -43,6 +43,7 @@ from conftest import (
     wrong_shape_instance,
     wrong_shape_schedule,
 )
+from reference import reference_read_results_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -265,6 +266,24 @@ class TestValidate:
         assert capsys.readouterr().err == (
             f"invalid input: schedule references unknown {part} 'zzz'\n"
         )
+
+
+    @pytest.mark.parametrize("start, end, shown", [
+        ("NaN", "1.0", "nan to 1.0"), ("0.0", "Infinity", "0.0 to inf"),
+    ])
+    def test_non_finite_entry_time_is_one_line(
+        self, instance_file, tmp_path, capsys, start, end, shown
+    ):
+        # a NaN start used to load and then fail as "WrongDuration ... runs for nan"
+        sched = tmp_path / "sched.json"
+        sched.write_text(
+            f'{{"entries": [{{"task": "A", "node": "n1", "start": {start}, "end": {end}}}]}}'
+        )
+        assert main(["validate", "--instance", str(instance_file),
+                     "--schedule", str(sched)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"invalid input: entry for 'A' has a non-finite time: {shown}\n"
 
 
 class TestBenchmark:
@@ -535,6 +554,67 @@ class TestAnalyze:
         assert main(["analyze", "--results", str(src), "--mode", "ratios",
                      "--out", str(tmp_path / "ratios.csv")]) == 1
         assert "missing column(s): runtime_seconds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header, rows, message", [
+        (["error", "dataset", "instance", "scheduler", "makespan", "runtime_seconds"],
+         [["", "d", 0, "A", 1.0, 0.001], ["boom"]], "line 3: 1 fields, the header has 6"),
+        (RESULTS_HEADER, [["d", 0, "A", 1.0, 0.001, "", ""]],
+         "line 2: 7 fields, the header has 8"),
+        (RESULTS_HEADER, [["d", 0, "A", 1.0, 0.001, "", "", "", "x"]],
+         "line 2: 9 fields, the header has 8"),
+    ], ids=["short row under a reordered header", "short row", "long row"])
+    def test_row_of_another_length_is_domain_error(self, tmp_path, capsys, header, rows, message):
+        # the reordered short row used to escape main as a TypeError from int(None);
+        # a short row under the standard header named cells it lacks ("makespan None");
+        # a long row's extra cells were dropped
+        src = tmp_path / "ragged.csv"
+        self.write_results(src, rows, header=header)
+        assert main(["analyze", "--results", str(src), "--mode", "ratios",
+                     "--out", str(tmp_path / "ratios.csv")]) == 1
+        assert capsys.readouterr().err == f"invalid results file: {message}\n"
+
+    def test_blank_first_line_is_the_header(self, tmp_path, capsys):
+        src = tmp_path / "blank.csv"
+        src.write_text("\n" + ",".join(RESULTS_HEADER) + "\nd,0,A,1.0,0.001,,,\n")
+        assert main(["analyze", "--results", str(src), "--mode", "ratios",
+                     "--out", str(tmp_path / "ratios.csv")]) == 1
+        assert capsys.readouterr().err == (
+            "invalid results file: missing column(s): "
+            "dataset, instance, scheduler, makespan, runtime_seconds\n"
+        )
+
+    def test_repeated_column_reads_its_last_cell(self, tmp_path):
+        src, out = tmp_path / "repeated.csv", tmp_path / "ratios.csv"
+        self.write_results(src, [["x", "d", 0, "A", 1.0, 0.001, "", "", "", 2.0],
+                                 ["x", "d", 0, "B", 1.0, 0.001, "", "", "", 4.0]],
+                           header=["makespan", *RESULTS_HEADER, "makespan"])
+        assert main(["analyze", "--results", str(src), "--mode", "ratios",
+                     "--out", str(out)]) == 0
+        rows = read_rows(out)
+        assert [(r["makespan"], r["makespan_ratio"]) for r in rows] == [
+            ("2.0", "1.0"), ("4.0", "2.0")
+        ]
+
+    # header, a blank line, A, B over two physical lines, a blank line, C
+    PHYSICAL_LINES = (",".join(RESULTS_HEADER) + "\r\n\r\nd,0,A,1.0,0.001,,,\r\n"
+                      '"d",0,"B\nB",2.0,0.001,,,\r\n\r\nd,0,C,{},0.001,,,\r\n')
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        src, out = tmp_path / "blank.csv", tmp_path / "ratios.csv"
+        src.write_bytes(self.PHYSICAL_LINES.format("3.0").encode())
+        assert main(["analyze", "--results", str(src), "--mode", "ratios",
+                     "--out", str(out)]) == 0
+        assert [r["scheduler"] for r in read_rows(out)] == ["A", "B\nB", "C"]
+
+    def test_messages_count_physical_lines(self, tmp_path, capsys):
+        # line 7, not the 4th row: blank lines and a quoted newline count
+        src = tmp_path / "lines.csv"
+        src.write_bytes(self.PHYSICAL_LINES.format("-1").encode())
+        assert main(["analyze", "--results", str(src), "--mode", "ratios",
+                     "--out", str(tmp_path / "ratios.csv")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "invalid results file: line 7 (d, 0, C) has no error but makespan '-1'"
+        )
 
     @pytest.mark.parametrize("mode", [
         ["--mode", "ratios"],
@@ -863,6 +943,66 @@ def test_mutated_results_cell_is_rejected_or_ratios_are_at_least_one(rows, data)
             ratios = [float(r[c]) for r in read_rows(out)
                       for c in ("makespan_ratio", "runtime_ratio") if r[c]]
             assert ratios and all(x >= 1.0 for x in ratios)
+
+
+#: columns a results header may hold: the standard ones and one the reader ignores
+RESULT_COLUMNS = (*RESULTS_HEADER, "note")
+#: cell text with the characters that make csv quote: commas, quotes, newlines
+CSV_TEXT = st.text(alphabet=st.sampled_from('ab,"\n\r '), max_size=4)
+
+
+def result_cell(column, clean):
+    """A cell of ``column``: a valid value, or when not ``clean`` perhaps a mutant."""
+    if column == "instance":
+        valid, mutants = st.integers(0, 3).map(str), ("x", "", " 1", "1.0")
+    elif column in ("makespan", "runtime_seconds", "makespan_ratio", "runtime_ratio"):
+        valid, mutants = st.floats(1e-3, 1e3).map(repr), RESULT_CELL_MUTANTS
+    elif column == "error":
+        return st.one_of(st.just(""), CSV_TEXT)
+    else:
+        return CSV_TEXT
+    return valid if clean else st.one_of(valid, st.sampled_from(mutants))
+
+
+@st.composite
+def results_texts(draw):
+    """A results file: a reordered header with repeated columns, equal-length rows, blank lines."""
+    header = list(draw(st.permutations(RESULTS_HEADER)))
+    for column in draw(st.lists(st.sampled_from(RESULT_COLUMNS), max_size=3)):
+        header.insert(draw(st.integers(0, len(header))), column)
+    if draw(st.sampled_from([False] * 9 + [True])):  # likely a missing column or a blank header
+        header = draw(st.lists(st.sampled_from(RESULT_COLUMNS), max_size=4))
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    kinds = st.sampled_from(["blank", "clean", "clean", "mutated"])
+    for kind in draw(st.lists(kinds, min_size=1, max_size=6)):
+        if kind == "blank":
+            out.write("\r\n")
+        else:
+            writer.writerow([draw(result_cell(column, kind == "clean")) for column in header])
+    if draw(st.sampled_from([False] * 9 + [True])):  # a field over csv's size limit
+        out.write("x" * (csv.field_size_limit() + 1) + "\r\n")
+    return out.getvalue()
+
+
+def read_outcome(read, path):
+    """The records ``read`` returns, floats as ``float.hex``, or its ``ValueError`` message."""
+    try:
+        return [(r.dataset, r.instance_index, r.scheduler, r.makespan.hex(),
+                 r.runtime_seconds.hex(), r.error) for r in read(path)]
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=results_texts())
+def test_results_reader_equals_the_reference_reader(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "results.csv")
+        path.write_bytes(text.encode())
+        assert read_outcome(bench.read_results_csv, path) == read_outcome(
+            reference_read_results_csv, path)
 
 
 ANALYZE_MODES = (["ratios"], ["pareto"], ["effects"], ["interactions", "--params", "compare,ccr"])

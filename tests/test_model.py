@@ -232,12 +232,6 @@ class TestValidateSchedule:
         report = validate_schedule(inst, entries(("a", "n0", 1e15, 1e15)))
         assert [v.kind for v in report] == [ViolationKind.WRONG_DURATION]
 
-    @pytest.mark.parametrize("start, end", [(0.0, math.inf), (math.inf, math.inf)])
-    def test_infinite_entry_has_wrong_duration(self, start, end):
-        inst = mk_instance({"a": 1.0}, {}, {"n0": 1.0})
-        report = validate_schedule(inst, entries(("a", "n0", start, end)))
-        assert ViolationKind.WRONG_DURATION in [v.kind for v in report]
-
     def test_precedence_violation(self):
         inst = mk_instance(
             {"a": 1.0, "b": 1.0}, {("a", "b"): 2.0}, {"n0": 1.0, "n1": 1.0}
@@ -426,6 +420,23 @@ class TestScheduleEntry:
         row = {"task": "a", "node": "n0", "start": 2.0, "end": 1.0}
         with pytest.raises(ValueError, match="^entry for 'a' ends before it starts$"):
             schedule_from_dict({"entries": [row]})
+
+    @pytest.mark.parametrize("start, end", [
+        (0.0, math.inf), (math.inf, math.inf), (math.nan, 1.0), (0.0, math.nan),
+        (math.nan, math.nan),
+    ])
+    def test_non_finite_time_is_rejected(self, start, end):
+        # an infinite entry used to load and then fail validation as a
+        # wrong duration; a NaN one ran "for nan"
+        with pytest.raises(ValueError) as exc:
+            ScheduleEntry("a", "n0", start, end)
+        assert str(exc.value) == f"entry for 'a' has a non-finite time: {start!r} to {end!r}"
+        row = {"task": "a", "node": "n0", "start": start, "end": end}
+        with pytest.raises(ValueError, match="^entry for 'a' has a non-finite time: "):
+            schedule_from_dict({"entries": [row]})
+
+    def test_negative_zero_start_is_accepted(self):
+        assert ScheduleEntry("a", "n0", -0.0, 0.0).start == 0
 
     def test_fields_are_slots(self):
         e = self.entry()
