@@ -143,7 +143,6 @@ class TestComputeRatios:
         with pytest.raises(ValueError, match=r"duplicate row for \('d', 1, 'B'\)"):
             compute_ratios(records)
 
-
     def test_rows_come_in_group_then_record_order(self):
         # every mean ratio sums its rows in this order
         records = [

@@ -267,7 +267,6 @@ class TestValidate:
             f"invalid input: schedule references unknown {part} 'zzz'\n"
         )
 
-
     @pytest.mark.parametrize("start, end, shown", [
         ("NaN", "1.0", "nan to 1.0"), ("0.0", "Infinity", "0.0 to inf"),
     ])
