@@ -416,14 +416,15 @@ def read_results_csv(path: str | Path) -> list[BenchmarkRecord]:
 
     The first row is the header, even when blank; with a repeated column
     name the last such column counts.  Blank rows are skipped.  Raises
-    ``ValueError`` when a line is not CSV, a column is missing, a row's
-    field count differs from the header's, a value does not parse, or a
-    row without an error lacks a finite, non-negative makespan or runtime.
+    ``ValueError`` when a line is not strict CSV (a quoted cell left open
+    or followed by text), a column is missing, a row's field count differs
+    from the header's, a value does not parse, or a row without an error
+    lacks a finite, non-negative makespan or runtime.
     """
     required = ("dataset", "instance", "scheduler", "makespan", "runtime_seconds")
     records = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(fh, strict=True)
         try:
             header = next(reader, [])
             column = {name: i for i, name in enumerate(header)}

@@ -37,39 +37,37 @@ def _check_positive(label: str, mapping: Mapping) -> None:
 
 @dataclass(frozen=True, eq=True)
 class TaskGraph:
-    """Weighted DAG of tasks.
+    """Weighted DAG of tasks, built from its two weight maps.
 
     ``compute_cost`` maps every task to its abstract work amount and
     ``data_size`` maps every dependency edge to the amount of data the
-    successor needs from the predecessor.  Construction validates that the
-    dependency relation is acyclic and that every weight is strictly
-    positive; the deterministic topological order (Kahn's algorithm with
-    the ready set kept sorted by task id) is computed once and cached.
+    successor needs from the predecessor.  ``tasks`` and ``deps`` are the
+    key sets of the two maps.  Construction validates that every edge joins
+    two distinct known tasks, that the dependency relation is acyclic and
+    that every weight is strictly positive; the deterministic topological
+    order (Kahn's algorithm with the ready set kept sorted by task id) is
+    computed once and cached.
     """
 
-    tasks: frozenset[TaskId]
-    deps: frozenset[tuple[TaskId, TaskId]]
     compute_cost: dict[TaskId, float]
     data_size: dict[tuple[TaskId, TaskId], float]
+    tasks: frozenset[TaskId] = field(init=False, compare=False)
+    deps: frozenset[tuple[TaskId, TaskId]] = field(init=False, compare=False)
     _topo: tuple[TaskId, ...] = field(init=False, repr=False, compare=False)
     _succs: dict[TaskId, tuple[TaskId, ...]] = field(init=False, repr=False, compare=False)
     _preds: dict[TaskId, tuple[TaskId, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tasks", frozenset(self.tasks))
-        object.__setattr__(self, "deps", frozenset(self.deps))
         object.__setattr__(self, "compute_cost", dict(self.compute_cost))
         object.__setattr__(self, "data_size", dict(self.data_size))
+        object.__setattr__(self, "tasks", frozenset(self.compute_cost))
+        object.__setattr__(self, "deps", frozenset(self.data_size))
 
         for src, dst in self.deps:
             if src not in self.tasks or dst not in self.tasks:
                 raise ValueError(f"dependency ({src!r}, {dst!r}) references unknown task")
             if src == dst:
                 raise ValueError(f"self-dependency on task {src!r}")
-        if set(self.compute_cost) != self.tasks:
-            raise ValueError("compute_cost must be defined for exactly the task set")
-        if set(self.data_size) != self.deps:
-            raise ValueError("data_size must be defined for exactly the dependency set")
         _check_positive("compute_cost", self.compute_cost)
         _check_positive("data_size", self.data_size)
 
@@ -106,13 +104,8 @@ class TaskGraph:
         compute_cost: Mapping[TaskId, float],
         data_size: Mapping[tuple[TaskId, TaskId], float],
     ) -> "TaskGraph":
-        """Build a graph whose tasks and deps are the keys of the two maps."""
-        return cls(
-            tasks=frozenset(compute_cost),
-            deps=frozenset(data_size),
-            compute_cost=dict(compute_cost),
-            data_size=dict(data_size),
-        )
+        """The same graph as ``cls(compute_cost, data_size)``."""
+        return cls(compute_cost, data_size)
 
     def successors(self, task: TaskId) -> tuple[TaskId, ...]:
         return self._succs[task]
@@ -131,8 +124,10 @@ class Network:
     """Complete undirected network of at least one compute node.
 
     ``speed`` is work per unit time; ``strength`` is data per unit time on
-    the link between a pair of distinct nodes, keyed by the sorted id
-    pair.  Every unordered pair of distinct nodes must carry a strength.
+    the link between a pair of distinct nodes, keyed by the sorted id pair
+    ``(u, v)`` with ``u < v``.  Every unordered pair of distinct nodes must
+    carry exactly that key; a reversed key is an error, not an alias.  The
+    instance reader sorts the pairs of outside input before building one.
     """
 
     nodes: frozenset[NodeId]
@@ -144,15 +139,10 @@ class Network:
         object.__setattr__(self, "nodes", frozenset(self.nodes))
         if not self.nodes:
             raise ValueError("network has no nodes")
-        normalized: dict[tuple[NodeId, NodeId], float] = {}
-        for (u, v), value in self.strength.items():
+        for u, v in self.strength:
             if u == v:
                 raise ValueError(f"self-link on node {u!r}")
-            key = (u, v) if u < v else (v, u)
-            if key in normalized and normalized[key] != value:
-                raise ValueError(f"conflicting strengths for link {key}")
-            normalized[key] = value
-        object.__setattr__(self, "strength", normalized)
+        object.__setattr__(self, "strength", dict(self.strength))
         object.__setattr__(self, "speed", dict(self.speed))
         object.__setattr__(self, "_order", tuple(sorted(self.nodes)))
 
@@ -163,16 +153,14 @@ class Network:
             (u, v) for i, u in enumerate(self._order) for v in self._order[i + 1 :]
         }
         if set(self.strength) != expected:
-            raise ValueError("strength must cover every unordered pair of distinct nodes")
+            raise ValueError(
+                "strength must cover every unordered pair of distinct nodes, "
+                "keyed by the sorted id pair"
+            )
         _check_positive("strength", self.strength)
 
     def node_order(self) -> tuple[NodeId, ...]:
         return self._order
-
-    def link_strength(self, u: NodeId, v: NodeId) -> float:
-        if u == v:
-            raise KeyError(f"no link from node {u!r} to itself")
-        return self.strength[(u, v) if u < v else (v, u)]
 
 
 @dataclass(frozen=True, eq=True)
@@ -271,7 +259,7 @@ def comm_time(
         if src not in instance.network.nodes:
             raise KeyError(f"unknown node {src!r}")
         return 0.0
-    return size / instance.network.link_strength(src, dst)
+    return size / instance.network.strength[(src, dst) if src < dst else (dst, src)]
 
 
 def makespan(schedule: Schedule) -> float:
@@ -452,13 +440,16 @@ def _unique(label: str, keys: list) -> list:
 
 
 def instance_from_dict(data: Mapping) -> ProblemInstance:
-    """Parse an instance by the leaf rules above; a repeated node, link, task or dep is an error."""
+    """Parse an instance by the leaf rules above; a repeated node, link, task or dep is an error.
+
+    A link may name its nodes in either order; its strength is keyed by the sorted pair.
+    """
     with _json_shape("instance"):
         net, tg = data["network"], data["task_graph"]
     with _json_shape("network"):
         nodes = _unique("node", [_id(n["id"]) for n in net["nodes"]])
-        links = [(_id(l["u"]), _id(l["v"])) for l in net["links"]]
-        _unique("link", [(min(u, v), max(u, v)) for u, v in links])
+        ends = [(_id(l["u"]), _id(l["v"])) for l in net["links"]]
+        links = _unique("link", [(min(u, v), max(u, v)) for u, v in ends])
         speed = {n: _number(x["speed"]) for n, x in zip(nodes, net["nodes"])}
         strength = {pair: _number(l["strength"]) for pair, l in zip(links, net["links"])}
     with _json_shape("task_graph"):
@@ -467,11 +458,7 @@ def instance_from_dict(data: Mapping) -> ProblemInstance:
         compute_cost = {t: _number(x["cost"]) for t, x in zip(tasks, tg["tasks"])}
         data_size = {dep: _number(x["size"]) for dep, x in zip(deps, tg["deps"])}
     network = Network(nodes=frozenset(nodes), speed=speed, strength=strength)
-    task_graph = TaskGraph(
-        tasks=frozenset(tasks), deps=frozenset(deps),
-        compute_cost=compute_cost, data_size=data_size,
-    )
-    return ProblemInstance(network=network, task_graph=task_graph)
+    return ProblemInstance(network=network, task_graph=TaskGraph(compute_cost, data_size))
 
 
 def schedule_to_dict(schedule: Schedule) -> dict:

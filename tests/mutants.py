@@ -199,6 +199,13 @@ MUTANTS = [
         (ANALYZE,),
     ),
     Mutant(
+        "results reader not strict",
+        BENCH,
+        "csv.reader(fh, strict=True)",
+        "csv.reader(fh)",
+        (ANALYZE,),
+    ),
+    Mutant(
         "results blank-row skip dropped",
         BENCH,
         "                if not row:\n                    continue\n",

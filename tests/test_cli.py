@@ -505,6 +505,20 @@ class TestAnalyze:
         assert err.startswith("invalid results file: line 3: field larger than field limit")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("tail, message", [
+        ('"', "unexpected end of data"),
+        ('"x"y\r\n', "',' expected after '\"'"),
+    ], ids=["cut inside a quoted cell", "text after a closing quote"])
+    def test_malformed_quoted_cell_is_domain_error(self, tmp_path, capsys, tail, message):
+        # a file cut inside its last quoted cell used to load the cut text, exit 0
+        src = tmp_path / "cut.csv"
+        src.write_text(",".join(RESULTS_HEADER) + "\r\nd,0,A,1.0,0.001,,," + tail, newline="")
+        out = tmp_path / "ratios.csv"
+        assert main(["analyze", "--results", str(src), "--mode", "ratios",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"invalid results file: line 2: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode", [
         ["--mode", "effects"], ["--mode", "interactions", "--params", "compare,ccr"],
     ], ids=lambda mode: mode[1])

@@ -22,7 +22,9 @@ from listsched import (
 from listsched.model import (
     instance_from_dict,
     instance_to_dict,
+    load_instance,
     load_schedule,
+    save_instance,
     save_schedule,
     schedule_from_dict,
     schedule_to_dict,
@@ -33,6 +35,7 @@ from conftest import (
     MALFORMED_CASES,
     WRONG_SHAPE_INSTANCES,
     WRONG_SHAPE_SCHEDULES,
+    ab_instance_dict,
     malformed_instance_dict,
     mk_instance,
     random_instance,
@@ -273,25 +276,39 @@ class TestConstruction:
 
     def test_dep_endpoint_must_exist(self):
         with pytest.raises(ValueError, match="unknown task"):
-            TaskGraph(
-                tasks=frozenset({"a"}),
-                deps=frozenset({("a", "b")}),
-                compute_cost={"a": 1.0},
-                data_size={("a", "b"): 1.0},
-            )
+            TaskGraph.from_costs({"a": 1.0}, {("a", "b"): 1.0})
 
     def test_costs_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             TaskGraph.from_costs({"a": 0.0}, {})
 
-    def test_cost_for_every_task(self):
-        with pytest.raises(ValueError, match="compute_cost"):
-            TaskGraph(
-                tasks=frozenset({"a", "b"}),
-                deps=frozenset(),
-                compute_cost={"a": 1.0},
-                data_size={},
-            )
+    def test_tasks_and_deps_are_the_key_sets(self):
+        tg = TaskGraph({"a": 1.0, "b": 2.0, "c": 0.5}, {("a", "b"): 1.0, ("a", "c"): 3.0})
+        assert tg.tasks == frozenset(tg.compute_cost) == {"a", "b", "c"}
+        assert tg.deps == frozenset(tg.data_size) == {("a", "b"), ("a", "c")}
+        assert TaskGraph.from_costs(tg.compute_cost, tg.data_size) == tg
+
+    def test_replace_rebuilds_a_consistent_graph(self):
+        tg = TaskGraph({"a": 1.0, "b": 2.0}, {("a", "b"): 1.0})
+        grown = dataclasses.replace(
+            tg,
+            compute_cost={"a": 1.0, "b": 2.0, "c": 4.0},
+            data_size={("c", "a"): 0.5, ("a", "b"): 1.0},
+        )
+        assert grown.tasks == {"a", "b", "c"}
+        assert grown.deps == {("c", "a"), ("a", "b")}
+        assert grown.successors("c") == ("a",)
+        assert grown.predecessors("a") == ("c",)
+        assert topological_order(grown) == ("c", "a", "b")
+        assert topological_order(tg) == ("a", "b")
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        inst = random_instance(np.random.default_rng(8), min_tasks=3, min_nodes=2)
+        for again in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst)):
+            assert again == inst
+            assert again.task_graph.tasks == inst.task_graph.tasks
+            assert again.task_graph.deps == inst.task_graph.deps
+            assert topological_order(again.task_graph) == topological_order(inst.task_graph)
 
     def test_network_requires_complete_links(self):
         with pytest.raises(ValueError, match="every unordered pair"):
@@ -305,6 +322,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match="self-link"):
             Network(
                 nodes=frozenset({"n0"}), speed={"n0": 1.0}, strength={("n0", "n0"): 1.0}
+            )
+
+    def test_network_rejects_a_reversed_link_key(self):
+        with pytest.raises(ValueError, match="keyed by the sorted id pair"):
+            Network(
+                nodes=frozenset({"n0", "n1"}),
+                speed={"n0": 1.0, "n1": 1.0},
+                strength={("n1", "n0"): 1.0},
             )
 
     def test_single_node_network_has_no_links(self):
@@ -356,12 +381,84 @@ class TestJson:
         with pytest.raises(ValueError, match="^wrong JSON shape in schedule entries: "):
             schedule_from_dict(wrong_shape_schedule(case))
 
+    def test_reversed_link_loads_equal_to_the_sorted_one(self):
+        data = ab_instance_dict()
+        flipped = copy.deepcopy(data)
+        link = flipped["network"]["links"][0]
+        link["u"], link["v"] = link["v"], link["u"]
+        assert (link["u"], link["v"]) == ("n1", "n0")
+        assert instance_from_dict(flipped) == instance_from_dict(data)
+        assert instance_to_dict(instance_from_dict(flipped)) == data
+
+    def test_link_listed_both_ways_is_a_duplicate(self):
+        data = ab_instance_dict()
+        link = data["network"]["links"][0]
+        data["network"]["links"].append({**link, "u": link["v"], "v": link["u"]})
+        with pytest.raises(ValueError, match="duplicate link"):
+            instance_from_dict(data)
+
+    def test_instance_file_bytes_are_frozen(self, tmp_path):
+        path = tmp_path / "i.json"
+        save_instance(instance_from_dict(FIXED_INSTANCE_SOURCE), path)
+        assert path.read_bytes() == FIXED_INSTANCE_FILE
+        assert instance_to_dict(load_instance(path)) == json.loads(FIXED_INSTANCE_FILE)
+
     def test_serialization_is_stable(self):
         rng = np.random.default_rng(7)
         inst = random_instance(rng)
         a = json.dumps(instance_to_dict(inst), indent=2)
         b = json.dumps(instance_to_dict(inst), indent=2)
         assert a == b
+
+
+#: Instance source for the instance byte pin: tasks out of id order, an int
+#: cost, a non-ASCII id and the link (n0, n2) written as (n2, n0).
+FIXED_INSTANCE_SOURCE = {
+    "network": {
+        "nodes": [
+            {"id": "n0", "speed": 1.0},
+            {"id": "n1", "speed": 2.5},
+            {"id": "n2", "speed": 0.30000000000000004},
+        ],
+        "links": [
+            {"u": "n0", "v": "n1", "strength": 1.0},
+            {"u": "n2", "v": "n0", "strength": 0.5},
+            {"u": "n1", "v": "n2", "strength": 1e16},
+        ],
+    },
+    "task_graph": {
+        "tasks": [
+            {"id": "b", "cost": 2},
+            {"id": "a", "cost": 0.1},
+            {"id": "t\u00e2che", "cost": 3.0},
+        ],
+        "deps": [
+            {"src": "a", "dst": "b", "size": 1.5},
+            {"src": "a", "dst": "t\u00e2che", "size": 4.0},
+        ],
+    },
+}
+
+#: ``save_instance`` output for :data:`FIXED_INSTANCE_SOURCE`; the instance
+#: file format is frozen, so these bytes must not change.
+FIXED_INSTANCE_FILE = (
+    b'{\n  "network": {\n    "nodes": [\n'
+    b'      {\n        "id": "n0",\n        "speed": 1.0\n      },\n'
+    b'      {\n        "id": "n1",\n        "speed": 2.5\n      },\n'
+    b'      {\n        "id": "n2",\n        "speed": 0.30000000000000004\n      }\n'
+    b'    ],\n    "links": [\n'
+    b'      {\n        "u": "n0",\n        "v": "n1",\n        "strength": 1.0\n      },\n'
+    b'      {\n        "u": "n0",\n        "v": "n2",\n        "strength": 0.5\n      },\n'
+    b'      {\n        "u": "n1",\n        "v": "n2",\n        "strength": 1e+16\n      }\n'
+    b'    ]\n  },\n  "task_graph": {\n    "tasks": [\n'
+    b'      {\n        "id": "a",\n        "cost": 0.1\n      },\n'
+    b'      {\n        "id": "b",\n        "cost": 2.0\n      },\n'
+    b'      {\n        "id": "t\\u00e2che",\n        "cost": 3.0\n      }\n'
+    b'    ],\n    "deps": [\n'
+    b'      {\n        "src": "a",\n        "dst": "b",\n        "size": 1.5\n      },\n'
+    b'      {\n        "src": "a",\n        "dst": "t\\u00e2che",\n        "size": 4.0\n      }\n'
+    b"    ]\n  }\n}\n"
+)
 
 
 #: ``save_schedule`` output for :meth:`TestScheduleEntry.fixed_schedule`;
