@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Hashable, Iterable, Sequence
 
-from .datagen import Dataset
+from .datagen import Dataset, _split_dataset_name
 from .model import ProblemInstance, Schedule, TaskId, makespan
 from .priority import PriorityKind
 from .scheduler import (
@@ -62,7 +62,7 @@ CONFIG_PARAMETERS: dict[str, tuple[str, ...]] = {
     "sufferage": ("False", "True"),
 }
 
-#: Extra grouping keys derived from dataset names like "in_trees_ccr_0.2".
+#: Extra grouping keys read from dataset names like "in_trees_ccr_0.2" by datagen.
 DERIVED_PARAMETERS = ("dataset_type", "ccr")
 
 
@@ -156,16 +156,13 @@ def run_benchmark(
         for idx, instance in enumerate(ds.instances):
             for name, config in configs:
                 try:
-                    first, runtime = _time_one(instance, config)
-                    ms = makespan(first)
-                    runtimes = [runtime]
-                    for _ in range(timing_repeats - 1):
-                        runtimes.append(_time_one(instance, config)[1])
+                    runs = [_time_one(instance, config) for _ in range(timing_repeats)]
                 except Exception as exc:  # record the failure; the sweep continues
                     ms = runtime = math.nan
                     error = f"{type(exc).__name__}: {exc}"
                 else:
-                    runtime = statistics.median(runtimes)
+                    ms = makespan(runs[0][0])
+                    runtime = statistics.median(seconds for _, seconds in runs)
                     error = None
                 records.append(BenchmarkRecord(ds.name, idx, name, ms, runtime, error))
     return records
@@ -250,21 +247,18 @@ def _levels_of(rows: Sequence[RatioRow], parameter: str) -> list[str]:
     """Each row's level of ``parameter``; each distinct name resolves once."""
     if parameter in CONFIG_PARAMETERS:
         names = [row.scheduler for row in rows]
-        values = {n: getattr(config_by_name(n), parameter) for n in dict.fromkeys(names)}
-        levels = {n: v.value if hasattr(v, "value") else str(v) for n, v in values.items()}
+
+        def level(name: str) -> str:
+            value = getattr(config_by_name(name), parameter)
+            return str(getattr(value, "value", value))  # an enum's value or a bool
     elif parameter in DERIVED_PARAMETERS:
         names = [row.dataset for row in rows]
-        levels = {}
-        for name in dict.fromkeys(names):
-            if "_ccr_" not in name:
-                raise ValueError(
-                    f"dataset name {name!r} does not encode a CCR; "
-                    f"cannot derive {parameter!r}"
-                )
-            kind, _, ccr = name.partition("_ccr_")
-            levels[name] = kind if parameter == "dataset_type" else ccr
+
+        def level(name: str) -> str:
+            return _split_dataset_name(name)[DERIVED_PARAMETERS.index(parameter)]
     else:
         raise ValueError(f"unknown parameter {parameter!r}")
+    levels = {name: level(name) for name in dict.fromkeys(names)}
     return [levels[name] for name in names]
 
 
@@ -441,16 +435,20 @@ def read_results_csv(path: str | Path) -> list[BenchmarkRecord]:
                     raise ValueError(
                         f"line {reader.line_num}: {len(row)} fields, the header has {width}"
                     )
+                try:
+                    index = int(row[i])
+                    span = float(row[m]) if row[m] else math.nan
+                    runtime = float(row[r]) if row[r] else math.nan
+                except ValueError as exc:
+                    raise ValueError(f"line {reader.line_num}: {exc}") from None
                 error = (row[e] or None) if e is not None else None
-                span = float(row[m]) if row[m] else math.nan
-                runtime = float(row[r]) if row[r] else math.nan
                 if error is None and not (0 <= span < math.inf and 0 <= runtime < math.inf):
                     raise ValueError(
                         f"line {reader.line_num} ({row[d]}, {row[i]}, {row[s]}) has no error "
                         f"but makespan {row[m]!r} and runtime {row[r]!r}; "
                         "both must be finite and >= 0"
                     )
-                records.append(BenchmarkRecord(row[d], int(row[i]), row[s], span, runtime, error))
+                records.append(BenchmarkRecord(row[d], index, row[s], span, runtime, error))
         except csv.Error as exc:
             raise ValueError(f"line {reader.line_num}: {exc}") from None
     return records

@@ -9,12 +9,12 @@ cached between calls, so a call costs what it costs in a new process.
 
 Exit codes: 0 on success, 1 on domain errors (invalid schedule, unknown
 scheduler name, malformed instance, dataset or results files, JSON of
-the wrong shape, results that cannot be normalized), 2 on usage or IO
-errors.  No command catches an error: each stage runs in
-``_fails_as(prefix)``, which turns a ``ValueError``, ``KeyError`` or
-``OverflowError`` into a prefixed ``_Failure``; ``main`` alone prints
-it (exit 1) or an ``OSError`` (``IO error: ...``, exit 2).  All
-randomness enters through explicit --seed flags.
+the wrong shape, a schedule whose times overflow, results that cannot
+be normalized), 2 on usage or IO errors.  No command catches an error:
+each stage runs in ``_fails_as(prefix)``, which turns a ``ValueError``,
+``KeyError`` or ``OverflowError`` into a prefixed ``_Failure``; ``main``
+alone prints it (exit 1) or an ``OSError`` (``IO error: ...``, exit 2).
+All randomness enters through explicit --seed flags.
 """
 
 from __future__ import annotations
@@ -144,7 +144,8 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         config = _config(args.scheduler)
     with _fails_as("invalid instance file: "):
         instance = model.load_instance(args.instance)
-    result = scheduler.schedule(instance, config)
+    with _fails_as("cannot schedule: "):
+        result = scheduler.schedule(instance, config)
     model.save_schedule(result, args.out)
     print(repr(model.makespan(result)))
     return EXIT_OK
@@ -182,9 +183,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     for dir_path in args.datasets:
         with _fails_as(f"invalid dataset {dir_path}: "):
             datasets.append(datagen.load_dataset(dir_path))
-    records = bench.run_benchmark(
-        datasets, configs, timing_repeats=args.repeats, jobs=args.jobs
-    )
+    records = bench.run_benchmark(datasets, configs, timing_repeats=args.repeats)
     with _fails_as("cannot normalize results: "):
         ratios = bench.compute_ratios(records)
     bench.write_results_csv(args.out, records, ratios)

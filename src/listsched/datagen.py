@@ -9,7 +9,10 @@ Every weight is drawn from a Gaussian with mean 1 and standard deviation
 speed, strength or cost would make timing degenerate.
 
 After generation the network strengths are rescaled multiplicatively so
-the instance hits a target communication-to-computation ratio exactly.
+the instance hits a target communication-to-computation ratio exactly;
+the ratio uses the network averages of :mod:`listsched.priority`.  A
+dataset is named ``{kind}_ccr_{ccr:g}``, and this module alone writes
+and reads that name.
 All randomness flows through numpy generators seeded per instance by
 spawning a named seed sequence, so datasets are pure functions of their
 parameters and individual instances could be drawn in parallel.
@@ -27,6 +30,7 @@ import numpy as np
 
 from .model import Network, ProblemInstance, TaskGraph, load_instance, save_instance
 from .model import _count, _id, _json_shape
+from .priority import _mean_recip_speed, _mean_recip_strength
 
 #: The CCR levels studied in the component benchmarks.
 STANDARD_CCRS = (0.2, 0.5, 1.0, 2.0, 5.0)
@@ -80,17 +84,11 @@ def gen_tree(rng: np.random.Generator, kind: GraphKind) -> TaskGraph:
     names = [f"t{i:03d}" for i in range(n)]
     costs = {name: sample_weight(rng) for name in names}
     sizes: dict[tuple[str, str], float] = {}
-    # node i's children are branching*i + 1 ... branching*i + branching
-    for parent in range(n):
-        for k in range(1, branching + 1):
-            child = branching * parent + k
-            if child >= n:
-                break
-            if kind is GraphKind.OUT_TREES:
-                edge = (names[parent], names[child])
-            else:
-                edge = (names[child], names[parent])
-            sizes[edge] = sample_weight(rng)
+    # heap order: node i's children are branching*i + 1 ... branching*i + branching
+    for child in range(1, n):
+        parent = names[(child - 1) // branching]
+        edge = (parent, names[child]) if kind is GraphKind.OUT_TREES else (names[child], parent)
+        sizes[edge] = sample_weight(rng)
     return TaskGraph.from_costs(costs, sizes)
 
 
@@ -143,11 +141,9 @@ def ccr(instance: ProblemInstance) -> float:
         raise ValueError("CCR undefined: task graph has no dependencies")
     if not net.strength:
         raise ValueError("CCR undefined: single-node network has no links")
-    mean_size = sum(tg.data_size.values()) / len(tg.data_size)
-    mean_recip_strength = sum(1.0 / s for s in net.strength.values()) / len(net.strength)
-    mean_cost = sum(tg.compute_cost.values()) / len(tg.compute_cost)
-    mean_recip_speed = sum(1.0 / s for s in net.speed.values()) / len(net.speed)
-    return (mean_size * mean_recip_strength) / (mean_cost * mean_recip_speed)
+    comm = sum(tg.data_size.values()) / len(tg.data_size) * _mean_recip_strength(instance)
+    comp = sum(tg.compute_cost.values()) / len(tg.compute_cost) * _mean_recip_speed(instance)
+    return comm / comp
 
 
 def scale_to_ccr(instance: ProblemInstance, target: float) -> ProblemInstance:
@@ -166,6 +162,21 @@ def scale_to_ccr(instance: ProblemInstance, target: float) -> ProblemInstance:
 
 def dataset_name(kind: GraphKind, target_ccr: float) -> str:
     return f"{kind.value}_ccr_{target_ccr:g}"
+
+
+def _split_dataset_name(name: str) -> tuple[str, str]:
+    """The dataset type and CCR texts of a name as :func:`dataset_name` writes it.
+
+    The type is the text before the first ``_ccr_``; the CCR, the text
+    after it, must read as a positive number.
+    """
+    kind, _, ccr = name.partition("_ccr_")
+    try:
+        if float(ccr) > 0:  # a name without _ccr_ leaves "", which float() rejects
+            return kind, ccr
+    except ValueError:
+        pass
+    raise ValueError(f"dataset name {name!r} is not a type, _ccr_ and a positive CCR")
 
 
 def gen_dataset(params: GenParams) -> Dataset:

@@ -139,9 +139,6 @@ class Network:
         object.__setattr__(self, "nodes", frozenset(self.nodes))
         if not self.nodes:
             raise ValueError("network has no nodes")
-        for u, v in self.strength:
-            if u == v:
-                raise ValueError(f"self-link on node {u!r}")
         object.__setattr__(self, "strength", dict(self.strength))
         object.__setattr__(self, "speed", dict(self.speed))
         object.__setattr__(self, "_order", tuple(sorted(self.nodes)))
@@ -152,11 +149,15 @@ class Network:
         expected = {
             (u, v) for i, u in enumerate(self._order) for v in self._order[i + 1 :]
         }
-        if set(self.strength) != expected:
-            raise ValueError(
-                "strength must cover every unordered pair of distinct nodes, "
-                "keyed by the sorted id pair"
-            )
+        cover = ("strength must cover every unordered pair of distinct nodes, "
+                 "keyed by the sorted id pair")
+        for u, v in self.strength:
+            if u == v:
+                raise ValueError(f"self-link on node {u!r}")
+            if (u, v) not in expected:
+                raise ValueError(f"{cover}; {(u, v)!r} is not such a pair")
+        if len(self.strength) != len(expected):
+            raise ValueError(f"{cover}; {min(expected - self.strength.keys())!r} is missing")
         _check_positive("strength", self.strength)
 
     def node_order(self) -> tuple[NodeId, ...]:
@@ -165,10 +166,21 @@ class Network:
 
 @dataclass(frozen=True, eq=True)
 class ProblemInstance:
-    """A network/task-graph pair to be scheduled."""
+    """A network/task-graph pair to be scheduled.
+
+    Every execution time, cost over speed, must be finite.  Division rounds
+    monotonically, so the largest cost over the smallest speed bounds them all.
+    """
 
     network: Network
     task_graph: TaskGraph
+
+    def __post_init__(self) -> None:
+        cost, speed = self.task_graph.compute_cost, self.network.speed
+        if cost and not math.isfinite(max(cost.values()) / min(speed.values())):
+            task, node = max(cost, key=cost.get), min(speed, key=speed.get)
+            raise ValueError(f"execution time of task {task!r} on node {node!r} is not finite: "
+                             f"cost {cost[task]!r} over speed {speed[node]!r}")
 
 
 @dataclass(frozen=True, eq=True, slots=True, init=False)
@@ -312,7 +324,7 @@ def validate_schedule(instance: ProblemInstance, schedule: Schedule) -> list[Vio
         actual = entry.end - entry.start
         # start + duration rounds to an ulp of end, which may swallow a short duration
         tolerance = DURATION_RTOL * max(1.0, expected) + math.ulp(entry.end)
-        if not (math.isfinite(actual) and abs(actual - expected) <= tolerance):
+        if not abs(actual - expected) <= tolerance:
             violations.append(
                 Violation(
                     ViolationKind.WRONG_DURATION,

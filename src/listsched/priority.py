@@ -9,8 +9,12 @@ average is zero (there are no links and no transfers).
 
 The upward rank of a task is the heaviest average-weighted path from the
 task to any sink, inclusive; the downward rank is the heaviest path from
-any source to the task, exclusive.  Their sum is maximized exactly on the
-critical path.
+any source to the task, exclusive.  Their sum, the CPoP priority, is
+maximized exactly on the critical path.
+
+This module states both averages and the sum once: ``datagen.ccr``
+reads the same averages, and the scheduler's critical path over upward
+ranks reuses the sum.
 """
 
 from __future__ import annotations
@@ -82,6 +86,12 @@ def downward_rank(instance: ProblemInstance) -> dict[TaskId, float]:
     return ranks
 
 
+def _cpop_sum(instance: ProblemInstance, up: dict[TaskId, float]) -> dict[TaskId, float]:
+    """The CPoP priority: ``up``, the upward ranks, plus the downward ranks."""
+    down = downward_rank(instance)
+    return {t: up[t] + down[t] for t in instance.task_graph.tasks}
+
+
 def priority_map(instance: ProblemInstance, kind: PriorityKind) -> dict[TaskId, float]:
     """Priority value per task for the given prioritization scheme.
 
@@ -93,9 +103,7 @@ def priority_map(instance: ProblemInstance, kind: PriorityKind) -> dict[TaskId, 
     if kind is PriorityKind.UPWARD_RANKING:
         return upward_rank(instance)
     if kind is PriorityKind.CPOP_RANKING:
-        up = upward_rank(instance)
-        down = downward_rank(instance)
-        return {t: up[t] + down[t] for t in tg.tasks}
+        return _cpop_sum(instance, upward_rank(instance))
     if kind is PriorityKind.ARBITRARY_TOPOLOGICAL:
         order = topological_order(tg)
         n = len(order)

@@ -6,7 +6,8 @@ finding, whether critical-path tasks are reserved for the fastest node,
 and whether the top two queued tasks are arbitrated by sufferage.  The
 full cross product yields 72 schedulers, each with a stable canonical
 name (for example ``EFT_Ins_UR_Suf``); four of them carry the classic
-aliases HEFT, MCT, MET and Sufferage.
+aliases HEFT, MCT, MET and Sufferage.  The table of all 72, by name and
+alias, is built once at import; lookups read it.
 
 The scheduler repeatedly takes the highest-priority task whose
 predecessors are all placed.  Working from the ready set (rather than the
@@ -22,7 +23,8 @@ sufferage value and the runner-up node.  A sufferage loser's pass is
 reused at the next step when the placement in between cannot change it.
 The CPoP ranks are computed once per call: a critical-path config whose
 priority is CPoPRanking takes its critical path from its priority map,
-and one whose priority is UpwardRanking adds the downward ranks to it.
+and one whose priority is UpwardRanking hands its upward ranks to the
+priority module's CPoP sum.
 Nothing is cached across calls, so every timed run pays for its own
 set-up.
 """
@@ -34,7 +36,7 @@ import itertools
 from dataclasses import dataclass
 
 from .model import ProblemInstance, Schedule, TaskId, topological_order
-from .priority import PriorityKind, critical_path_tasks, downward_rank, priority_map
+from .priority import PriorityKind, _cpop_sum, critical_path_tasks, priority_map
 from .selection import CompareKind, _PlacementState
 
 
@@ -83,32 +85,27 @@ def canonical_name(config: SchedulerConfig) -> str:
     return "_".join(parts)
 
 
+#: Every configuration by canonical name, in the pinned product order.
+_BY_CANONICAL: dict[str, SchedulerConfig] = {
+    canonical_name(config): config
+    for config in itertools.starmap(SchedulerConfig, itertools.product(
+        PriorityKind, CompareKind, (False, True), (False, True), (False, True)))
+}
+_BY_NAME = {**_BY_CANONICAL, **ALIASES}
+_ALIAS_OF = {config: alias for alias, config in ALIASES.items()}
+
+
 def enumerate_configs() -> list[tuple[str, SchedulerConfig]]:
-    """All 72 (canonical name, config) pairs in deterministic order."""
-    out = []
-    for priority, cmp_kind, append_only, critical, suff in itertools.product(
-        PriorityKind, CompareKind, (False, True), (False, True), (False, True)
-    ):
-        config = SchedulerConfig(priority, cmp_kind, append_only, critical, suff)
-        out.append((canonical_name(config), config))
-    return out
+    """All 72 (canonical name, config) pairs in deterministic order, as a new list."""
+    return list(_BY_CANONICAL.items())
 
 
 def alias_of(config: SchedulerConfig) -> str | None:
-    for alias, aliased in ALIASES.items():
-        if aliased == config:
-            return alias
-    return None
-
-
-_BY_NAME: dict[str, SchedulerConfig] = {}
+    return _ALIAS_OF.get(config)
 
 
 def config_by_name(name: str) -> SchedulerConfig:
     """Look up a configuration by canonical name or classic alias."""
-    if not _BY_NAME:
-        _BY_NAME.update(enumerate_configs())
-        _BY_NAME.update(ALIASES)
     try:
         return _BY_NAME[name]
     except KeyError:
@@ -147,9 +144,7 @@ def schedule(instance: ProblemInstance, config: SchedulerConfig) -> Schedule:
         if config.initial_priority is PriorityKind.CPOP_RANKING:
             cpop = priorities
         elif config.initial_priority is PriorityKind.UPWARD_RANKING:
-            # the CPoP map's own sum, with the upward ranks already at hand
-            down = downward_rank(instance)
-            cpop = {t: priorities[t] + down[t] for t in tg.tasks}
+            cpop = _cpop_sum(instance, priorities)  # the upward ranks are at hand
         cp_tasks = frozenset(critical_path_tasks(instance, cpop))
 
     append_only, compare = config.append_only, config.compare

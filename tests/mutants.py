@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Mutant kill-matrix for the placement engine, scheduler, schedule entry and results reader.
+"""Mutant kill-matrix: placement engine, scheduler, model, results reader, dataset names.
 
 Run from the root of a checkout, with pytest and hypothesis installed::
 
@@ -36,6 +36,7 @@ SELECTION = "src/listsched/selection.py"
 SCHEDULER = "src/listsched/scheduler.py"
 MODEL = "src/listsched/model.py"
 BENCH = "src/listsched/bench.py"
+DATAGEN = "src/listsched/datagen.py"
 
 UNPRUNED = "tests/test_selection.py::TestPlacementState::test_best_equals_an_unpruned_pass"
 READY_TIMES = "tests/test_selection.py::TestPlacementState::test_ready_times_equal_the_spec_bit_for_bit"
@@ -197,6 +198,20 @@ MUTANTS = [
         "                    )\n",
         "",
         (ANALYZE,),
+    ),
+    Mutant(
+        "execution-time bound dropped",
+        MODEL,
+        "if cost and not math.isfinite(",
+        "if False and not math.isfinite(",
+        ("tests/test_model.py::TestConstruction::test_overflowing_execution_time_is_rejected",),
+    ),
+    Mutant(
+        "dataset type and CCR swapped in the name codec",
+        DATAGEN,
+        "            return kind, ccr\n",
+        "            return ccr, kind\n",
+        ("tests/test_datagen.py::TestDatasetName",),
     ),
     Mutant(
         "results reader not strict",

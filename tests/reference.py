@@ -165,8 +165,12 @@ def reference_read_results_csv(path):
                 raise ValueError(f"missing column(s): {', '.join(missing)}")
             for row in reader:
                 error = row.get("error") or None
-                span = float(row["makespan"]) if row["makespan"] else math.nan
-                runtime = float(row["runtime_seconds"]) if row["runtime_seconds"] else math.nan
+                try:
+                    index = int(row["instance"])
+                    span = float(row["makespan"]) if row["makespan"] else math.nan
+                    runtime = float(row["runtime_seconds"]) if row["runtime_seconds"] else math.nan
+                except ValueError as exc:
+                    raise ValueError(f"line {reader.line_num}: {exc}") from None
                 if error is None and not (0 <= span < math.inf and 0 <= runtime < math.inf):
                     raise ValueError(
                         f"line {reader.line_num} ({row['dataset']}, {row['instance']}, "
@@ -176,7 +180,7 @@ def reference_read_results_csv(path):
                 records.append(
                     BenchmarkRecord(
                         dataset=row["dataset"],
-                        instance_index=int(row["instance"]),
+                        instance_index=index,
                         scheduler=row["scheduler"],
                         makespan=span,
                         runtime_seconds=runtime,

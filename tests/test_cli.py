@@ -285,6 +285,54 @@ class TestValidate:
         assert out.err == f"invalid input: entry for 'A' has a non-finite time: {shown}\n"
 
 
+class TestOverflowingExecutionTime:
+    """A task whose run, or whose chain of runs, outlasts the largest float is exit 1."""
+
+    @staticmethod
+    def write_chain(path, costs, speed):
+        tasks = sorted(costs)
+        path.write_text(json.dumps({
+            "network": {"nodes": [{"id": "n0", "speed": speed}], "links": []},
+            "task_graph": {
+                "tasks": [{"id": t, "cost": costs[t]} for t in tasks],
+                "deps": [{"src": a, "dst": b, "size": 1.0} for a, b in zip(tasks, tasks[1:])],
+            },
+        }))
+        return path
+
+    MESSAGE = "execution time of task 'a' on node 'n0' is not finite: cost 1e+308 over speed 1e-10"
+
+    def test_validate_rejects_the_instance(self, tmp_path, capsys):
+        # the duration tolerance used to be inf, so a 1-unit entry was valid, exit 0
+        instance = self.write_chain(tmp_path / "instance.json", {"a": 1e308}, 1e-10)
+        sched = tmp_path / "sched.json"
+        sched.write_text(json.dumps({"entries": [
+            {"task": "a", "node": "n0", "start": 0.0, "end": 1.0},
+        ]}))
+        assert main(["validate", "--instance", str(instance), "--schedule", str(sched)]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"invalid input: {self.MESSAGE}\n"
+
+    def test_schedule_rejects_the_instance(self, tmp_path, capsys):
+        # used to die with a ValueError traceback from ScheduleEntry
+        instance = self.write_chain(tmp_path / "instance.json", {"a": 1e308}, 1e-10)
+        out = tmp_path / "out.json"
+        assert main(["schedule", "--instance", str(instance), "--scheduler", "HEFT",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"invalid instance file: {self.MESSAGE}\n"
+        assert not out.exists()
+
+    def test_an_overflowing_chain_cannot_be_scheduled(self, tmp_path, capsys):
+        instance = self.write_chain(tmp_path / "instance.json", {"a": 1e308, "b": 1e308}, 1.0)
+        out = tmp_path / "out.json"
+        assert main(["schedule", "--instance", str(instance), "--scheduler", "HEFT",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "cannot schedule: entry for 'b' has a non-finite time: 1e+308 to inf\n"
+        )
+        assert not out.exists()
+
+
 class TestBenchmark:
     def test_subset_of_schedulers(self, dataset_dir, tmp_path):
         out = tmp_path / "results.csv"
@@ -493,6 +541,30 @@ class TestAnalyze:
         assert main(["analyze", "--results", str(src), "--mode", "ratios",
                      "--out", str(tmp_path / "ratios.csv")]) == 1
         assert "'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column, cell, message", [
+        (1, "x", "line 2: invalid literal for int() with base 10: 'x'"),
+        (3, "abc", "line 2: could not convert string to float: 'abc'"),
+    ])
+    def test_unparsable_cell_names_its_line(self, tmp_path, capsys, column, cell, message):
+        row = ["d", 0, "A", 1.0, 0.001, "", "", ""]
+        row[column] = cell
+        src = tmp_path / "bad.csv"
+        self.write_results(src, [row])
+        assert main(["analyze", "--results", str(src), "--mode", "ratios",
+                     "--out", str(tmp_path / "ratios.csv")]) == 1
+        assert capsys.readouterr().err == f"invalid results file: {message}\n"
+
+    def test_non_numeric_ccr_names_the_dataset(self, tmp_path, capsys):
+        # float() of the CCR text used to fail without naming the dataset
+        src = tmp_path / "ccr.csv"
+        self.write_results(src, [["x_ccr_abc", 0, name, 1.0, 0.001, "", "", ""]
+                                 for name, _ in enumerate_configs()])
+        assert main(["analyze", "--results", str(src), "--mode", "interactions",
+                     "--params", "compare,ccr", "--out", str(tmp_path / "i.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("analysis failed: dataset name 'x_ccr_abc' is not ")
+        assert err.count("\n") == 1
 
     def test_field_over_the_csv_limit_is_domain_error(self, tmp_path, capsys):
         # csv.Error used to escape read_results_csv with a traceback

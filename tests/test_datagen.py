@@ -1,3 +1,4 @@
+import hashlib
 import sys
 
 import numpy as np
@@ -17,7 +18,7 @@ from listsched import (
     save_dataset,
     scale_to_ccr,
 )
-from listsched.datagen import STANDARD_CCRS, gen_task_graph
+from listsched.datagen import STANDARD_CCRS, _split_dataset_name, dataset_name, gen_task_graph
 from listsched.model import topological_order
 
 from conftest import mk_instance
@@ -152,6 +153,40 @@ class TestCcr:
         inst = mk_instance({"a": 1.0}, {}, {"n0": 1.0, "n1": 1.0})
         with pytest.raises(ValueError, match="no dependencies"):
             ccr(inst)
+
+    def test_generated_ccrs_are_pinned_bit_for_bit(self):
+        # float.hex of the unscaled CCR of 60 generated instances
+        digest = hashlib.sha256()
+        for seed in range(20):
+            for kind in GraphKind:
+                rng = np.random.default_rng(seed)
+                inst = ProblemInstance(gen_network(rng), gen_task_graph(rng, kind))
+                digest.update(f"{ccr(inst).hex()}\n".encode())
+        assert digest.hexdigest() == (
+            "4d9c1c8b2a1a438b7a5bd551ea3dfb193a28a435fc26d2b166d037a6bbee1b2c"
+        )
+
+
+class TestDatasetName:
+    def test_round_trips_every_kind_and_standard_ccr(self):
+        for kind in GraphKind:
+            for target in STANDARD_CCRS:
+                name = dataset_name(kind, target)
+                kind_text, ccr_text = _split_dataset_name(name)
+                assert GraphKind(kind_text) is kind
+                assert float(ccr_text) == target
+                assert f"{kind_text}_ccr_{ccr_text}" == name
+
+    def test_type_is_the_text_before_the_first_ccr_tag(self):
+        assert _split_dataset_name("d_ccr_1") == ("d", "1")
+        assert _split_dataset_name("a_b_ccr_2.5") == ("a_b", "2.5")
+
+    @pytest.mark.parametrize(
+        "name", ["chains", "chains_ccr_", "x_ccr_abc", "x_ccr_0", "x_ccr_-1", "x_ccr_nan"]
+    )
+    def test_rejects_a_name_without_a_positive_ccr(self, name):
+        with pytest.raises(ValueError, match=f"dataset name '{name}' is not"):
+            _split_dataset_name(name)
 
 
 class TestScaleToCcr:

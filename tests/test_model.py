@@ -332,6 +332,47 @@ class TestConstruction:
                 strength={("n1", "n0"): 1.0},
             )
 
+    def test_network_coverage_error_names_a_link_to_an_unknown_node(self):
+        with pytest.raises(ValueError, match=r"every unordered pair.*\('n0', 'zz'\) is not such"):
+            Network(
+                nodes=frozenset({"n0", "n1"}),
+                speed={"n0": 1.0, "n1": 1.0},
+                strength={("n0", "n1"): 1.0, ("n0", "zz"): 1.0},
+            )
+
+    def test_network_coverage_error_names_the_first_missing_pair(self):
+        with pytest.raises(ValueError, match=r"every unordered pair.*\('n0', 'n1'\) is missing"):
+            Network(
+                nodes=frozenset({"n0", "n1", "n2"}),
+                speed={"n0": 1.0, "n1": 1.0, "n2": 1.0},
+                strength={("n0", "n2"): 1.0, ("n1", "n2"): 1.0},
+            )
+
+    def test_instance_file_link_to_an_unknown_node_is_named(self):
+        data = instance_to_dict(
+            mk_instance({"a": 1.0}, {}, {"n0": 1.0, "n1": 1.0})
+        )
+        data["network"]["links"].append({"u": "n0", "v": "zz", "strength": 1.0})
+        with pytest.raises(ValueError, match=r"\('n0', 'zz'\) is not such a pair"):
+            instance_from_dict(data)
+
+    def test_overflowing_execution_time_is_rejected(self):
+        # 1e308 / 1e-10 is inf; the duration tolerance used to be inf too
+        net = Network(
+            nodes=frozenset({"n0", "n1"}),
+            speed={"n0": 1e-10, "n1": 1.0},
+            strength={("n0", "n1"): 1.0},
+        )
+        with pytest.raises(ValueError) as info:
+            ProblemInstance(net, TaskGraph({"a": 1.0, "b": 1e308}, {}))
+        assert str(info.value) == (
+            "execution time of task 'b' on node 'n0' is not finite: cost 1e+308 over speed 1e-10"
+        )
+
+    def test_largest_finite_execution_time_is_accepted(self):
+        inst = mk_instance({"a": 1.7976931348623157e308}, {}, {"n0": 1.0})
+        assert exec_time(inst, "a", "n0") == 1.7976931348623157e308
+
     def test_single_node_network_has_no_links(self):
         net = Network(nodes=frozenset({"n0"}), speed={"n0": 1.0}, strength={})
         assert net.node_order() == ("n0",)

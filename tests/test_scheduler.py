@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -22,6 +23,7 @@ from listsched import (
     validate_schedule,
 )
 from listsched.model import schedule_to_dict, topological_order
+from listsched.scheduler import alias_of
 from listsched.datagen import GenParams, GraphKind, gen_dataset
 
 from conftest import layered_dag, mk_instance, random_instance
@@ -64,6 +66,29 @@ class TestEnumeration:
     def test_unknown_name(self):
         with pytest.raises(KeyError, match="FOO"):
             config_by_name("FOO")
+
+    def test_pinned_product_order(self):
+        product = itertools.product(
+            PriorityKind, CompareKind, (False, True), (False, True), (False, True)
+        )
+        assert [config for _, config in ALL_CONFIGS] == [SchedulerConfig(*p) for p in product]
+        assert (ALL_CONFIGS[0][0], ALL_CONFIGS[-1][0]) == ("EFT_Ins_UR", "Quickest_App_CP_AT_Suf")
+
+    def test_each_call_returns_a_new_list(self):
+        mutated = enumerate_configs()
+        mutated.reverse()
+        mutated.pop()
+        assert enumerate_configs() == ALL_CONFIGS
+        assert enumerate_configs() is not enumerate_configs()
+
+    def test_lookups_agree_for_every_name_and_alias(self):
+        for name, config in ALL_CONFIGS:
+            alias = alias_of(config)
+            assert alias is None or config_by_name(alias) == config
+        for alias, config in ALIASES.items():
+            assert config_by_name(alias) == config
+            assert alias_of(config) == alias
+        assert sum(alias_of(config) is not None for _, config in ALL_CONFIGS) == len(ALIASES) == 4
 
 
 class TestAliases:
@@ -177,6 +202,13 @@ class TestScheduleExamples:
     def test_empty_task_graph(self):
         inst = mk_instance({}, {}, {"n0": 1.0})
         assert schedule(inst, config_by_name("HEFT")) == Schedule(())
+
+    def test_an_overflowing_chain_is_a_value_error_under_every_config(self):
+        # each task runs for 1e308, a finite time, but the chain ends past the largest float
+        inst = mk_instance({"a": 1e308, "b": 1e308}, {("a", "b"): 1.0}, {"n0": 1.0})
+        for _, config in ALL_CONFIGS:
+            with pytest.raises(ValueError, match="entry for 'b' has a non-finite time"):
+                schedule(inst, config)
 
     def test_empty_network_rejected(self):
         with pytest.raises(ValueError, match="network has no nodes"):
