@@ -6,7 +6,8 @@ first timed run; wall-clock runtimes are the median of the timed runs on
 a monotonic clock, with ``gc`` off during each run, and should be read as
 estimates.  Ratios normalize each value by the per-instance minimum over
 the schedulers benchmarked together, so 1.0 marks the best scheduler on
-that instance and every ratio is at least 1.
+that instance and every ratio is at least 1.  Effects and interactions
+are cell means over levels read off the scheduler's table and dataset names.
 
 A results CSV is read by its header row, which comes first: blank rows
 are skipped, every other row has the header's field count, and a row
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import gc
+import itertools
 import math
 import statistics
 import time
@@ -32,7 +34,6 @@ from typing import Hashable, Iterable, Sequence
 
 from .datagen import Dataset, _split_dataset_name
 from .model import ProblemInstance, Schedule, TaskId, makespan
-from .priority import PriorityKind
 from .scheduler import (
     SchedulerConfig,
     canonical_name,
@@ -53,13 +54,17 @@ RESULTS_HEADER = [
     "error",
 ]
 
-#: The five configuration parameters, with their level values in report order.
+
+def _level(config: SchedulerConfig, parameter: str) -> str:
+    """``config``'s level of ``parameter``: an enum's value, or a bool as text."""
+    value = getattr(config, parameter)
+    return str(getattr(value, "value", value))
+
+
+#: Each config field's levels, in the order the scheduler's table first shows them.
 CONFIG_PARAMETERS: dict[str, tuple[str, ...]] = {
-    "initial_priority": tuple(k.value for k in PriorityKind),
-    "compare": tuple(k.value for k in CompareKind),
-    "append_only": ("False", "True"),
-    "critical_path": ("False", "True"),
-    "sufferage": ("False", "True"),
+    field.name: tuple(dict.fromkeys(_level(c, field.name) for _, c in enumerate_configs()))
+    for field in fields(SchedulerConfig)
 }
 
 #: Extra grouping keys read from dataset names like "in_trees_ccr_0.2" by datagen.
@@ -174,32 +179,27 @@ def compute_ratios(records: Iterable[BenchmarkRecord]) -> list[RatioRow]:
     Raises ``ValueError`` when a (dataset, instance, scheduler) key occurs
     twice, since each row would then count twice in every mean.
     """
-    # per (dataset, instance): scheduler names seen, successful records and their minima
-    groups: dict[tuple[str, int], list] = {}
+    # per (dataset, instance): the scheduler names seen and the successful records
+    groups: dict[tuple[str, int], tuple[set[str], list]] = defaultdict(lambda: (set(), []))
     for record in records:
-        key = (record.dataset, record.instance_index)
-        group = groups.get(key)
-        if group is None:
-            group = groups[key] = [set(), [], math.inf, math.inf]
-        if record.scheduler in group[0]:
+        names, ok = groups[(record.dataset, record.instance_index)]
+        if record.scheduler in names:
             raise ValueError(
                 f"duplicate row for ({record.dataset!r}, {record.instance_index}, "
                 f"{record.scheduler!r})"
             )
-        group[0].add(record.scheduler)
+        names.add(record.scheduler)
         if record.error is None:
-            group[1].append(record)
-            if record.makespan < group[2]:
-                group[2] = record.makespan
-            if record.runtime_seconds < group[3]:
-                group[3] = record.runtime_seconds
+            ok.append(record)
     if not groups:
         raise ValueError("no records")
 
     rows: list[RatioRow] = []
-    for key, (_, ok, min_makespan, min_runtime) in groups.items():
+    for key, (_, ok) in groups.items():
         if not ok:
             raise ValueError(f"no successful records for {key}; cannot normalize")
+        min_makespan = min(r.makespan for r in ok)
+        min_runtime = min(r.runtime_seconds for r in ok)
         if min_makespan == 0:
             raise ValueError(f"degenerate instance {key}: minimum makespan is 0")
         if min_runtime == 0:
@@ -247,18 +247,13 @@ def _levels_of(rows: Sequence[RatioRow], parameter: str) -> list[str]:
     """Each row's level of ``parameter``; each distinct name resolves once."""
     if parameter in CONFIG_PARAMETERS:
         names = [row.scheduler for row in rows]
-
-        def level(name: str) -> str:
-            value = getattr(config_by_name(name), parameter)
-            return str(getattr(value, "value", value))  # an enum's value or a bool
+        levels = {n: _level(config_by_name(n), parameter) for n in dict.fromkeys(names)}
     elif parameter in DERIVED_PARAMETERS:
         names = [row.dataset for row in rows]
-
-        def level(name: str) -> str:
-            return _split_dataset_name(name)[DERIVED_PARAMETERS.index(parameter)]
+        part = DERIVED_PARAMETERS.index(parameter)
+        levels = {n: _split_dataset_name(n)[part] for n in dict.fromkeys(names)}
     else:
         raise ValueError(f"unknown parameter {parameter!r}")
-    levels = {name: level(name) for name in dict.fromkeys(names)}
     return [levels[name] for name in names]
 
 
@@ -281,10 +276,20 @@ def _require_full_cross_product(rows: Sequence[RatioRow]) -> None:
             )
 
 
-def _levels_for(parameter: str, observed: set[str]) -> list[str]:
-    if parameter in CONFIG_PARAMETERS:
-        return list(CONFIG_PARAMETERS[parameter])
-    return sorted(observed, key=float if parameter == "ccr" else None)
+def _cells(rows: Sequence[RatioRow], parameters: Sequence[str]) -> list[tuple]:
+    """(levels, mean makespan ratio, mean runtime ratio) per combination of levels with rows.
+
+    Combinations come in the product order of the levels: configuration levels
+    in ``CONFIG_PARAMETERS`` order, dataset types sorted, CCRs sorted as numbers.
+    """
+    columns = [_levels_of(rows, parameter) for parameter in parameters]
+    means = _group_means(rows, list(zip(*columns)))
+    orders = [
+        CONFIG_PARAMETERS.get(parameter)
+        or sorted(set(column), key=float if parameter == "ccr" else None)
+        for parameter, column in zip(parameters, columns)
+    ]
+    return [(levels, *means[levels]) for levels in itertools.product(*orders) if levels in means]
 
 
 def component_effects(rows: Sequence[RatioRow]) -> list[EffectRow]:
@@ -296,11 +301,11 @@ def component_effects(rows: Sequence[RatioRow]) -> list[EffectRow]:
     of rows and the parameter means share the grand mean.
     """
     _require_full_cross_product(rows)
-    out: list[EffectRow] = []
-    for parameter, levels in CONFIG_PARAMETERS.items():
-        means = _group_means(rows, _levels_of(rows, parameter))
-        out.extend(EffectRow(parameter, level, *means[level]) for level in levels)
-    return out
+    return [
+        EffectRow(parameter, level, mr, rr)
+        for parameter in CONFIG_PARAMETERS
+        for (level,), mr, rr in _cells(rows, (parameter,))
+    ]
 
 
 def interaction_effects(
@@ -308,24 +313,18 @@ def interaction_effects(
     parameter_a: str,
     parameter_b: str,
 ) -> list[InteractionCell]:
-    """Cell means of both ratios for every (level_a, level_b) pair.
+    """Cell means of both ratios for every (level_a, level_b) pair with rows.
 
-    ``parameter_b`` may also be ``dataset_type`` or ``ccr``, derived from
-    the dataset naming convention.
+    Either parameter may also be ``dataset_type`` or ``ccr``, derived from
+    the dataset naming convention; a level pair without rows (such as a
+    dataset type missing a CCR) is dropped.
     """
     if parameter_a == parameter_b:
         raise ValueError("interaction parameters must differ")
     _require_full_cross_product(rows)
-    keys = list(zip(_levels_of(rows, parameter_a), _levels_of(rows, parameter_b)))
-    means = _group_means(rows, keys)
-    levels_a = _levels_for(parameter_a, {a for a, _ in means})
-    levels_b = _levels_for(parameter_b, {b for _, b in means})
-    # a level pair without rows (e.g. a dataset type missing a CCR) is dropped
     return [
-        InteractionCell(parameter_a, a, parameter_b, b, *means[(a, b)])
-        for a in levels_a
-        for b in levels_b
-        if (a, b) in means
+        InteractionCell(parameter_a, a, parameter_b, b, mr, rr)
+        for (a, b), mr, rr in _cells(rows, (parameter_a, parameter_b))
     ]
 
 

@@ -179,10 +179,14 @@ def _resolve_schedulers(spec: str) -> list[tuple[str, scheduler.SchedulerConfig]
 def cmd_benchmark(args: argparse.Namespace) -> int:
     with _fails_as(""):
         configs = _resolve_schedulers(args.schedulers)
-    datasets = []
+    datasets, dirs = [], {}
     for dir_path in args.datasets:
         with _fails_as(f"invalid dataset {dir_path}: "):
             datasets.append(datagen.load_dataset(dir_path))
+            name = datasets[-1].name
+            if name in dirs:
+                raise ValueError(f"name {name!r} already belongs to {dirs[name]}")
+            dirs[name] = dir_path
     records = bench.run_benchmark(datasets, configs, timing_repeats=args.repeats)
     with _fails_as("cannot normalize results: "):
         ratios = bench.compute_ratios(records)
@@ -196,6 +200,10 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     if args.mode == "interactions" and len((args.params or "").split(",")) != 2:
         print("--mode interactions requires --params A,B", file=sys.stderr)
+        return EXIT_USAGE
+    if args.mode == "pareto" and Path(args.out).suffix == ".svg":  # the plot's path is --out
+        print(f"--mode pareto would overwrite --out {args.out} with its .svg plot",
+              file=sys.stderr)
         return EXIT_USAGE
     with _fails_as("invalid results file: "):
         records = bench.read_results_csv(args.results)

@@ -6,8 +6,9 @@ finding, whether critical-path tasks are reserved for the fastest node,
 and whether the top two queued tasks are arbitrated by sufferage.  The
 full cross product yields 72 schedulers, each with a stable canonical
 name (for example ``EFT_Ins_UR_Suf``); four of them carry the classic
-aliases HEFT, MCT, MET and Sufferage.  The table of all 72, by name and
-alias, is built once at import; lookups read it.
+aliases HEFT, MCT, MET and Sufferage, each given by its canonical name.
+The table of all 72, by name and alias, is built once at import; lookups
+read it, and ``bench`` reads its parameter levels off it.
 
 The scheduler repeatedly takes the highest-priority task whose
 predecessors are all placed.  Working from the ready set (rather than the
@@ -57,22 +58,6 @@ _PRIORITY_ABBR = {
     PriorityKind.ARBITRARY_TOPOLOGICAL: "AT",
 }
 
-#: Classic names for four of the 72 configurations.
-ALIASES: dict[str, SchedulerConfig] = {
-    "HEFT": SchedulerConfig(
-        PriorityKind.UPWARD_RANKING, CompareKind.EFT, False, False, False
-    ),
-    "MCT": SchedulerConfig(
-        PriorityKind.ARBITRARY_TOPOLOGICAL, CompareKind.EFT, True, False, False
-    ),
-    "MET": SchedulerConfig(
-        PriorityKind.ARBITRARY_TOPOLOGICAL, CompareKind.QUICKEST, True, False, False
-    ),
-    "Sufferage": SchedulerConfig(
-        PriorityKind.ARBITRARY_TOPOLOGICAL, CompareKind.EFT, True, False, True
-    ),
-}
-
 
 def canonical_name(config: SchedulerConfig) -> str:
     """Stable name, e.g. EST_Ins_CP_AT: compare, window scheme, [CP], priority, [Suf]."""
@@ -90,6 +75,12 @@ _BY_CANONICAL: dict[str, SchedulerConfig] = {
     canonical_name(config): config
     for config in itertools.starmap(SchedulerConfig, itertools.product(
         PriorityKind, CompareKind, (False, True), (False, True), (False, True)))
+}
+#: Classic names for four of the 72 configurations.
+ALIASES: dict[str, SchedulerConfig] = {
+    alias: _BY_CANONICAL[name]
+    for alias, name in (("HEFT", "EFT_Ins_UR"), ("MCT", "EFT_App_AT"),
+                        ("MET", "Quickest_App_AT"), ("Sufferage", "EFT_App_AT_Suf"))
 }
 _BY_NAME = {**_BY_CANONICAL, **ALIASES}
 _ALIAS_OF = {config: alias for alias, config in ALIASES.items()}

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Mutant kill-matrix: placement engine, scheduler, model, results reader, dataset names.
+"""Mutant kill-matrix: placement engine, scheduler, model, results reader and analysis.
 
 Run from the root of a checkout, with pytest and hypothesis installed::
 
@@ -233,6 +233,20 @@ MUTANTS = [
         'f"line {reader.line_num} ({row[d]}',
         'f"line {len(records) + 2} ({row[d]}',
         (ANALYZE, READER_REFERENCE),
+    ),
+    Mutant(
+        "runtime minimum read from the makespans",
+        BENCH,
+        "min_runtime = min(r.runtime_seconds for r in ok)",
+        "min_runtime = min(r.makespan for r in ok)",
+        ("tests/test_bench.py::TestComputeRatios",),
+    ),
+    Mutant(
+        "CCR levels sorted as text",
+        BENCH,
+        'key=float if parameter == "ccr" else None',
+        "key=None",
+        ("tests/test_bench.py::TestInteractionEffects",),
     ),
 ]
 

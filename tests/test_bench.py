@@ -8,6 +8,8 @@ import pytest
 
 from listsched import (
     BenchmarkRecord,
+    CompareKind,
+    PriorityKind,
     RatioRow,
     Schedule,
     ScheduleEntry,
@@ -24,6 +26,8 @@ from listsched import (
     schedule,
 )
 from listsched.bench import (
+    CONFIG_PARAMETERS,
+    DERIVED_PARAMETERS,
     RESULTS_HEADER,
     EffectRow,
     InteractionCell,
@@ -210,6 +214,18 @@ class TestParetoFront:
                 assert p.scheduler == points[i][0]
 
 
+def test_config_parameters_are_read_off_the_scheduler_table():
+    # the table CONFIG_PARAMETERS once spelled out by hand, keys and levels in order
+    expected = {
+        "initial_priority": tuple(k.value for k in PriorityKind),
+        "compare": tuple(k.value for k in CompareKind),
+        "append_only": ("False", "True"),
+        "critical_path": ("False", "True"),
+        "sufferage": ("False", "True"),
+    }
+    assert list(CONFIG_PARAMETERS.items()) == list(expected.items())
+
+
 class TestComponentEffects:
     def test_eft_level_mean_isolated(self):
         rows = full_grid_rows(
@@ -309,6 +325,44 @@ class TestInteractionEffects:
         rows = full_grid_rows(lambda *a: (1.0, 1.0))
         with pytest.raises(ValueError, match="must differ"):
             interaction_effects(rows, "compare", "compare")
+
+    def test_every_pair_equals_a_plain_filter_and_mean(self):
+        # "10" sorts before "2" as text; CCR levels must sort as numbers
+        levels = {**CONFIG_PARAMETERS, "dataset_type": ("chains", "out_trees"),
+                  "ccr": ("0.2", "2", "10")}
+        datasets = [f"{kind}_ccr_{ccr}" for kind in ("out_trees", "chains")
+                    for ccr in ("10", "0.2", "2")]
+        rng = np.random.default_rng(65)
+        rows = full_grid_rows(
+            lambda *a: (float(rng.uniform(1, 3)), float(rng.uniform(1, 9))), datasets=datasets
+        )
+
+        def level(row, parameter):
+            if parameter in DERIVED_PARAMETERS:
+                kind, ccr = row.dataset.split("_ccr_")
+                return kind if parameter == "dataset_type" else ccr
+            value = getattr(config_by_name(row.scheduler), parameter)
+            return str(getattr(value, "value", value))
+
+        def means(parameters, cell):
+            chosen = [r for r in rows if all(level(r, p) == v for p, v in zip(parameters, cell))]
+            return (sum(r.makespan_ratio for r in chosen) / len(chosen),
+                    sum(r.runtime_ratio for r in chosen) / len(chosen))
+
+        for a, b in itertools.permutations(levels, 2):
+            cells = interaction_effects(rows, a, b)
+            grid = list(itertools.product(levels[a], levels[b]))
+            assert [(c.level_a, c.level_b) for c in cells] == grid
+            assert {(c.parameter_a, c.parameter_b) for c in cells} == {(a, b)}
+            for c in cells:
+                assert (c.mean_makespan_ratio, c.mean_runtime_ratio) == means(
+                    (a, b), (c.level_a, c.level_b))
+        effects = component_effects(rows)
+        assert [(e.parameter, e.level) for e in effects] == [
+            (p, v) for p in CONFIG_PARAMETERS for v in levels[p]]
+        for e in effects:
+            assert (e.mean_makespan_ratio, e.mean_runtime_ratio) == means(
+                (e.parameter,), (e.level,))
 
 
 class TestBruteForce:

@@ -467,6 +467,27 @@ class TestBenchmark:
         assert "given more than once: HEFT" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("same_directory", [False, True])
+    def test_repeated_dataset_name_rejected_before_the_sweep(
+        self, dataset_dir, tmp_path, capsys, monkeypatch, same_directory
+    ):
+        # a name leaves out the seed, so two seeds used to sweep and then fail
+        # to normalize on their duplicate rows, writing nothing
+        other = dataset_dir
+        if not same_directory:
+            other = tmp_path / "seed6"
+            assert main(["generate", "--kind", "chains", "--ccr", "1", "--count", "3",
+                         "--seed", "6", "--out", str(other)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(bench, "run_benchmark", lambda *a, **k: pytest.fail("swept"))
+        out = tmp_path / "x.csv"
+        code = main(["benchmark", "--datasets", str(dataset_dir), str(other), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"invalid dataset {other}: name 'chains_ccr_1' already belongs to {dataset_dir}\n")
+        assert not out.exists()
+
 
 @pytest.fixture
 def results_csv(dataset_dir, tmp_path):
@@ -781,6 +802,18 @@ class TestAnalyze:
     def test_interactions_require_params(self, results_csv, tmp_path):
         assert main(["analyze", "--results", str(results_csv),
                      "--mode", "interactions", "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("out", ["front.svg", "plots/front.svg"])
+    def test_pareto_plot_may_not_overwrite_its_table(self, tmp_path, capsys, monkeypatch, out):
+        # the table used to be written to front.svg and then replaced by the plot
+        monkeypatch.chdir(tmp_path)
+        Path("plots").mkdir()
+        monkeypatch.setattr(bench, "read_results_csv", lambda *a: pytest.fail("read"))
+        code = main(["analyze", "--results", "missing.csv", "--mode", "pareto", "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"--mode pareto would overwrite --out {out} with its .svg plot\n")
+        assert not Path(out).exists()
 
     def test_interactions_params_checked_before_reading_results(self, tmp_path):
         # a header-only file used to fail the analysis first, exit 1
