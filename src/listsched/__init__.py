@@ -68,7 +68,6 @@ from .bench import (
     InteractionCell,
     ParetoPoint,
     RatioRow,
-    brute_force_min_makespan,
     component_effects,
     compute_ratios,
     interaction_effects,
@@ -100,7 +99,6 @@ __all__ = [
     "Violation",
     "ViolationKind",
     "Window",
-    "brute_force_min_makespan",
     "canonical_name",
     "ccr",
     "comm_time",

@@ -1,4 +1,4 @@
-"""Benchmark harness: ratios, pareto fronts, component effects, oracle.
+"""Benchmark harness: ratios, pareto fronts and component effects.
 
 Every scheduler is run on every instance of every dataset, in one serial
 pass of timed runs.  Makespans are deterministic and recorded from the
@@ -12,11 +12,6 @@ are cell means over levels read off the scheduler's table and dataset names.
 A results CSV is read by its header row, which comes first: blank rows
 are skipped, every other row has the header's field count, and a row
 without an error has a finite, non-negative makespan and runtime.
-
-The brute-force oracle enumerates all task-to-node assignments and all
-topological orders for tiny instances, timing each task at its earliest
-insertion window; it bounds from below what any scheduler in the
-parametric family can achieve.
 """
 
 from __future__ import annotations
@@ -33,7 +28,7 @@ from pathlib import Path
 from typing import Hashable, Iterable, Sequence
 
 from .datagen import Dataset, _split_dataset_name
-from .model import ProblemInstance, Schedule, TaskId, makespan
+from .model import ProblemInstance, Schedule, makespan
 from .scheduler import (
     SchedulerConfig,
     canonical_name,
@@ -41,7 +36,6 @@ from .scheduler import (
     enumerate_configs,
     schedule,
 )
-from .selection import CompareKind, _PlacementState
 
 RESULTS_HEADER = [
     "dataset",
@@ -326,59 +320,6 @@ def interaction_effects(
         InteractionCell(parameter_a, a, parameter_b, b, mr, rr)
         for (a, b), mr, rr in _cells(rows, (parameter_a, parameter_b))
     ]
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle
-# ---------------------------------------------------------------------------
-
-MAX_ORACLE_TASKS = 8
-MAX_ORACLE_NODES = 3
-
-
-def brute_force_min_makespan(instance: ProblemInstance) -> float:
-    """Exhaustive minimum makespan over the list-schedule family.
-
-    Enumerates every topological order crossed with every task-to-node
-    assignment, placing each task in its earliest insertion window on its
-    node.  The search runs depth first on one placement state: schedules
-    that share a prefix share its placements, and a branch is cut once
-    its partial makespan reaches the best complete one.  Guarded to at
-    most 8 tasks and 3 nodes.
-    """
-    tg = instance.task_graph
-    nodes = instance.network.node_order()
-    if len(tg.tasks) > MAX_ORACLE_TASKS or len(nodes) > MAX_ORACLE_NODES:
-        raise ValueError(
-            f"instance too large for brute force: {len(tg.tasks)} tasks, "
-            f"{len(nodes)} nodes"
-        )
-    if not tg.tasks:
-        return 0.0
-
-    state = _PlacementState(instance)
-    best = math.inf
-
-    def extend(indeg: dict[TaskId, int], peak: float) -> None:
-        nonlocal best
-        if not indeg:
-            best = peak
-            return
-        for t in sorted(t for t, d in indeg.items() if d == 0):
-            rest = dict(indeg)
-            del rest[t]
-            for s in tg.successors(t):
-                rest[s] -= 1
-            for v in state.all_nodes:
-                window = state.best(t, (v,), False, CompareKind.EFT)[1]
-                end = max(peak, window[1])
-                if end < best:
-                    state.place(t, v, window)
-                    extend(rest, end)
-                    state.unplace(t)
-
-    extend({t: len(tg.predecessors(t)) for t in tg.tasks}, 0.0)
-    return best
 
 
 # ---------------------------------------------------------------------------

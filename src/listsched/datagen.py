@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,8 +57,8 @@ class GenParams:
             raise ValueError(f"count is too large to seed: at most {sys.maxsize}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if not self.target_ccr > 0:
-            raise ValueError("target_ccr must be positive")
+        if not 0 < self.target_ccr < math.inf:
+            raise ValueError(f"target_ccr must be positive and finite, got {self.target_ccr!r}")
 
 
 @dataclass(frozen=True)
@@ -135,8 +136,7 @@ def gen_network(rng: np.random.Generator) -> Network:
 
 def ccr(instance: ProblemInstance) -> float:
     """Mean pairwise communication time over mean per-node execution time."""
-    tg = instance.task_graph
-    net = instance.network
+    tg, net = instance.task_graph, instance.network
     if not tg.deps:
         raise ValueError("CCR undefined: task graph has no dependencies")
     if not net.strength:
@@ -148,8 +148,8 @@ def ccr(instance: ProblemInstance) -> float:
 
 def scale_to_ccr(instance: ProblemInstance, target: float) -> ProblemInstance:
     """Rescale all link strengths so the instance's CCR equals ``target``."""
-    if not target > 0:
-        raise ValueError("target CCR must be positive")
+    if not 0 < target < math.inf:
+        raise ValueError(f"target CCR must be positive and finite, got {target!r}")
     factor = ccr(instance) / target
     net = instance.network
     scaled = Network(
@@ -168,15 +168,17 @@ def _split_dataset_name(name: str) -> tuple[str, str]:
     """The dataset type and CCR texts of a name as :func:`dataset_name` writes it.
 
     The type is the text before the first ``_ccr_``; the CCR, the text
-    after it, must read as a positive number.
+    after it, must be ``f"{x:g}"`` of a positive finite ``x``: ``1.0``,
+    ``1e999``, ``inf`` and a CCR with spaces are rejected.
     """
     kind, _, ccr = name.partition("_ccr_")
     try:
-        if float(ccr) > 0:  # a name without _ccr_ leaves "", which float() rejects
+        # a name without _ccr_ leaves "", which float() rejects
+        if 0 < (x := float(ccr)) < math.inf and f"{x:g}" == ccr:
             return kind, ccr
     except ValueError:
         pass
-    raise ValueError(f"dataset name {name!r} is not a type, _ccr_ and a positive CCR")
+    raise ValueError(f"dataset name {name!r} is not a type, _ccr_ and a positive finite CCR")
 
 
 def gen_dataset(params: GenParams) -> Dataset:

@@ -15,9 +15,8 @@ A compare kind scores a window (EFT: its end, EST: its start, Quickest:
 its length); the lower score is the better window.  :data:`COMPARE_KEYS`
 maps each kind to that score function.
 
-:class:`_PlacementState` is the one implementation of all of this.  The
-scheduler and the brute-force oracle place tasks through it; the
-oracle's depth-first search also undoes placements as it backtracks.
+:class:`_PlacementState` is the one implementation of all of this, and
+the scheduler places tasks through it.
 Its constructor compiles the instance into index form (node indices in
 ``node_order()``, a speed list, a dense strength matrix, per-task
 ``(pred, data_size)`` pairs listed in ``data_size`` order) once per
@@ -26,7 +25,7 @@ and end lists.  ``best`` is its one evaluation: a pass over the
 candidate nodes that computes each start, end and score inline and
 returns the winner's window as a plain ``(start, end)`` pair, which
 ``place`` takes back unchanged; only the public window queries wrap it
-in a :class:`Window`.  The oracle and the window queries pass one node
+in a :class:`Window`.  The window queries pass one node
 at a time.  ``best`` runs the insertion scan only where it can change
 the result; its docstring gives the rules and why they are exact.  One
 of them needs per-node state: each node keeps its last end and a no-fit
@@ -136,8 +135,8 @@ class _PlacementState:
     known threshold in O(1): it adds one gap, ``start - lasts[v]``, and
     since rounding is monotone, ``max(old, fl(gap + 2 * ulp))`` is the
     fresh threshold bit for bit as long as the ulp of the last end stays
-    the same.  An append that changes that ulp, a middle insertion (which
-    splits a gap) and ``unplace`` make the threshold unknown.
+    the same.  An append that changes that ulp and a middle insertion
+    (which splits a gap) make the threshold unknown.
     """
 
     __slots__ = (
@@ -257,18 +256,6 @@ class _PlacementState:
                 self.fit[node] = None
             elif (threshold := start - last + 2 * ulp) > no_fit:
                 self.fit[node] = threshold
-
-    def unplace(self, task: TaskId) -> None:
-        """Undo the latest ``place``, which must have placed ``task``."""
-        node, start, end = self.placed.pop(task)
-        starts = self.starts[node]
-        # everything placed since has been undone, so the entry is back in
-        # the slot place chose: first with its start if zero-length, else last
-        i = bisect_left(starts, start) if end == start else bisect_right(starts, start) - 1
-        del starts[i]
-        del self.ends[node][i]
-        self.lasts[node] = self.ends[node][-1] if starts else 0.0
-        self.fit[node] = None
 
     def to_schedule(self) -> Schedule:
         """The placed entries, in placement order."""

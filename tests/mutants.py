@@ -40,7 +40,7 @@ DATAGEN = "src/listsched/datagen.py"
 
 UNPRUNED = "tests/test_selection.py::TestPlacementState::test_best_equals_an_unpruned_pass"
 READY_TIMES = "tests/test_selection.py::TestPlacementState::test_ready_times_equal_the_spec_bit_for_bit"
-WALK = "tests/test_selection.py::TestNoFitThreshold::test_place_and_unplace_keep_lasts_and_thresholds"
+WALK = "tests/test_selection.py::TestNoFitThreshold::test_place_keeps_lasts_and_thresholds"
 LONGER_TASK = "tests/test_selection.py::TestNoFitThreshold::test_a_longer_task_fits_no_gap"
 FINGERPRINT = "tests/test_fingerprint.py::test_makespan_fingerprint"
 REFERENCE = "tests/test_properties.py::test_every_config_matches_the_reference_scheduler"
@@ -76,24 +76,10 @@ MUTANTS = [
         (WALK,),
     ),
     Mutant(
-        "threshold not reset by unplace",
-        SELECTION,
-        "if starts else 0.0\n        self.fit[node] = None\n",
-        "if starts else 0.0\n",
-        (WALK,),
-    ),
-    Mutant(
         "threshold kept across an ulp change",
         SELECTION,
         "if ulp != math.ulp(last):",
         "if False:",
-        (WALK,),
-    ),
-    Mutant(
-        "lasts not reset by unplace",
-        SELECTION,
-        "        self.lasts[node] = self.ends[node][-1] if starts else 0.0\n",
-        "",
         (WALK,),
     ),
     Mutant(
@@ -211,6 +197,13 @@ MUTANTS = [
         DATAGEN,
         "            return kind, ccr\n",
         "            return ccr, kind\n",
+        ("tests/test_datagen.py::TestDatasetName",),
+    ),
+    Mutant(
+        "CCR name text not read back through :g",
+        DATAGEN,
+        ' and f"{x:g}" == ccr:',
+        ":",
         ("tests/test_datagen.py::TestDatasetName",),
     ),
     Mutant(

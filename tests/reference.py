@@ -11,6 +11,12 @@ step, and picks nodes through ``best_two_nodes`` with these finders.  So
 ``schedule()`` agreeing with it entry for entry is a differential check
 of the engine and of every shortcut the scheduler takes.
 
+The brute-force oracle ``brute_force_min_makespan`` is the exhaustive
+list-scheduling optimum of a tiny instance.  It places every task with
+the spec-level insertion finder, so it too shares no code with the
+engine, and it bounds from below what any of the 72 configurations
+reaches.
+
 The results-table reader and writer: ``reference_read_results_csv``
 reads by column name through ``csv.DictReader``, and
 ``reference_write_table_csv`` writes ``dataclasses.astuple`` rows.
@@ -89,6 +95,54 @@ def open_window_insertion(instance, partial, node, task):
     busy = [(e.start, e.end) for e in partial.entries if e.node == node]
     start = earliest_fit(busy, ready, duration)
     return Window(start, start + duration)
+
+
+MAX_ORACLE_TASKS = 8
+MAX_ORACLE_NODES = 3
+
+
+def brute_force_min_makespan(instance):
+    """Exhaustive minimum makespan over the list-schedule family.
+
+    Enumerates every topological order crossed with every task-to-node
+    assignment, placing each task in its earliest insertion window on its
+    node.  The search runs depth first on one list of entries: schedules
+    that share a prefix share its entries, the last entry is popped as the
+    search backtracks, and a branch is cut once its partial makespan
+    reaches the best complete one.  Guarded to at most 8 tasks and 3 nodes.
+    """
+    tg = instance.task_graph
+    nodes = instance.network.node_order()
+    if len(tg.tasks) > MAX_ORACLE_TASKS or len(nodes) > MAX_ORACLE_NODES:
+        raise ValueError(
+            f"instance too large for brute force: {len(tg.tasks)} tasks, {len(nodes)} nodes"
+        )
+    if not tg.tasks:
+        return 0.0
+    entries = []
+    best = math.inf
+
+    def extend(indeg, peak):
+        nonlocal best
+        if not indeg:
+            best = peak
+            return
+        for t in sorted(t for t, d in indeg.items() if d == 0):
+            rest = dict(indeg)
+            del rest[t]
+            for s in tg.successors(t):
+                rest[s] -= 1
+            partial = Schedule(tuple(entries))
+            for v in nodes:
+                window = open_window_insertion(instance, partial, v, t)
+                end = max(peak, window.end)
+                if end < best:
+                    entries.append(ScheduleEntry(t, v, *window))
+                    extend(rest, end)
+                    entries.pop()
+
+    extend({t: len(tg.predecessors(t)) for t in tg.tasks}, 0.0)
+    return best
 
 
 def best_two_nodes(

@@ -16,7 +16,6 @@ from listsched import (
     CompareKind,
     PriorityKind,
     SchedulerConfig,
-    brute_force_min_makespan,
     ccr,
     config_by_name,
     critical_path_tasks,
@@ -33,6 +32,7 @@ from listsched.datagen import STANDARD_CCRS, GenParams, GraphKind, gen_dataset
 from listsched.model import topological_order
 
 from conftest import random_instance
+from reference import brute_force_min_makespan
 
 ALL_CONFIGS = enumerate_configs()
 INSTANCES_PER_DATASET = int(os.environ.get("ACCEPTANCE_INSTANCES", "10"))

@@ -1,5 +1,5 @@
-"""The public surface: every exported name resolves, every module attribute
-the benchmark scripts use resolves, and every demo runs."""
+"""The public surface: every exported name resolves and is used, every
+module attribute the benchmark scripts use resolves, and every demo runs."""
 
 import ast
 import importlib
@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 #: the listsched modules that perfbench imports by name
 PERFBENCH_MODULES = ("bench", "cli", "datagen", "model", "priority", "scheduler", "selection")
+PERFBENCH_FILES = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def test_all_names_resolve():
@@ -23,18 +24,21 @@ def test_all_names_resolve():
     assert missing == []
 
 
+def ast_nodes(paths: list[Path]):
+    """Every node of every file in ``paths``."""
+    for path in paths:
+        yield from ast.walk(ast.parse(path.read_text(), str(path)))
+
+
 def perfbench_module_attributes() -> set[tuple[str, str]]:
     """Every ``<module>.<attr>`` that ``perfbench/*.py`` reaches on a listsched module."""
-    used = set()
-    for path in sorted((ROOT / "perfbench").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id in PERFBENCH_MODULES
-            ):
-                used.add((node.value.id, node.attr))
-    return used
+    return {
+        (node.value.id, node.attr)
+        for node in ast_nodes(PERFBENCH_FILES)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in PERFBENCH_MODULES
+    }
 
 
 def test_perfbench_module_attributes_resolve():
@@ -46,6 +50,19 @@ def test_perfbench_module_attributes_resolve():
         if not hasattr(importlib.import_module(f"listsched.{module}"), attr)
     ]
     assert missing == []
+
+
+def test_every_export_is_reached_outside_the_package_init():
+    # a name that only __init__ re-exports is dead: each exported name must
+    # be read, as a name or an attribute, by a listsched module or perfbench
+    package = sorted((ROOT / "src" / "listsched").glob("*.py"))
+    modules = [path for path in package if path.name != "__init__.py"]
+    reached = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast_nodes(modules + PERFBENCH_FILES)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    assert sorted(set(listsched.__all__) - reached) == []
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)

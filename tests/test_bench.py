@@ -13,7 +13,6 @@ from listsched import (
     RatioRow,
     Schedule,
     ScheduleEntry,
-    brute_force_min_makespan,
     component_effects,
     compute_ratios,
     config_by_name,
@@ -40,7 +39,11 @@ from listsched.bench import (
 from listsched.datagen import GenParams, GraphKind, gen_dataset
 
 from conftest import mk_instance, random_instance
-from reference import open_window_insertion, reference_write_table_csv
+from reference import (
+    brute_force_min_makespan,
+    open_window_insertion,
+    reference_write_table_csv,
+)
 
 ALL_CONFIGS = enumerate_configs()
 
@@ -385,7 +388,7 @@ class TestBruteForce:
             brute_force_min_makespan(wide)
 
     def test_equals_unpruned_spec_level_enumeration(self):
-        # the oracle's depth-first search with pruning and undo must find
+        # the oracle's depth-first search with pruning and backtracking must find
         # exactly the minimum over every (topological order, assignment)
         # pair, each schedule rebuilt from scratch by the spec-level finder
         rng = np.random.default_rng(66)

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import sys
 
 import numpy as np
@@ -182,7 +183,12 @@ class TestDatasetName:
         assert _split_dataset_name("a_b_ccr_2.5") == ("a_b", "2.5")
 
     @pytest.mark.parametrize(
-        "name", ["chains", "chains_ccr_", "x_ccr_abc", "x_ccr_0", "x_ccr_-1", "x_ccr_nan"]
+        "name",
+        [
+            "chains", "chains_ccr_", "x_ccr_abc", "x_ccr_0", "x_ccr_-1", "x_ccr_nan",
+            # not f"{x:g}" of a positive finite x
+            "x_ccr_inf", "x_ccr_1e999", "x_ccr_1_0", "x_ccr_ 2", "x_ccr_1.0", "x_ccr_0.50",
+        ],
     )
     def test_rejects_a_name_without_a_positive_ccr(self, name):
         with pytest.raises(ValueError, match=f"dataset name '{name}' is not"):
@@ -223,6 +229,15 @@ class TestScaleToCcr:
         with pytest.raises(ValueError):
             scale_to_ccr(inst, 0.0)
 
+    @pytest.mark.parametrize("target", [math.inf, math.nan])
+    def test_rejects_non_finite_target(self, target):
+        # an infinite target would scale every strength to 0.0
+        inst = mk_instance(
+            {"a": 1.0, "b": 1.0}, {("a", "b"): 1.0}, {"n0": 1.0, "n1": 1.0}
+        )
+        with pytest.raises(ValueError, match="target CCR must be positive and finite"):
+            scale_to_ccr(inst, target)
+
 
 class TestGenDataset:
     def test_count_and_targets(self):
@@ -244,6 +259,12 @@ class TestGenDataset:
     def test_count_must_be_positive(self):
         with pytest.raises(ValueError):
             GenParams(GraphKind.CHAINS, seed=1, count=0, target_ccr=1.0)
+
+    @pytest.mark.parametrize("target", [0.0, -1.0, math.inf, -math.inf, math.nan])
+    def test_target_ccr_must_be_positive_and_finite(self, target):
+        # rejected where it enters, not as a zero link strength in gen_dataset
+        with pytest.raises(ValueError, match="target_ccr must be positive and finite"):
+            GenParams(GraphKind.CHAINS, seed=1, count=1, target_ccr=target)
 
     def test_count_must_fit_a_seed_spawn(self):
         # SeedSequence.spawn takes an ssize_t; a larger count is a ValueError

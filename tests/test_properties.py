@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from listsched import (
     Schedule,
     ScheduleEntry,
-    brute_force_min_makespan,
     config_by_name,
     enumerate_configs,
     makespan,
@@ -34,7 +33,7 @@ from listsched.model import (
 )
 
 from conftest import mk_instance
-from reference import reference_schedule
+from reference import brute_force_min_makespan, reference_schedule
 
 ALL_CONFIGS = enumerate_configs()
 

@@ -12,7 +12,6 @@ from listsched import (
     Schedule,
     SchedulerConfig,
     Window,
-    brute_force_min_makespan,
     canonical_name,
     config_by_name,
     critical_path_tasks,
@@ -27,7 +26,12 @@ from listsched.scheduler import alias_of
 from listsched.datagen import GenParams, GraphKind, gen_dataset
 
 from conftest import layered_dag, mk_instance, random_instance
-from reference import best_two_nodes, open_window_append_only, open_window_insertion
+from reference import (
+    best_two_nodes,
+    brute_force_min_makespan,
+    open_window_append_only,
+    open_window_insertion,
+)
 
 ALL_CONFIGS = enumerate_configs()
 
