@@ -37,6 +37,12 @@ from .scheduler import (
     schedule,
 )
 
+__all__ = [
+    "BenchmarkRecord", "EffectRow", "InteractionCell", "ParetoPoint", "RatioRow",
+    "component_effects", "compute_ratios", "interaction_effects", "mean_ratio_points",
+    "pareto_front", "run_benchmark",
+]
+
 RESULTS_HEADER = [
     "dataset",
     "instance",
@@ -352,8 +358,9 @@ def read_results_csv(path: str | Path) -> list[BenchmarkRecord]:
     name the last such column counts.  Blank rows are skipped.  Raises
     ``ValueError`` when a line is not strict CSV (a quoted cell left open
     or followed by text), a column is missing, a row's field count differs
-    from the header's, a value does not parse, or a row without an error
-    lacks a finite, non-negative makespan or runtime.
+    from the header's, a value does not parse, the instance is not ASCII
+    digits, a makespan or runtime is not ASCII or holds ``_``, or a row
+    without an error lacks a finite, non-negative makespan or runtime.
     """
     required = ("dataset", "instance", "scheduler", "makespan", "runtime_seconds")
     records = []
@@ -379,6 +386,12 @@ def read_results_csv(path: str | Path) -> list[BenchmarkRecord]:
                     index = int(row[i])
                     span = float(row[m]) if row[m] else math.nan
                     runtime = float(row[r]) if row[r] else math.nan
+                    numbers = row[m] + row[r]  # int and float also take '_' and non-ASCII digits
+                    if not (row[i].isdigit() and (row[i] + numbers).isascii()) or "_" in numbers:
+                        raise ValueError(
+                            f"instance {row[i]!r} must be ASCII digits, makespan {row[m]!r} "
+                            f"and runtime {row[r]!r} ASCII without '_'"
+                        )
                 except ValueError as exc:
                     raise ValueError(f"line {reader.line_num}: {exc}") from None
                 error = (row[e] or None) if e is not None else None

@@ -33,6 +33,11 @@ from .model import Network, ProblemInstance, TaskGraph, load_instance, save_inst
 from .model import _count, _id, _json_shape
 from .priority import _mean_recip_speed, _mean_recip_strength
 
+__all__ = [
+    "Dataset", "GenParams", "GraphKind", "ccr", "gen_chains", "gen_dataset", "gen_network",
+    "gen_tree", "load_dataset", "sample_weight", "save_dataset", "scale_to_ccr",
+]
+
 #: The CCR levels studied in the component benchmarks.
 STANDARD_CCRS = (0.2, 0.5, 1.0, 2.0, 5.0)
 

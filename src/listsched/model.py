@@ -22,6 +22,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping
 
+__all__ = [
+    "Network", "ProblemInstance", "Schedule", "ScheduleEntry", "TaskGraph", "Violation",
+    "ViolationKind", "comm_time", "exec_time", "load_instance", "load_schedule", "makespan",
+    "save_instance", "save_schedule", "topological_order", "validate_schedule",
+]
+
 TaskId = str
 NodeId = str
 

@@ -24,6 +24,8 @@ import math
 
 from .model import ProblemInstance, TaskId, topological_order
 
+__all__ = ["PriorityKind", "critical_path_tasks", "downward_rank", "priority_map", "upward_rank"]
+
 #: Relative tolerance for critical-path membership on summed float ranks.
 CRITICAL_PATH_RTOL = 1e-9
 

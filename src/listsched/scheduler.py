@@ -40,6 +40,11 @@ from .model import ProblemInstance, Schedule, TaskId, topological_order
 from .priority import PriorityKind, _cpop_sum, critical_path_tasks, priority_map
 from .selection import CompareKind, _PlacementState
 
+__all__ = [
+    "ALIASES", "SchedulerConfig", "canonical_name", "config_by_name", "enumerate_configs",
+    "schedule",
+]
+
 
 @dataclass(frozen=True)
 class SchedulerConfig:

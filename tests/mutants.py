@@ -221,6 +221,13 @@ MUTANTS = [
         (ANALYZE, READER_REFERENCE),
     ),
     Mutant(
+        "results number cells may hold '_'",
+        BENCH,
+        ' or "_" in numbers:',
+        ":",
+        (ANALYZE,),
+    ),
+    Mutant(
         "results row counter in place of line_num",
         BENCH,
         'f"line {reader.line_num} ({row[d]}',

@@ -33,15 +33,13 @@ from listsched import (
     CompareKind,
     Schedule,
     ScheduleEntry,
-    Window,
     comm_time,
-    compare,
     critical_path_tasks,
     exec_time,
     priority_map,
 )
 from listsched.model import NodeId, ProblemInstance, TaskId, topological_order
-from listsched.selection import COMPARE_KEYS
+from listsched.selection import COMPARE_KEYS, Window, compare
 
 WindowFinder = Callable[[ProblemInstance, Schedule, NodeId, TaskId], Window]
 
@@ -223,6 +221,14 @@ def reference_read_results_csv(path):
                     index = int(row["instance"])
                     span = float(row["makespan"]) if row["makespan"] else math.nan
                     runtime = float(row["runtime_seconds"]) if row["runtime_seconds"] else math.nan
+                    instance, cells = row["instance"], (row["makespan"], row["runtime_seconds"])
+                    if not (instance.isascii() and instance.isdigit()) or any(
+                        not cell.isascii() or "_" in cell for cell in cells
+                    ):
+                        raise ValueError(
+                            f"instance {instance!r} must be ASCII digits, makespan {cells[0]!r} "
+                            f"and runtime {cells[1]!r} ASCII without '_'"
+                        )
                 except ValueError as exc:
                     raise ValueError(f"line {reader.line_num}: {exc}") from None
                 if error is None and not (0 <= span < math.inf and 0 <= runtime < math.inf):

@@ -497,6 +497,12 @@ def results_csv(dataset_dir, tmp_path):
     return out
 
 
+def not_as_written(instance="0", span="1.0", runtime="0.001"):
+    """The reader's message for line 2 when its cells parse but break the writer's format."""
+    return (f"line 2: instance {instance!r} must be ASCII digits, makespan {span!r} "
+            f"and runtime {runtime!r} ASCII without '_'")
+
+
 class TestAnalyze:
     def test_pareto(self, results_csv, tmp_path, capsys):
         out = tmp_path / "pareto.csv"
@@ -566,6 +572,13 @@ class TestAnalyze:
     @pytest.mark.parametrize("column, cell, message", [
         (1, "x", "line 2: invalid literal for int() with base 10: 'x'"),
         (3, "abc", "line 2: could not convert string to float: 'abc'"),
+        # int() and float() read these, but the writer never writes them
+        (1, "1_0", not_as_written(instance="1_0")),
+        (1, "\u0663", not_as_written(instance="\u0663")),
+        (1, " 1", not_as_written(instance=" 1")),
+        (3, "1_0", not_as_written(span="1_0")),
+        (3, "\u0663", not_as_written(span="\u0663")),
+        (4, "0.00_1", not_as_written(runtime="0.00_1")),
     ])
     def test_unparsable_cell_names_its_line(self, tmp_path, capsys, column, cell, message):
         row = ["d", 0, "A", 1.0, 0.001, "", "", ""]

@@ -18,8 +18,6 @@ from listsched import (
     config_by_name,
     enumerate_configs,
     makespan,
-    open_window_append_only,
-    open_window_insertion,
     schedule,
     upward_rank,
     validate_schedule,
@@ -31,6 +29,7 @@ from listsched.model import (
     schedule_to_dict,
     topological_order,
 )
+from listsched.selection import open_window_append_only, open_window_insertion
 
 from conftest import mk_instance
 from reference import brute_force_min_makespan, reference_schedule

@@ -11,7 +11,6 @@ from listsched import (
     PriorityKind,
     Schedule,
     SchedulerConfig,
-    Window,
     canonical_name,
     config_by_name,
     critical_path_tasks,
@@ -23,6 +22,7 @@ from listsched import (
 )
 from listsched.model import schedule_to_dict, topological_order
 from listsched.scheduler import alias_of
+from listsched.selection import Window
 from listsched.datagen import GenParams, GraphKind, gen_dataset
 
 from conftest import layered_dag, mk_instance, random_instance

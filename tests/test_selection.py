@@ -11,16 +11,16 @@ from listsched import (
     CompareKind,
     Schedule,
     ScheduleEntry,
-    Window,
-    compare,
     enumerate_configs,
     exec_time,
-    open_window_append_only,
-    open_window_insertion,
     schedule,
 )
 from listsched.selection import (
     COMPARE_KEYS,
+    Window,
+    compare,
+    open_window_append_only,
+    open_window_insertion,
     _insertion_start,
     _no_fit_threshold,
     _PlacementState,
