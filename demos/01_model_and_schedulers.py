@@ -13,7 +13,7 @@ import listsched as ls
 # A small imaging pipeline: ingest fans out to three tile tasks, two
 # downstream stages consume overlapping tiles, publish joins everything.
 
-task_graph = ls.TaskGraph.from_costs(
+task_graph = ls.TaskGraph(
     compute_cost={
         "ingest": 1.8, "tile_a": 2.4, "tile_b": 2.1, "tile_c": 0.9,
         "stitch": 1.1, "render": 2.3, "publish": 0.4,

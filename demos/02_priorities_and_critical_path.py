@@ -15,7 +15,7 @@ instance = ls.ProblemInstance(
         speed={"fast": 2.0, "slow_node": 1.0},
         strength={("fast", "slow_node"): 1.3},
     ),
-    task_graph=ls.TaskGraph.from_costs(
+    task_graph=ls.TaskGraph(
         compute_cost={"src": 1.4, "slow": 6.6, "quick": 1.6, "sink": 0.8},
         data_size={
             ("src", "slow"): 1.2,

@@ -31,7 +31,7 @@ import numpy as np
 
 from .model import Network, ProblemInstance, TaskGraph, load_instance, save_instance
 from .model import _count, _id, _json_shape
-from .priority import _mean_recip_speed, _mean_recip_strength
+from .priority import _mean_recip
 
 __all__ = [
     "Dataset", "GenParams", "GraphKind", "ccr", "gen_chains", "gen_dataset", "gen_network",
@@ -95,7 +95,7 @@ def gen_tree(rng: np.random.Generator, kind: GraphKind) -> TaskGraph:
         parent = names[(child - 1) // branching]
         edge = (parent, names[child]) if kind is GraphKind.OUT_TREES else (names[child], parent)
         sizes[edge] = sample_weight(rng)
-    return TaskGraph.from_costs(costs, sizes)
+    return TaskGraph(costs, sizes)
 
 
 def gen_chains(rng: np.random.Generator) -> TaskGraph:
@@ -115,15 +115,7 @@ def gen_chains(rng: np.random.Generator) -> TaskGraph:
         for a, b in zip(chain, chain[1:]):
             sizes[(a, b)] = sample_weight(rng)
         sizes[(chain[-1], sink)] = sample_weight(rng)
-    return TaskGraph.from_costs(costs, sizes)
-
-
-def gen_task_graph(rng: np.random.Generator, kind: GraphKind) -> TaskGraph:
-    if kind in (GraphKind.IN_TREES, GraphKind.OUT_TREES):
-        return gen_tree(rng, kind)
-    if kind is GraphKind.CHAINS:
-        return gen_chains(rng)
-    raise ValueError(f"unknown graph kind {kind!r}")
+    return TaskGraph(costs, sizes)
 
 
 def gen_network(rng: np.random.Generator) -> Network:
@@ -146,8 +138,8 @@ def ccr(instance: ProblemInstance) -> float:
         raise ValueError("CCR undefined: task graph has no dependencies")
     if not net.strength:
         raise ValueError("CCR undefined: single-node network has no links")
-    comm = sum(tg.data_size.values()) / len(tg.data_size) * _mean_recip_strength(instance)
-    comp = sum(tg.compute_cost.values()) / len(tg.compute_cost) * _mean_recip_speed(instance)
+    comm = sum(tg.data_size.values()) / len(tg.data_size) * _mean_recip("strength", net.strength)
+    comp = sum(tg.compute_cost.values()) / len(tg.compute_cost) * _mean_recip("speed", net.speed)
     return comm / comp
 
 
@@ -193,15 +185,16 @@ def gen_dataset(params: GenParams) -> Dataset:
     the result depends only on ``params`` and instance i is reproducible
     without drawing instances 0..i-1.
     """
+    kind = params.kind
     children = np.random.SeedSequence(params.seed).spawn(params.count)
     instances = []
     for child in children:
         rng = np.random.default_rng(child)
         network = gen_network(rng)
-        task_graph = gen_task_graph(rng, params.kind)
+        task_graph = gen_chains(rng) if kind is GraphKind.CHAINS else gen_tree(rng, kind)
         instance = ProblemInstance(network=network, task_graph=task_graph)
         instances.append(scale_to_ccr(instance, params.target_ccr))
-    return Dataset(dataset_name(params.kind, params.target_ccr), tuple(instances))
+    return Dataset(dataset_name(kind, params.target_ccr), tuple(instances))
 
 
 # ---------------------------------------------------------------------------

@@ -69,19 +69,17 @@ class TaskGraph:
         object.__setattr__(self, "tasks", frozenset(self.compute_cost))
         object.__setattr__(self, "deps", frozenset(self.data_size))
 
+        succs: dict[TaskId, list[TaskId]] = {t: [] for t in self.tasks}
+        preds: dict[TaskId, list[TaskId]] = {t: [] for t in self.tasks}
         for src, dst in self.deps:
             if src not in self.tasks or dst not in self.tasks:
                 raise ValueError(f"dependency ({src!r}, {dst!r}) references unknown task")
             if src == dst:
                 raise ValueError(f"self-dependency on task {src!r}")
-        _check_positive("compute_cost", self.compute_cost)
-        _check_positive("data_size", self.data_size)
-
-        succs: dict[TaskId, list[TaskId]] = {t: [] for t in self.tasks}
-        preds: dict[TaskId, list[TaskId]] = {t: [] for t in self.tasks}
-        for src, dst in self.deps:
             succs[src].append(dst)
             preds[dst].append(src)
+        _check_positive("compute_cost", self.compute_cost)
+        _check_positive("data_size", self.data_size)
         object.__setattr__(self, "_succs", {t: tuple(sorted(s)) for t, s in succs.items()})
         object.__setattr__(self, "_preds", {t: tuple(sorted(p)) for t, p in preds.items()})
         object.__setattr__(self, "_topo", self._kahn_order())
@@ -300,15 +298,15 @@ def validate_schedule(instance: ProblemInstance, schedule: Schedule) -> list[Vio
     tg = instance.task_graph
     violations: list[Violation] = []
 
+    by_task: dict[TaskId, list[ScheduleEntry]] = {}
+    by_node: dict[NodeId, list[ScheduleEntry]] = {}
     for entry in schedule.entries:
         if entry.task not in tg.tasks:
             raise KeyError(f"schedule references unknown task {entry.task!r}")
         if entry.node not in instance.network.nodes:
             raise KeyError(f"schedule references unknown node {entry.node!r}")
-
-    by_task: dict[TaskId, list[ScheduleEntry]] = {}
-    for entry in schedule.entries:
         by_task.setdefault(entry.task, []).append(entry)
+        by_node.setdefault(entry.node, []).append(entry)
 
     for task in sorted(tg.tasks):
         hits = by_task.get(task, [])
@@ -339,9 +337,6 @@ def validate_schedule(instance: ProblemInstance, schedule: Schedule) -> list[Vio
                 )
             )
 
-    by_node: dict[NodeId, list[ScheduleEntry]] = {}
-    for entry in schedule.entries:
-        by_node.setdefault(entry.node, []).append(entry)
     for node in sorted(by_node):
         entries = sorted(by_node[node], key=lambda e: (e.start, e.end, e.task))
         for i, a in enumerate(entries):

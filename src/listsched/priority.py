@@ -36,16 +36,20 @@ class PriorityKind(enum.Enum):
     ARBITRARY_TOPOLOGICAL = "ArbitraryTopological"
 
 
-def _mean_recip_speed(instance: ProblemInstance) -> float:
-    speeds = instance.network.speed
-    return sum(1.0 / s for s in speeds.values()) / len(speeds)
+def _mean_recip(label: str, weights: dict) -> float:
+    """Mean of 1 / weight over the network's speeds or link strengths.
 
-
-def _mean_recip_strength(instance: ProblemInstance) -> float:
-    strengths = instance.network.strength
-    if not strengths:
-        return 0.0  # single-node network: communication never happens
-    return sum(1.0 / s for s in strengths.values()) / len(strengths)
+    0.0 without links: a single-node network never communicates.  A weight
+    so small that its reciprocal overflows makes every rank ``inf``, so a
+    mean that is not finite is a ``ValueError`` naming the average.
+    """
+    if not weights:
+        return 0.0
+    mean = sum(1.0 / x for x in weights.values()) / len(weights)
+    if not math.isfinite(mean):
+        raise ValueError(f"mean reciprocal {label} is not finite: the smallest {label} is "
+                         f"{min(weights.values())!r}")
+    return mean
 
 
 def upward_rank(instance: ProblemInstance) -> dict[TaskId, float]:
@@ -55,8 +59,8 @@ def upward_rank(instance: ProblemInstance) -> dict[TaskId, float]:
     with the max over an empty successor set taken as 0.
     """
     tg = instance.task_graph
-    w = _mean_recip_speed(instance)
-    c = _mean_recip_strength(instance)
+    w = _mean_recip("speed", instance.network.speed)
+    c = _mean_recip("strength", instance.network.strength)
     ranks: dict[TaskId, float] = {}
     for t in reversed(topological_order(tg)):
         best = 0.0
@@ -75,8 +79,8 @@ def downward_rank(instance: ProblemInstance) -> dict[TaskId, float]:
     0 for tasks without predecessors.
     """
     tg = instance.task_graph
-    w = _mean_recip_speed(instance)
-    c = _mean_recip_strength(instance)
+    w = _mean_recip("speed", instance.network.speed)
+    c = _mean_recip("strength", instance.network.strength)
     ranks: dict[TaskId, float] = {}
     for t in topological_order(tg):
         best = 0.0

@@ -1,39 +1,19 @@
 """Node selection: the placement engine and the compare kinds.
 
 This module is the only place that answers "when can task t start on
-node v".  The data-ready time is the latest arrival of any predecessor's
-output on v.  A window is a candidate (start, end) interval for running
-one task on one node given a partial schedule.  Append-only placement
-only looks past the last entry on the node; insertion placement takes
-the earliest idle gap (before the first entry, between two entries, or
-after the last) that fits.  Entries on a node are disjoint and sorted by
-(start, end), so their ends are sorted too: the insertion scan bisects
-the ends to the last entry that ends before the data-ready time and
-scans forward from there, since no earlier gap can fit.
+node v": append-only placement goes after the node's last entry, and
+insertion placement takes the earliest idle gap that fits, as
+:func:`_insertion_start` finds it.
 
 A compare kind scores a window (EFT: its end, EST: its start, Quickest:
-its length); the lower score is the better window.  :data:`COMPARE_KEYS`
-maps each kind to that score function.
+its length); the lower score is the better window.  The engine computes
+the score inline, and the test suite's ``reference.py`` states each
+kind's score function for its spec-level scheduler.
 
 :class:`_PlacementState` is the one implementation of all of this, and
-the scheduler places tasks through it.
-Its constructor compiles the instance into index form (node indices in
-``node_order()``, a speed list, a dense strength matrix, per-task
-``(pred, data_size)`` pairs listed in ``data_size`` order) once per
-``schedule()`` call, and it keeps each node's timeline as parallel start
-and end lists.  ``best`` is its one evaluation: a pass over the
-candidate nodes that computes each start, end and score inline and
-returns the winner's window as a plain ``(start, end)`` pair, which
-``place`` takes back unchanged; only the public window queries wrap it
-in a :class:`Window`.  The window queries pass one node
-at a time.  ``best`` runs the insertion scan only where it can change
-the result; its docstring gives the rules and why they are exact.  One
-of them needs per-node state: each node keeps its last end and a no-fit
-threshold, its largest idle gap plus ``2 * ulp(last end)``.  A longer
-task fits no gap, so it goes after the last entry without a scan.  The
-two ulps absorb the rounding of the gap subtraction and of the scan's
-``start + duration``; without them a task one ulp longer than the
-computed gap can still fit.
+the scheduler places tasks through it; its docstring, ``best``'s and
+:func:`_no_fit_threshold`'s give its index form, its pruning rules and
+why they are exact.
 
 :func:`compare`, :func:`open_window_append_only` and
 :func:`open_window_insertion` each answer one question about one pair of
@@ -52,8 +32,8 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import chain
-from operator import itemgetter, sub
-from typing import Callable, NamedTuple, Sequence
+from operator import sub
+from typing import NamedTuple, Sequence
 
 from .model import NodeId, ProblemInstance, Schedule, ScheduleEntry, TaskId
 
@@ -71,18 +51,13 @@ class CompareKind(enum.Enum):
     QUICKEST = "Quickest"  # shortest execution time
 
 
-#: A window's score under each compare kind; the lower score is better.
-COMPARE_KEYS: dict[CompareKind, Callable[[Window], float]] = {
-    CompareKind.EFT: itemgetter(1),
-    CompareKind.EST: itemgetter(0),
-    CompareKind.QUICKEST: lambda w: w[1] - w[0],
-}
-
-
 def compare(kind: CompareKind, a: Window, b: Window) -> float:
     """Signed comparison of two candidate windows; negative iff ``a`` is better."""
-    key = COMPARE_KEYS[kind]
-    return key(a) - key(b)
+    if kind is CompareKind.EFT:
+        return a[1] - b[1]
+    if kind is CompareKind.EST:
+        return a[0] - b[0]
+    return (a[1] - a[0]) - (b[1] - b[0])
 
 
 def _insertion_start(

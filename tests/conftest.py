@@ -29,7 +29,22 @@ def mk_instance(costs, sizes, speeds, strengths=None) -> ProblemInstance:
         strengths = {pair: 1.0 for pair in itertools.combinations(nodes, 2)}
     return ProblemInstance(
         network=Network(nodes=frozenset(nodes), speed=dict(speeds), strength=dict(strengths)),
-        task_graph=TaskGraph.from_costs(costs, sizes),
+        task_graph=TaskGraph(costs, sizes),
+    )
+
+
+def fork_with_tiny_weight(speed: float = 1.0, strength: float = 1.0) -> ProblemInstance:
+    """Fork a -> b, a -> c on n0 (speed ``speed``) and n1 (speed 1), linked by ``strength``.
+
+    Every cost and size is 1e-300, so each execution and transfer time is
+    finite even when ``speed`` or ``strength`` is a subnormal like 1e-310,
+    whose reciprocal overflows.
+    """
+    return mk_instance(
+        {"a": 1e-300, "b": 1e-300, "c": 1e-300},
+        {("a", "b"): 1e-300, ("a", "c"): 1e-300},
+        {"n0": speed, "n1": 1.0},
+        {("n0", "n1"): strength},
     )
 
 
@@ -59,7 +74,7 @@ def random_instance(
     }
     return ProblemInstance(
         network=Network(nodes=frozenset(nodes), speed=speeds, strength=strengths),
-        task_graph=TaskGraph.from_costs(costs, sizes),
+        task_graph=TaskGraph(costs, sizes),
     )
 
 
@@ -82,7 +97,7 @@ def layered_dag(seed: int, n_tasks: int, n_nodes: int) -> ProblemInstance:
             pair: float(rng.uniform(0.3, 2.0)) for pair in itertools.combinations(nodes, 2)
         },
     )
-    return ProblemInstance(network=network, task_graph=TaskGraph.from_costs(costs, sizes))
+    return ProblemInstance(network=network, task_graph=TaskGraph(costs, sizes))
 
 
 @pytest.fixture

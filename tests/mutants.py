@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Mutant kill-matrix: placement engine, scheduler, model, results reader and analysis.
+"""Mutant kill-matrix: placement engine, scheduler, model, ranks, results reader and analysis.
 
 Run from the root of a checkout, with pytest and hypothesis installed::
 
@@ -37,6 +37,7 @@ SCHEDULER = "src/listsched/scheduler.py"
 MODEL = "src/listsched/model.py"
 BENCH = "src/listsched/bench.py"
 DATAGEN = "src/listsched/datagen.py"
+PRIORITY = "src/listsched/priority.py"
 
 UNPRUNED = "tests/test_selection.py::TestPlacementState::test_best_equals_an_unpruned_pass"
 READY_TIMES = "tests/test_selection.py::TestPlacementState::test_ready_times_equal_the_spec_bit_for_bit"
@@ -191,6 +192,23 @@ MUTANTS = [
         "if cost and not math.isfinite(",
         "if False and not math.isfinite(",
         ("tests/test_model.py::TestConstruction::test_overflowing_execution_time_is_rejected",),
+    ),
+    Mutant(
+        "validator reports tasks in reverse id order",
+        MODEL,
+        "    for task in sorted(tg.tasks):",
+        "    for task in sorted(tg.tasks, reverse=True):",
+        ("tests/test_model.py::TestValidateSchedule::test_report_order_is_pinned",),
+    ),
+    Mutant(
+        "rank average overflow check dropped",
+        PRIORITY,
+        "    if not math.isfinite(mean):",
+        "    if False:",
+        (
+            "tests/test_priority.py::TestRankAverages",
+            "tests/test_cli.py::test_an_overflowing_rank_average_cannot_be_scheduled",
+        ),
     ),
     Mutant(
         "dataset type and CCR swapped in the name codec",

@@ -10,6 +10,9 @@ before every node choice, recomputes the ready set from scratch at every
 step, and picks nodes through ``best_two_nodes`` with these finders.  So
 ``schedule()`` agreeing with it entry for entry is a differential check
 of the engine and of every shortcut the scheduler takes.
+``COMPARE_KEYS`` states each compare kind's window score: ``best_two_nodes``
+ranks windows by it, and ``reference_schedule`` takes its sufferage value
+from it.
 
 The brute-force oracle ``brute_force_min_makespan`` is the exhaustive
 list-scheduling optimum of a tiny instance.  It places every task with
@@ -26,6 +29,7 @@ import csv
 import dataclasses
 import math
 from collections import Counter
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from listsched import (
@@ -39,9 +43,16 @@ from listsched import (
     priority_map,
 )
 from listsched.model import NodeId, ProblemInstance, TaskId, topological_order
-from listsched.selection import COMPARE_KEYS, Window, compare
+from listsched.selection import Window
 
 WindowFinder = Callable[[ProblemInstance, Schedule, NodeId, TaskId], Window]
+
+#: A window's score under each compare kind; the lower score is better.
+COMPARE_KEYS: dict[CompareKind, Callable[[Window], float]] = {
+    CompareKind.EFT: itemgetter(1),
+    CompareKind.EST: itemgetter(0),
+    CompareKind.QUICKEST: lambda w: w[1] - w[0],
+}
 
 
 def data_available_time(instance, partial, task, node):
@@ -171,6 +182,7 @@ def reference_schedule(instance, config):
     finder = open_window_append_only if config.append_only else open_window_insertion
     cp_tasks = set(critical_path_tasks(instance)) if config.critical_path else set()
     fastest = [min(nodes, key=lambda v: (-speed[v], v))]
+    key = COMPARE_KEYS[config.compare]
     entries = []
 
     def choose(task):
@@ -179,7 +191,7 @@ def reference_schedule(instance, config):
         best, best_w, second, second_w = best_two_nodes(
             instance, Schedule(tuple(entries)), task, candidates, config.compare, finder
         )
-        return best, best_w, 0.0 if second is None else compare(config.compare, second_w, best_w)
+        return best, best_w, 0.0 if second is None else key(second_w) - key(best_w)
 
     placed = set()
     while len(placed) < len(tg.tasks):

@@ -36,9 +36,9 @@ from listsched.bench import (
     write_results_csv,
     write_table_csv,
 )
-from listsched.datagen import GenParams, GraphKind, gen_dataset
+from listsched.datagen import Dataset, GenParams, GraphKind, gen_dataset
 
-from conftest import mk_instance, random_instance
+from conftest import fork_with_tiny_weight, mk_instance, random_instance
 from reference import (
     brute_force_min_makespan,
     open_window_insertion,
@@ -438,6 +438,16 @@ class TestRunBenchmark:
         a = run_benchmark([tiny_dataset], ALL_CONFIGS[:5], timing_repeats=1)
         b = run_benchmark([tiny_dataset], ALL_CONFIGS[:5], timing_repeats=1)
         assert [r.makespan for r in a] == [r.makespan for r in b]
+
+    def test_a_rank_failure_is_recorded_and_the_sweep_goes_on(self):
+        dataset = Dataset("chains_ccr_1", (fork_with_tiny_weight(speed=1e-310),))
+        configs = [(name, config_by_name(name)) for name in ("HEFT", "MCT")]
+        heft, mct = run_benchmark([dataset], configs, timing_repeats=1)
+        assert heft.error == (
+            "ValueError: mean reciprocal speed is not finite: the smallest speed is 1e-310"
+        )
+        assert math.isnan(heft.makespan)
+        assert mct.error is None and math.isfinite(mct.makespan)
 
     def test_input_validation(self, tiny_dataset):
         with pytest.raises(ValueError):

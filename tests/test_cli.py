@@ -39,6 +39,7 @@ from conftest import (
     WRONG_SHAPE_INSTANCES,
     WRONG_SHAPE_SCHEDULES,
     ab_instance_dict,
+    fork_with_tiny_weight,
     malformed_instance_dict,
     wrong_shape_instance,
     wrong_shape_schedule,
@@ -331,6 +332,22 @@ class TestOverflowingExecutionTime:
             "cannot schedule: entry for 'b' has a non-finite time: 1e+308 to inf\n"
         )
         assert not out.exists()
+
+
+def test_an_overflowing_rank_average_cannot_be_scheduled(tmp_path, capsys):
+    # every execution time is finite, but 1 / 1e-310 is not: HEFT used to
+    # schedule with every upward rank inf, and exit 0
+    instance = tmp_path / "instance.json"
+    save_instance(fork_with_tiny_weight(speed=1e-310), instance)
+    out = tmp_path / "out.json"
+    assert main(["schedule", "--instance", str(instance), "--scheduler", "HEFT",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "cannot schedule: mean reciprocal speed is not finite: the smallest speed is 1e-310\n"
+    )
+    assert not out.exists()
+    assert main(["schedule", "--instance", str(instance), "--scheduler", "MCT",
+                 "--out", str(out)]) == 0
 
 
 class TestBenchmark:

@@ -19,10 +19,10 @@ from listsched import (
     save_dataset,
     scale_to_ccr,
 )
-from listsched.datagen import STANDARD_CCRS, _split_dataset_name, dataset_name, gen_task_graph
+from listsched.datagen import STANDARD_CCRS, _split_dataset_name, dataset_name
 from listsched.model import topological_order
 
-from conftest import mk_instance
+from conftest import fork_with_tiny_weight, mk_instance
 
 # seeds whose first (levels, branching) draws give known shapes
 SEED_L2_B2 = 11
@@ -51,6 +51,10 @@ class TestSampleWeight:
 
 
 class TestGenTree:
+    def test_rejects_the_chains_kind(self):
+        with pytest.raises(ValueError, match="not a tree kind"):
+            gen_tree(np.random.default_rng(0), GraphKind.CHAINS)
+
     def test_smallest_out_tree_shape(self):
         tg = gen_tree(np.random.default_rng(SEED_L2_B2), GraphKind.OUT_TREES)
         assert len(tg.tasks) == 3
@@ -155,13 +159,22 @@ class TestCcr:
         with pytest.raises(ValueError, match="no dependencies"):
             ccr(inst)
 
+    @pytest.mark.parametrize("weight", ["speed", "strength"])
+    def test_an_overflowing_mean_reciprocal_is_an_error(self, weight):
+        # was 0.0 for the speed and inf for the strength
+        inst = fork_with_tiny_weight(**{weight: 1e-310})
+        with pytest.raises(ValueError, match=f"^mean reciprocal {weight} is not finite"):
+            ccr(inst)
+
     def test_generated_ccrs_are_pinned_bit_for_bit(self):
         # float.hex of the unscaled CCR of 60 generated instances
         digest = hashlib.sha256()
         for seed in range(20):
             for kind in GraphKind:
                 rng = np.random.default_rng(seed)
-                inst = ProblemInstance(gen_network(rng), gen_task_graph(rng, kind))
+                network = gen_network(rng)
+                tg = gen_chains(rng) if kind is GraphKind.CHAINS else gen_tree(rng, kind)
+                inst = ProblemInstance(network, tg)
                 digest.update(f"{ccr(inst).hex()}\n".encode())
         assert digest.hexdigest() == (
             "4d9c1c8b2a1a438b7a5bd551ea3dfb193a28a435fc26d2b166d037a6bbee1b2c"
@@ -217,7 +230,7 @@ class TestScaleToCcr:
         for _ in range(20):
             inst = ProblemInstance(
                 network=gen_network(rng),
-                task_graph=gen_task_graph(rng, GraphKind.CHAINS),
+                task_graph=gen_chains(rng),
             )
             for target in STANDARD_CCRS:
                 assert ccr(scale_to_ccr(inst, target)) == pytest.approx(target, rel=1e-9)

@@ -19,6 +19,7 @@ from listsched import (
     makespan,
     validate_schedule,
 )
+from listsched.cli import main
 from listsched.model import (
     instance_from_dict,
     instance_to_dict,
@@ -259,6 +260,44 @@ class TestValidateSchedule:
         assert ViolationKind.WRONG_DURATION in kinds
         assert ViolationKind.PRECEDENCE_VIOLATION in kinds
 
+    # all five kinds: per task in id order, durations in entry order, overlaps
+    # per node in id order, precedence per dependency in sorted order
+    FIVE_KINDS = (
+        mk_instance(
+            {t: 1.0 for t in "abcdef"}, {("a", "b"): 1.0, ("a", "e"): 1.0},
+            {"n0": 1.0, "n1": 1.0},
+        ),
+        entries(
+            ("a", "n0", 0.0, 1.0), ("e", "n1", 0.5, 1.75), ("b", "n0", 0.5, 2.0),
+            ("d", "n1", 0.0, 1.0), ("d", "n1", 3.0, 4.0),
+        ),
+    )
+    FIVE_KINDS_REPORT = [
+        ("UnscheduledTask", "task 'c' is not scheduled"),
+        ("DuplicateTask", "task 'd' scheduled 2 times: (n1, 0.0, 1.0), (n1, 3.0, 4.0)"),
+        ("UnscheduledTask", "task 'f' is not scheduled"),
+        ("WrongDuration", "task 'e' on 'n1' runs for 1.25, expected 1.0"),
+        ("WrongDuration", "task 'b' on 'n0' runs for 1.5, expected 1.0"),
+        ("NodeOverlap", "tasks 'a' (0.0, 1.0) and 'b' (0.5, 2.0) overlap on node 'n0'"),
+        ("NodeOverlap", "tasks 'd' (0.0, 1.0) and 'e' (0.5, 1.75) overlap on node 'n1'"),
+        ("PrecedenceViolation", "task 'b' starts at 0.5 but data from 'a' arrives at 1.0"),
+        ("PrecedenceViolation", "task 'e' starts at 0.5 but data from 'a' arrives at 2.0"),
+    ]
+
+    def test_report_order_is_pinned(self):
+        report = validate_schedule(*self.FIVE_KINDS)
+        assert [(v.kind.value, v.detail) for v in report] == self.FIVE_KINDS_REPORT
+
+    def test_validate_command_prints_the_report_in_order(self, tmp_path, capsys):
+        inst, sched = self.FIVE_KINDS
+        save_instance(inst, tmp_path / "instance.json")
+        save_schedule(sched, tmp_path / "schedule.json")
+        code = main(["validate", "--instance", str(tmp_path / "instance.json"),
+                     "--schedule", str(tmp_path / "schedule.json")])
+        assert code == 1
+        lines = [f"{kind}: {detail}" for kind, detail in self.FIVE_KINDS_REPORT]
+        assert capsys.readouterr().out == "\n".join([*lines, "9 violation(s)", ""])
+
     def test_unknown_ids_raise(self):
         inst = mk_instance({"a": 1.0}, {}, {"n0": 1.0})
         with pytest.raises(KeyError):
@@ -281,6 +320,12 @@ class TestConstruction:
     def test_costs_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             TaskGraph.from_costs({"a": 0.0}, {})
+
+    def test_edge_errors_come_before_weight_errors(self):
+        with pytest.raises(ValueError, match="unknown task"):
+            TaskGraph({"a": 0.0}, {("a", "b"): -1.0})
+        with pytest.raises(ValueError, match="self-dependency"):
+            TaskGraph({"a": 0.0}, {("a", "a"): -1.0})
 
     def test_tasks_and_deps_are_the_key_sets(self):
         tg = TaskGraph({"a": 1.0, "b": 2.0, "c": 0.5}, {("a", "b"): 1.0, ("a", "c"): 3.0})

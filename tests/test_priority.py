@@ -14,7 +14,7 @@ from listsched import (
 )
 from listsched.model import topological_order
 
-from conftest import mk_instance, random_instance
+from conftest import fork_with_tiny_weight, mk_instance, random_instance
 from test_fingerprint import corpus
 
 
@@ -217,3 +217,27 @@ class TestCriticalPath:
             summed = {t: up[t] + down[t] for t in inst.task_graph.tasks}
             assert list(map(float.hex, summed.values())) == list(map(float.hex, total.values()))
             assert critical_path_tasks(inst, summed) == critical_path_tasks(inst), label
+
+
+class TestRankAverages:
+    """A speed or strength whose reciprocal overflows makes the rank averages fail, not inf."""
+
+    RANKS = (
+        upward_rank,
+        downward_rank,
+        lambda inst: priority_map(inst, PriorityKind.UPWARD_RANKING),
+        lambda inst: priority_map(inst, PriorityKind.CPOP_RANKING),
+        critical_path_tasks,
+    )
+
+    @pytest.mark.parametrize("weight", ["speed", "strength"])
+    def test_an_overflowing_mean_reciprocal_is_an_error(self, weight):
+        # every execution and transfer time is finite, so the instance is valid;
+        # the ranks used to be all inf and the "critical path" held both siblings
+        inst = fork_with_tiny_weight(**{weight: 1e-310})
+        message = f"^mean reciprocal {weight} is not finite: the smallest {weight} is 1e-310$"
+        for rank in self.RANKS:
+            with pytest.raises(ValueError, match=message):
+                rank(inst)
+        order = priority_map(inst, PriorityKind.ARBITRARY_TOPOLOGICAL)
+        assert order == {"a": 3.0, "b": 2.0, "c": 1.0}

@@ -16,7 +16,6 @@ from listsched import (
     schedule,
 )
 from listsched.selection import (
-    COMPARE_KEYS,
     Window,
     compare,
     open_window_append_only,
@@ -27,7 +26,7 @@ from listsched.selection import (
 )
 
 from conftest import layered_dag, mk_instance
-from reference import data_available_time, earliest_fit
+from reference import COMPARE_KEYS, data_available_time, earliest_fit
 
 ALL_KINDS = list(CompareKind)
 
@@ -217,6 +216,16 @@ class TestCompare:
             for kind in ALL_KINDS:
                 assert compare(kind, a, a) == 0.0
                 assert compare(kind, a, b) == -compare(kind, b, a)
+
+    def test_equals_the_reference_score_difference(self):
+        rng = np.random.default_rng(22)
+        for _ in range(200):
+            s1, s2 = rng.uniform(0, 10, size=2)
+            a = Window(s1, s1 + rng.uniform(0, 5))
+            b = Window(s2, s2 + rng.uniform(0, 5))
+            for kind in ALL_KINDS:
+                key = COMPARE_KEYS[kind]
+                assert compare(kind, a, b) == key(a) - key(b)
 
 
 def instance_with_busy(task_cost, intervals, ready=0.0):
