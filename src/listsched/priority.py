@@ -10,7 +10,8 @@ average is zero (there are no links and no transfers).
 The upward rank of a task is the heaviest average-weighted path from the
 task to any sink, inclusive; the downward rank is the heaviest path from
 any source to the task, exclusive.  Their sum, the CPoP priority, is
-maximized exactly on the critical path.
+maximized exactly on the critical path.  A rank or sum that overflows to
+``inf`` is a ``ValueError``.
 
 This module states both averages and the sum once: ``datagen.ccr``
 reads the same averages, and the scheduler's critical path over upward
@@ -52,6 +53,17 @@ def _mean_recip(label: str, weights: dict) -> float:
     return mean
 
 
+def _finite(label: str, ranks: dict[TaskId, float]) -> dict[TaskId, float]:
+    """``ranks``, unless a path sum overflowed: a ``ValueError`` names the smallest such task.
+
+    Ranks add finite non-negative terms, so ``inf`` is their only value that is not finite.
+    """
+    if math.inf in ranks.values():
+        task = min(t for t, r in ranks.items() if r == math.inf)
+        raise ValueError(f"{label} of task {task!r} is not finite: its path sum overflows")
+    return ranks
+
+
 def upward_rank(instance: ProblemInstance) -> dict[TaskId, float]:
     """Rank of each task by its heaviest average-weighted path to a sink.
 
@@ -69,7 +81,7 @@ def upward_rank(instance: ProblemInstance) -> dict[TaskId, float]:
             if cand > best:
                 best = cand
         ranks[t] = tg.compute_cost[t] * w + best
-    return ranks
+    return _finite("upward rank", ranks)
 
 
 def downward_rank(instance: ProblemInstance) -> dict[TaskId, float]:
@@ -89,13 +101,13 @@ def downward_rank(instance: ProblemInstance) -> dict[TaskId, float]:
             if cand > best:
                 best = cand
         ranks[t] = best
-    return ranks
+    return _finite("downward rank", ranks)
 
 
 def _cpop_sum(instance: ProblemInstance, up: dict[TaskId, float]) -> dict[TaskId, float]:
     """The CPoP priority: ``up``, the upward ranks, plus the downward ranks."""
     down = downward_rank(instance)
-    return {t: up[t] + down[t] for t in instance.task_graph.tasks}
+    return _finite("CPoP priority", {t: up[t] + down[t] for t in instance.task_graph.tasks})
 
 
 def priority_map(instance: ProblemInstance, kind: PriorityKind) -> dict[TaskId, float]:

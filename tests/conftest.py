@@ -48,6 +48,23 @@ def fork_with_tiny_weight(speed: float = 1.0, strength: float = 1.0) -> ProblemI
     )
 
 
+def branches_past_the_largest_float() -> ProblemInstance:
+    """Chain a -> b -> c -> d -> e and branch a -> x -> y -> z on n0 (speed 1e-300) and n1.
+
+    Every cost is 1e8 and every size 1, so each execution time is at most
+    1e308 and both rank averages are finite (the mean reciprocal speed is
+    5e299), but the average-weighted sum along four tasks overflows: in
+    the upward ranks of a and b, and in the downward rank of e.
+    """
+    chain, branch = "abcde", "axyz"
+    deps = [*zip(chain, chain[1:]), *zip(branch, branch[1:])]
+    return mk_instance(
+        dict.fromkeys(chain + branch[1:], 1e8),
+        dict.fromkeys(deps, 1.0),
+        {"n0": 1e-300, "n1": 1.0},
+    )
+
+
 def random_instance(
     rng: np.random.Generator,
     max_tasks: int = 10,
@@ -110,17 +127,22 @@ def chain_fast_slow() -> ProblemInstance:
     )
 
 
-#: Instance files the loader must reject.  Each duplicate repeats an
-#: existing entry verbatim, so collapsing it would go unnoticed.
-MALFORMED_CASES = (
-    "duplicate node",
-    "duplicate link",
-    "duplicate task",
-    "duplicate dep",
-    "infinite strength",
-    "infinite cost",
-    "no nodes",
-)
+#: Instance files the loader must reject, each with the loader's message.
+#: Each duplicate repeats an existing entry verbatim, so collapsing it
+#: would go unnoticed.
+MALFORMED_CASES = {
+    "duplicate node": "duplicate node 'n0'",
+    "duplicate link": "duplicate link ('n0', 'n1')",
+    "duplicate task": "duplicate task 'a'",
+    "duplicate dep": "duplicate dep ('a', 'b')",
+    "infinite strength": "strength for ('n0', 'n1') must be positive and finite, got inf",
+    "infinite cost": "compute_cost for 'b' must be positive and finite, got inf",
+    "no nodes": "network has no nodes",
+    "link to an unknown node": (
+        "strength must cover every unordered pair of distinct nodes, keyed by the sorted "
+        "id pair; ('n0', 'zz') is not such a pair"
+    ),
+}
 
 
 def ab_instance_dict() -> dict:
@@ -148,6 +170,8 @@ def malformed_instance_dict(case: str) -> dict:
         tg["tasks"][1]["cost"] = math.inf
     elif case == "no nodes":
         net["nodes"], net["links"] = [], []
+    elif case == "link to an unknown node":
+        net["links"].append({"u": "n0", "v": "zz", "strength": 1.0})
     return data
 
 

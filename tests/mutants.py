@@ -211,6 +211,16 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "rank finiteness check dropped",
+        PRIORITY,
+        "    if math.inf in ranks.values():",
+        "    if False:",
+        (
+            "tests/test_priority.py::TestRankOverflow",
+            "tests/test_cli.py::test_an_overflowing_path_sum_cannot_be_scheduled",
+        ),
+    ),
+    Mutant(
         "dataset type and CCR swapped in the name codec",
         DATAGEN,
         "            return kind, ccr\n",

@@ -43,8 +43,9 @@ from listsched import (
     priority_map,
 )
 from listsched.model import NodeId, ProblemInstance, TaskId, topological_order
-from listsched.selection import Window
 
+#: A window: its start and end time.
+Window = tuple[float, float]
 WindowFinder = Callable[[ProblemInstance, Schedule, NodeId, TaskId], Window]
 
 #: A window's score under each compare kind; the lower score is better.
@@ -94,7 +95,7 @@ def open_window_append_only(instance, partial, node, task):
     """Window starting after the last entry on ``node`` (and data arrival)."""
     last_end = max((e.end for e in partial.entries if e.node == node), default=0.0)
     start = max(last_end, data_available_time(instance, partial, task, node))
-    return Window(start, start + exec_time(instance, task, node))
+    return start, start + exec_time(instance, task, node)
 
 
 def open_window_insertion(instance, partial, node, task):
@@ -103,7 +104,7 @@ def open_window_insertion(instance, partial, node, task):
     duration = exec_time(instance, task, node)
     busy = [(e.start, e.end) for e in partial.entries if e.node == node]
     start = earliest_fit(busy, ready, duration)
-    return Window(start, start + duration)
+    return start, start + duration
 
 
 MAX_ORACLE_TASKS = 8
@@ -144,7 +145,7 @@ def brute_force_min_makespan(instance):
             partial = Schedule(tuple(entries))
             for v in nodes:
                 window = open_window_insertion(instance, partial, v, t)
-                end = max(peak, window.end)
+                end = max(peak, window[1])
                 if end < best:
                     entries.append(ScheduleEntry(t, v, *window))
                     extend(rest, end)
@@ -212,7 +213,7 @@ def reference_schedule(instance, config):
             r_node, r_window, r_suffer = choose(rival)
             if r_suffer > suffer:
                 task, node, window = rival, r_node, r_window
-        entries.append(ScheduleEntry(task=task, node=node, start=window.start, end=window.end))
+        entries.append(ScheduleEntry(task, node, *window))
         placed.add(task)
     return Schedule(entries=tuple(entries))
 

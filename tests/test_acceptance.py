@@ -1,13 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines.  Set ``ACCEPTANCE_INSTANCES`` (default 10) to raise the per-dataset
-instance count for the validity sweep, e.g. to the benchmarks' own
-100-instance scale.
+lines.
 """
 
 import csv
-import os
 
 import numpy as np
 import pytest
@@ -35,7 +32,7 @@ from conftest import random_instance
 from reference import brute_force_min_makespan
 
 ALL_CONFIGS = enumerate_configs()
-INSTANCES_PER_DATASET = int(os.environ.get("ACCEPTANCE_INSTANCES", "10"))
+INSTANCES_PER_DATASET = 10
 
 
 def report(criterion, text):
@@ -44,7 +41,7 @@ def report(criterion, text):
 
 @pytest.fixture(scope="module")
 def validity_corpus():
-    """3 kinds x 5 CCRs, seeded; the 100-instance scale is an env flag away."""
+    """3 kinds x 5 CCRs, 10 seeded instances each."""
     datasets = []
     for k, kind in enumerate(GraphKind):
         for c, target in enumerate(STANDARD_CCRS):

@@ -38,7 +38,12 @@ from listsched.bench import (
 )
 from listsched.datagen import Dataset, GenParams, GraphKind, gen_dataset
 
-from conftest import fork_with_tiny_weight, mk_instance, random_instance
+from conftest import (
+    branches_past_the_largest_float,
+    fork_with_tiny_weight,
+    mk_instance,
+    random_instance,
+)
 from reference import (
     brute_force_min_makespan,
     open_window_insertion,
@@ -448,6 +453,18 @@ class TestRunBenchmark:
         )
         assert math.isnan(heft.makespan)
         assert mct.error is None and math.isfinite(mct.makespan)
+
+    def test_a_path_sum_overflow_is_recorded_for_every_config_that_ranks(self):
+        dataset = Dataset("chains_ccr_1", (branches_past_the_largest_float(),))
+        records = run_benchmark([dataset], ALL_CONFIGS, timing_repeats=1)
+        errors = {r.scheduler: r.error for r in records}
+        ranking = {name for name, c in ALL_CONFIGS if c.critical_path
+                   or c.initial_priority is not PriorityKind.ARBITRARY_TOPOLOGICAL}
+        assert len(ranking) == 60
+        assert {name for name, error in errors.items() if error == (
+            "ValueError: upward rank of task 'a' is not finite: its path sum overflows"
+        )} == ranking
+        assert errors["EFT_App_AT"] is None  # MCT
 
     def test_input_validation(self, tiny_dataset):
         with pytest.raises(ValueError):

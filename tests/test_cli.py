@@ -39,6 +39,7 @@ from conftest import (
     WRONG_SHAPE_INSTANCES,
     WRONG_SHAPE_SCHEDULES,
     ab_instance_dict,
+    branches_past_the_largest_float,
     fork_with_tiny_weight,
     malformed_instance_dict,
     wrong_shape_instance,
@@ -174,13 +175,17 @@ def test_malformed_instance_is_domain_error(tmp_path, capsys, command, case):
         {"task": "a", "node": "n1", "start": 0.0, "end": a_end},
         {"task": "b", "node": "n1", "start": a_end, "end": a_end + cost["b"] / 2.0},
     ]}))
+    out = tmp_path / "out.json"
     if command == "schedule":
         args = ["schedule", "--instance", str(instance), "--scheduler", "HEFT",
-                "--out", str(tmp_path / "out.json")]
+                "--out", str(out)]
+        prefix = "invalid instance file: "
     else:
         args = ["validate", "--instance", str(instance), "--schedule", str(sched)]
+        prefix = "invalid input: "
     assert main(args) == 1
-    assert "invalid" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"{prefix}{MALFORMED_CASES[case]}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("case, part", WRONG_SHAPE_INSTANCES)
@@ -326,7 +331,8 @@ class TestOverflowingExecutionTime:
     def test_an_overflowing_chain_cannot_be_scheduled(self, tmp_path, capsys):
         instance = self.write_chain(tmp_path / "instance.json", {"a": 1e308, "b": 1e308}, 1.0)
         out = tmp_path / "out.json"
-        assert main(["schedule", "--instance", str(instance), "--scheduler", "HEFT",
+        # MCT ranks nothing; HEFT's upward rank of a overflows first
+        assert main(["schedule", "--instance", str(instance), "--scheduler", "MCT",
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
             "cannot schedule: entry for 'b' has a non-finite time: 1e+308 to inf\n"
@@ -344,6 +350,23 @@ def test_an_overflowing_rank_average_cannot_be_scheduled(tmp_path, capsys):
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         "cannot schedule: mean reciprocal speed is not finite: the smallest speed is 1e-310\n"
+    )
+    assert not out.exists()
+    assert main(["schedule", "--instance", str(instance), "--scheduler", "MCT",
+                 "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("scheduler", ["HEFT", "EFT_Ins_CP_AT"])
+def test_an_overflowing_path_sum_cannot_be_scheduled(tmp_path, capsys, scheduler):
+    # both averages are finite, but a and b used to rank inf and the
+    # "critical path" held all 8 tasks of both branches, exit 0
+    instance = tmp_path / "instance.json"
+    save_instance(branches_past_the_largest_float(), instance)
+    out = tmp_path / "out.json"
+    assert main(["schedule", "--instance", str(instance), "--scheduler", scheduler,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "cannot schedule: upward rank of task 'a' is not finite: its path sum overflows\n"
     )
     assert not out.exists()
     assert main(["schedule", "--instance", str(instance), "--scheduler", "MCT",
@@ -606,15 +629,17 @@ class TestAnalyze:
                      "--out", str(tmp_path / "ratios.csv")]) == 1
         assert capsys.readouterr().err == f"invalid results file: {message}\n"
 
-    def test_non_numeric_ccr_names_the_dataset(self, tmp_path, capsys):
-        # float() of the CCR text used to fail without naming the dataset
+    @pytest.mark.parametrize("ccr", ["abc", "inf"])
+    def test_non_numeric_ccr_names_the_dataset(self, tmp_path, capsys, ccr):
+        # float() of the CCR text used to fail without naming the dataset;
+        # float("inf") reads, but generate never writes an inf CCR
         src = tmp_path / "ccr.csv"
-        self.write_results(src, [["x_ccr_abc", 0, name, 1.0, 0.001, "", "", ""]
+        self.write_results(src, [[f"x_ccr_{ccr}", 0, name, 1.0, 0.001, "", "", ""]
                                  for name, _ in enumerate_configs()])
         assert main(["analyze", "--results", str(src), "--mode", "interactions",
                      "--params", "compare,ccr", "--out", str(tmp_path / "i.csv")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("analysis failed: dataset name 'x_ccr_abc' is not ")
+        assert err.startswith(f"analysis failed: dataset name 'x_ccr_{ccr}' is not ")
         assert err.count("\n") == 1
 
     def test_field_over_the_csv_limit_is_domain_error(self, tmp_path, capsys):

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -393,14 +394,6 @@ class TestConstruction:
                 strength={("n0", "n2"): 1.0, ("n1", "n2"): 1.0},
             )
 
-    def test_instance_file_link_to_an_unknown_node_is_named(self):
-        data = instance_to_dict(
-            mk_instance({"a": 1.0}, {}, {"n0": 1.0, "n1": 1.0})
-        )
-        data["network"]["links"].append({"u": "n0", "v": "zz", "strength": 1.0})
-        with pytest.raises(ValueError, match=r"\('n0', 'zz'\) is not such a pair"):
-            instance_from_dict(data)
-
     def test_overflowing_execution_time_is_rejected(self):
         # 1e308 / 1e-10 is inf; the duration tolerance used to be inf too
         net = Network(
@@ -454,7 +447,7 @@ class TestJson:
 
     @pytest.mark.parametrize("case", MALFORMED_CASES)
     def test_malformed_instance_rejected(self, case):
-        with pytest.raises(ValueError, match="duplicate|finite|no nodes"):
+        with pytest.raises(ValueError, match=f"^{re.escape(MALFORMED_CASES[case])}$"):
             instance_from_dict(malformed_instance_dict(case))
 
     @pytest.mark.parametrize("case, part", WRONG_SHAPE_INSTANCES)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +15,12 @@ from listsched import (
 )
 from listsched.model import topological_order
 
-from conftest import fork_with_tiny_weight, mk_instance, random_instance
+from conftest import (
+    branches_past_the_largest_float,
+    fork_with_tiny_weight,
+    mk_instance,
+    random_instance,
+)
 from test_fingerprint import corpus
 
 
@@ -241,3 +247,38 @@ class TestRankAverages:
                 rank(inst)
         order = priority_map(inst, PriorityKind.ARBITRARY_TOPOLOGICAL)
         assert order == {"a": 3.0, "b": 2.0, "c": 1.0}
+
+
+class TestRankOverflow:
+    """Finite averages whose path sums pass the largest float make the ranks fail, not inf."""
+
+    UPWARD = "^upward rank of task 'a' is not finite: its path sum overflows$"
+
+    def test_upward_rank(self):
+        # a and b used to rank inf, above every finite rank
+        with pytest.raises(ValueError, match=self.UPWARD):
+            upward_rank(branches_past_the_largest_float())
+
+    def test_downward_rank(self):
+        with pytest.raises(ValueError, match="^downward rank of task 'e' is not finite: "):
+            downward_rank(branches_past_the_largest_float())
+
+    def test_critical_path_tasks(self):
+        # every CPoP sum used to be inf, so all 8 tasks of both branches were "critical"
+        inst = branches_past_the_largest_float()
+        with pytest.raises(ValueError, match=self.UPWARD):
+            critical_path_tasks(inst)
+        assert priority_map(inst, PriorityKind.ARBITRARY_TOPOLOGICAL)["a"] == 8.0
+
+    def test_cpop_priority(self):
+        # a's upward rank rounds to the largest float and b's sum, rounded
+        # the other way, to inf; the "critical path" used to be b alone
+        inst = mk_instance(
+            {"a": 2.0**1023 - 2.0**971, "b": 2.0**1023}, {("a", "b"): 1.5 * 2.0**969},
+            {"n0": 1.0, "n1": 1.0},
+        )
+        assert upward_rank(inst)["a"] == sys.float_info.max and downward_rank(inst)["b"] < math.inf
+        message = "^CPoP priority of task 'b' is not finite: "
+        for rank in (lambda i: priority_map(i, PriorityKind.CPOP_RANKING), critical_path_tasks):
+            with pytest.raises(ValueError, match=message):
+                rank(inst)
