@@ -187,15 +187,11 @@ class ProblemInstance:
                              f"cost {cost[task]!r} over speed {speed[node]!r}")
 
 
-@dataclass(frozen=True, eq=True, slots=True, init=False)
+@dataclass(frozen=True, eq=True, slots=True)
 class ScheduleEntry:
-    """One placed task: runs on ``node`` over the interval [start, end].
+    """One placed task: runs on ``node`` over [start, end].  Slotted, so no ``__dict__``.
 
-    Entries are slotted, so they carry no ``__dict__``.  The scheduler,
-    the loader and callers all build entries through the one constructor
-    below: it rejects a negative start, an end before the start and a
-    non-finite time, then writes the four slots through their member
-    descriptors, since the frozen ``__setattr__`` refuses assignment.
+    The constructor rejects a negative start, an end before the start and a non-finite time.
     """
 
     task: TaskId
@@ -203,24 +199,14 @@ class ScheduleEntry:
     start: float
     end: float
 
-    def __init__(self, task: TaskId, node: NodeId, start: float, end: float) -> None:
-        if not 0 <= start <= end < _INF:
+    def __post_init__(self) -> None:
+        start, end = self.start, self.end
+        if not 0 <= start <= end < math.inf:
             if start < 0:
-                raise ValueError(f"entry for {task!r} has negative start {start!r}")
+                raise ValueError(f"entry for {self.task!r} has negative start {start!r}")
             if end < start:
-                raise ValueError(f"entry for {task!r} ends before it starts")
-            raise ValueError(f"entry for {task!r} has a non-finite time: {start!r} to {end!r}")
-        _set_task(self, task)
-        _set_node(self, node)
-        _set_start(self, start)
-        _set_end(self, end)
-
-
-_INF = math.inf
-_set_task = ScheduleEntry.__dict__["task"].__set__
-_set_node = ScheduleEntry.__dict__["node"].__set__
-_set_start = ScheduleEntry.__dict__["start"].__set__
-_set_end = ScheduleEntry.__dict__["end"].__set__
+                raise ValueError(f"entry for {self.task!r} ends before it starts")
+            raise ValueError(f"entry for {self.task!r} has a non-finite time: {start!r} to {end!r}")
 
 
 @dataclass(frozen=True, eq=True)

@@ -133,6 +133,13 @@ MUTANTS = [
         ("tests/test_scheduler.py::TestInvariants::test_critical_path_tie_for_fastest_goes_to_smallest_id",),
     ),
     Mutant(
+        "Quickest scored by its end",
+        SELECTION,
+        "else f - s",
+        "else f",
+        ("tests/test_scheduler.py::TestInvariants::test_quickest_duplicates_equal_their_partners",),
+    ),
+    Mutant(
         "loser reuse under Quickest",
         SCHEDULER,
         "monotone = compare is not CompareKind.QUICKEST",
@@ -154,23 +161,16 @@ MUTANTS = [
         (FINGERPRINT, REFERENCE),
     ),
     Mutant(
-        "entry constructor writes start into the end slot",
-        MODEL,
-        "_set_end(self, end)",
-        "_set_end(self, start)",
-        ENTRY,
-    ),
-    Mutant(
         "entry end-before-start check dropped",
         MODEL,
-        "if not 0 <= start <= end < _INF:",
-        "if not (0 <= start < _INF and end < _INF):",
+        "if not 0 <= start <= end < math.inf:",
+        "if not (0 <= start < math.inf and end < math.inf):",
         ENTRY,
     ),
     Mutant(
         "entry non-finite check dropped",
         MODEL,
-        '            raise ValueError(f"entry for {task!r} has a non-finite time: '
+        '            raise ValueError(f"entry for {self.task!r} has a non-finite time: '
         '{start!r} to {end!r}")\n',
         "",
         ENTRY,

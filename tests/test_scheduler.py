@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from listsched.selection import Window
 from listsched.datagen import GenParams, GraphKind, gen_dataset
 
 from conftest import layered_dag, mk_instance, random_instance
+from test_fingerprint import corpus
 from reference import (
     best_two_nodes,
     brute_force_min_makespan,
@@ -275,6 +277,26 @@ class TestInvariants:
                     continue
                 for entry in schedule(inst, config):
                     assert inst.network.speed[entry.node] == top_speed
+
+    def test_quickest_duplicates_equal_their_partners(self):
+        # every Quickest task goes to the fastest node, so append-only
+        # equals insertion (12 pairs) and, without sufferage, the critical
+        # path reservation changes nothing (3 pairs); a tie for the top
+        # speed, or a key (s + d) - s that rounds d away, would break this
+        pairs = []
+        for _, config in ALL_CONFIGS:
+            if config.compare is not CompareKind.QUICKEST:
+                continue
+            if config.append_only:
+                pairs.append((config, replace(config, append_only=False)))
+            elif config.critical_path and not config.sufferage:
+                pairs.append((config, replace(config, critical_path=False)))
+        assert len(pairs) == 15
+        for inst in [inst for _, inst in corpus()] + fuzz_instances(52, 100):
+            speeds = sorted(inst.network.speed.values())
+            assert len(speeds) == 1 or speeds[-2] < speeds[-1]
+            for config, partner in pairs:
+                assert schedule(inst, config) == schedule(inst, partner), canonical_name(config)
 
     def test_critical_path_tasks_on_reserved_node(self):
         for inst in fuzz_instances(45, 25, min_nodes=2):
