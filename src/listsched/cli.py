@@ -1,11 +1,16 @@
 """Command-line interface: generate, schedule, validate, benchmark, analyze.
 
-One table, ``COMMANDS``, holds every command: its help, the function
-that adds its arguments and the function that runs it.  Each call builds
-only the parser of the command it names; the full parser, with the top
-level and every command, is built only for a call that names none or
-leaves arguments unrecognized, and for ``build_parser()``.  Nothing is
-cached between calls, so a call costs what it costs in a new process.
+One table, ``COMMANDS``, holds every command: its help, its options and
+the function that runs it.  Each option is an ``Option`` record of the
+keywords ``add_argument`` takes, so the table is both the full argparse
+parser's source and the data a canonical call is read from.  A canonical
+call names a command and then only exact ``--flag value`` groups of it,
+each value valid; ``_parse`` builds its namespace from the table without
+building a parser.  Every other call (help, an abbreviation,
+``--flag=value``, a value that starts with ``-``, a bad value, a missing
+flag) goes to the full parser, which prints the help or the usage error.
+Nothing is cached between calls, so a call costs what it costs in a new
+process.
 
 Exit codes: 0 on success, 1 on domain errors (invalid schedule, unknown
 scheduler name, malformed instance, dataset or results files, JSON of
@@ -52,55 +57,6 @@ def _seed(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"seed must be non-negative, got {text!r}")
     return value
-
-
-def _generate_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kind", required=True, choices=[k.value for k in datagen.GraphKind])
-    p.add_argument("--ccr", type=_positive_float, default=1.0,
-                   help="target communication-to-computation ratio (default 1)")
-    p.add_argument("--count", type=_positive_int, default=100,
-                   help="number of instances (default 100)")
-    p.add_argument("--seed", type=_seed, default=0, help="dataset seed (default 0)")
-    p.add_argument("--out", required=True, help="output dataset directory")
-
-
-def _schedule_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--instance", required=True)
-    p.add_argument("--scheduler", required=True,
-                   help="canonical name or alias (see list-schedulers)")
-    p.add_argument("--out", required=True, help="output schedule JSON")
-
-
-def _validate_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--instance", required=True)
-    p.add_argument("--schedule", required=True)
-
-
-def _benchmark_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--datasets", required=True, nargs="+",
-                   help="one or more dataset directories")
-    p.add_argument("--schedulers", default="all",
-                   help="'all' or a comma-separated list of names (default all)")
-    p.add_argument("--repeats", type=_positive_int, default=3,
-                   help="timed runs per record; the median is kept (default 3)")
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="accepted for compatibility; has no effect, every run "
-                        "is timed serially (default 1)")
-    p.add_argument("--out", required=True, help="output results CSV")
-
-
-def _analyze_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--results", required=True)
-    p.add_argument("--mode", required=True,
-                   choices=["ratios", "pareto", "effects", "interactions"])
-    p.add_argument("--params", default=None,
-                   help="two comma-separated parameters for --mode interactions "
-                        "(e.g. compare,ccr)")
-    p.add_argument("--out", required=True)
-
-
-def _no_arguments(p: argparse.ArgumentParser) -> None:
-    pass
 
 
 class _Failure(Exception):
@@ -234,25 +190,65 @@ def cmd_list_schedulers(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class Option(NamedTuple):
+    """One ``--flag`` of a command: the keywords ``add_argument`` takes for it."""
+
+    flag: str
+    help: str | None = None
+    type: Callable[[str], object] | None = None
+    default: object = None
+    required: bool = False
+    choices: tuple[str, ...] | None = None
+    nargs: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
 class Command(NamedTuple):
     help: str
-    #: adds the command's arguments to its parser
-    arguments: Callable[[argparse.ArgumentParser], None]
+    options: tuple[Option, ...]
     run: Callable[[argparse.Namespace], int]
 
 
 #: every command, in the order the top-level help lists them
 COMMANDS: dict[str, Command] = {
-    "generate": Command("generate a dataset of random instances",
-                        _generate_arguments, cmd_generate),
-    "schedule": Command("schedule one instance with one scheduler",
-                        _schedule_arguments, cmd_schedule),
-    "validate": Command("check a schedule against an instance",
-                        _validate_arguments, cmd_validate),
-    "benchmark": Command("run schedulers over datasets", _benchmark_arguments, cmd_benchmark),
-    "analyze": Command("derive tables from a results CSV", _analyze_arguments, cmd_analyze),
-    "list-schedulers": Command("print the 72 scheduler names", _no_arguments,
-                               cmd_list_schedulers),
+    "generate": Command("generate a dataset of random instances", (
+        Option("--kind", required=True, choices=tuple(k.value for k in datagen.GraphKind)),
+        Option("--ccr", "target communication-to-computation ratio (default 1)",
+               _positive_float, 1.0),
+        Option("--count", "number of instances (default 100)", _positive_int, 100),
+        Option("--seed", "dataset seed (default 0)", _seed, 0),
+        Option("--out", "output dataset directory", required=True),
+    ), cmd_generate),
+    "schedule": Command("schedule one instance with one scheduler", (
+        Option("--instance", required=True),
+        Option("--scheduler", "canonical name or alias (see list-schedulers)", required=True),
+        Option("--out", "output schedule JSON", required=True),
+    ), cmd_schedule),
+    "validate": Command("check a schedule against an instance", (
+        Option("--instance", required=True),
+        Option("--schedule", required=True),
+    ), cmd_validate),
+    "benchmark": Command("run schedulers over datasets", (
+        Option("--datasets", "one or more dataset directories", required=True, nargs="+"),
+        Option("--schedulers", "'all' or a comma-separated list of names (default all)",
+               default="all"),
+        Option("--repeats", "timed runs per record; the median is kept (default 3)",
+               _positive_int, 3),
+        Option("--jobs", "accepted for compatibility; has no effect, every run "
+                         "is timed serially (default 1)", _positive_int, 1),
+        Option("--out", "output results CSV", required=True),
+    ), cmd_benchmark),
+    "analyze": Command("derive tables from a results CSV", (
+        Option("--results", required=True),
+        Option("--mode", required=True, choices=("ratios", "pareto", "effects", "interactions")),
+        Option("--params", "two comma-separated parameters for --mode interactions "
+                           "(e.g. compare,ccr)"),
+        Option("--out", required=True),
+    ), cmd_analyze),
+    "list-schedulers": Command("print the 72 scheduler names", (), cmd_list_schedulers),
 }
 
 
@@ -264,26 +260,61 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        command.arguments(sub.add_parser(name, help=command.help))
+        command_parser = sub.add_parser(name, help=command.help)
+        for option in command.options:
+            command_parser.add_argument(option.flag, **dict(zip(Option._fields[1:], option[1:])))
     return parser
+
+
+def _exact(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace of a canonical call, or None for any other call.
+
+    A canonical call is a command followed only by exact ``--flag value``
+    groups of that command: every word that starts with ``-`` is one of
+    its flags, each flag has one value (at least one for ``nargs="+"``),
+    every value converts by the option's ``type`` and is among its
+    ``choices``, and every required flag is given.  As in argparse, a
+    repeated flag keeps its last value and a missing option its default.
+    """
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    options = {option.flag: option for option in command.options}
+    rest = argv[1:]
+    starts = [i for i, word in enumerate(rest) if word.startswith("-")]
+    if rest and starts[:1] != [0]:
+        return None
+    values = {}
+    for i, j in zip(starts, starts[1:] + [len(rest)]):
+        option, words = options.get(rest[i]), rest[i + 1:j]
+        if option is None or not words or (option.nargs is None and len(words) > 1):
+            return None
+        try:
+            converted = [option.type(word) for word in words] if option.type else words
+        except (argparse.ArgumentTypeError, TypeError, ValueError):  # argparse's usage errors
+            return None
+        if option.choices is not None and any(v not in option.choices for v in converted):
+            return None
+        values[option.dest] = converted if option.nargs else converted[0]
+    for option in command.options:
+        if option.dest not in values:
+            if option.required:
+                return None
+            default = option.default
+            values[option.dest] = (option.type(default) if option.type and isinstance(default, str)
+                                   else default)
+    return argparse.Namespace(command=argv[0], **values)
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """Parse ``argv`` as ``build_parser().parse_args(argv)`` would.
 
-    A call whose first word names a command builds only that command's
-    parser, the same one the full parser would hand the rest of ``argv``
-    to.  Everything else, and a call that leaves arguments unrecognized,
-    goes to the full parser, which prints the top-level usage or error.
+    A canonical call (see :func:`_exact`) is read from its command's
+    option table without building a parser.  Every other call goes to
+    the full parser, which prints the help or the usage error.
     """
-    command = COMMANDS.get(argv[0]) if argv else None
-    if command is not None:
-        parser = argparse.ArgumentParser(prog=f"listsched {argv[0]}")
-        command.arguments(parser)
-        args, rest = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not rest:
-            return args
-    return build_parser().parse_args(argv)
+    args = _exact(argv)
+    return args if args is not None else build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -19,6 +19,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -487,8 +488,28 @@ def load_instance(path: str | Path) -> ProblemInstance:
     return instance_from_dict(json.loads(Path(path).read_text()))
 
 
+def _json_leaf(value: object) -> str:
+    """``json.dumps(value)``; a string or a finite float is encoded without the call."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)
+
+
 def save_schedule(schedule: Schedule, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(schedule_to_dict(schedule), indent=2) + "\n")
+    """Write ``json.dumps(schedule_to_dict(schedule), indent=2)`` and a newline.
+
+    The bytes come from a template of that layout, since ``indent`` makes
+    ``json`` fall back to its pure-Python encoder.
+    """
+    rows = ",\n".join(
+        f'    {{\n      "task": {_json_leaf(e.task)},\n      "node": {_json_leaf(e.node)},\n'
+        f'      "start": {_json_leaf(e.start)},\n      "end": {_json_leaf(e.end)}\n    }}'
+        for e in schedule.entries
+    )
+    entries = f"[\n{rows}\n  ]" if rows else "[]"
+    Path(path).write_text(f'{{\n  "entries": {entries}\n}}\n')
 
 
 def load_schedule(path: str | Path) -> Schedule:

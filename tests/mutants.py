@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Mutant kill-matrix: placement engine, scheduler, model, ranks, results reader and analysis.
+"""Mutant kill-matrix: placement engine, scheduler, model, ranks, results reader, analysis and CLI parse.
 
 Run from the root of a checkout, with pytest and hypothesis installed::
 
@@ -38,6 +38,7 @@ MODEL = "src/listsched/model.py"
 BENCH = "src/listsched/bench.py"
 DATAGEN = "src/listsched/datagen.py"
 PRIORITY = "src/listsched/priority.py"
+CLI = "src/listsched/cli.py"
 
 UNPRUNED = "tests/test_selection.py::TestPlacementState::test_best_equals_an_unpruned_pass"
 READY_TIMES = "tests/test_selection.py::TestPlacementState::test_ready_times_equal_the_spec_bit_for_bit"
@@ -275,6 +276,28 @@ MUTANTS = [
         'key=float if parameter == "ccr" else None',
         "key=None",
         ("tests/test_bench.py::TestInteractionEffects",),
+    ),
+    Mutant(
+        "a value that starts with - read from the table",
+        CLI,
+        'if word.startswith("-")]',
+        "if word in options]",
+        ("tests/test_cli.py::TestParse::test_a_drawn_call_equals_the_full_parser",),
+    ),
+    Mutant(
+        "choices not checked on the table path",
+        CLI,
+        "        if option.choices is not None and any(v not in option.choices for v in converted):\n"
+        "            return None\n",
+        "",
+        ("tests/test_cli.py::TestParse::test_equals_the_full_parser",),
+    ),
+    Mutant(
+        "schedule writer without the ASCII string encoder",
+        MODEL,
+        "from json.encoder import encode_basestring_ascii\n",
+        "from json.encoder import py_encode_basestring as encode_basestring_ascii\n",
+        ("tests/test_model.py::TestScheduleEntry::test_schedule_file_bytes_are_frozen",),
     ),
 ]
 

@@ -8,8 +8,9 @@ import os
 import subprocess
 import sys
 import tempfile
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -916,19 +917,24 @@ PARSE_CASES = [
 ]
 
 
-def parse_outcome(parse, argv, capsys):
+def parse_outcome(parse, argv):
     """``vars`` of the namespace, or the exit code, with the bytes printed."""
-    try:
-        result = vars(parse(argv))
-    except SystemExit as exc:
-        result = ("exit", exc.code)
-    out, err = capsys.readouterr()
-    return result, out, err
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
 
 
-@pytest.fixture
-def parsers_built(monkeypatch):
-    """The ``prog`` of every ArgumentParser built while the test runs."""
+def full_parse(argv):
+    return cli.build_parser().parse_args(argv)
+
+
+@contextmanager
+def counting_parsers():
+    """The ``prog`` of every ArgumentParser built inside the block."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -936,44 +942,145 @@ def parsers_built(monkeypatch):
         built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    return built
+    argparse.ArgumentParser.__init__ = counting_init
+    try:
+        yield built
+    finally:
+        argparse.ArgumentParser.__init__ = init
+
+
+@pytest.fixture
+def parsers_built():
+    with counting_parsers() as built:
+        yield built
+
+
+#: each command's required flags, then its optional ones
+COMMAND_FLAGS = {
+    "generate": (["--kind", "--out"], ["--ccr", "--count", "--seed"]),
+    "schedule": (["--instance", "--scheduler", "--out"], []),
+    "validate": (["--instance", "--schedule"], []),
+    "benchmark": (["--datasets", "--out"], ["--schedulers", "--repeats", "--jobs"]),
+    "analyze": (["--results", "--mode", "--out"], ["--params"]),
+    "list-schedulers": ([], []),
+}
+#: values each flag accepts
+VALID_VALUES = {
+    "--kind": ["chains", "in_trees", "out_trees"],
+    "--ccr": ["0.5", "1e-3", "2"],
+    "--count": ["1", "04"],
+    "--seed": ["0", "3"],
+    "--out": ["d", "s.json", "", "x=y"],
+    "--instance": ["i.json"],
+    "--scheduler": ["HEFT", "nope"],
+    "--schedule": ["s.json"],
+    "--datasets": ["a", "b"],
+    "--schedulers": ["all", "HEFT,MET"],
+    "--repeats": ["2"],
+    "--jobs": ["1", "2"],
+    "--results": ["r.csv"],
+    "--mode": ["ratios", "pareto", "effects", "interactions"],
+    "--params": ["compare,ccr"],
+}
+#: every other word a drawn call may hold: a bogus command, abbreviations,
+#: ``--flag=value``, help, ``--``, and values that are mistyped, empty,
+#: negative, overflowing, help or out of ``choices``
+OTHER_WORDS = [
+    "nope", "--inst", "--sched", "--data", "--mo", "--out=x", "--kind=chains", "--count=2",
+    "-h", "--help", "--", "-", "x", "", "0", "-1", "-0.5", "1e999", "nan", "grid", "bogus",
+]
+WORDS = sorted({*cli.COMMANDS, *VALID_VALUES, *(v for vs in VALID_VALUES.values() for v in vs),
+                *OTHER_WORDS})
+
+
+@st.composite
+def canonical_argv(draw):
+    """A command, then ``--flag value`` groups: every required flag, some others, repeats."""
+    command = draw(st.sampled_from(list(COMMAND_FLAGS)))
+    required, optional = COMMAND_FLAGS[command]
+    flags = required + [flag for flag in optional if draw(st.booleans())]
+    if flags:
+        flags += draw(st.lists(st.sampled_from(flags), max_size=2))
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        values = st.sampled_from(VALID_VALUES[flag])
+        argv += [flag, *draw(st.lists(values, min_size=1, max_size=3 if flag == "--datasets" else 1))]
+    return argv
+
+
+@st.composite
+def drawn_argv(draw):
+    """A canonical call with up to three words inserted, replaced or deleted."""
+    argv = draw(canonical_argv())
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if edit == "insert" or i == len(argv):
+            argv.insert(i, draw(st.sampled_from(WORDS)))
+        elif edit == "replace":
+            argv[i] = draw(st.sampled_from(WORDS))
+        else:
+            del argv[i]
+    return argv
 
 
 class TestParse:
     @pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
-    def test_equals_the_full_parser(self, argv, capsys, monkeypatch):
+    def test_equals_the_full_parser(self, argv, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
-        full = parse_outcome(lambda a: cli.build_parser().parse_args(a), argv, capsys)
-        assert parse_outcome(cli._parse, argv, capsys) == full
+        assert parse_outcome(cli._parse, argv) == parse_outcome(full_parse, argv)
+
+    @settings(max_examples=600, deadline=None)
+    @given(drawn_argv())
+    def test_a_drawn_call_equals_the_full_parser(self, argv):
+        with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+            assert parse_outcome(cli._parse, argv) == parse_outcome(full_parse, argv)
+
+    @settings(max_examples=200, deadline=None)
+    @given(canonical_argv())
+    def test_a_drawn_canonical_call_builds_no_parser(self, argv):
+        with counting_parsers() as built:
+            args = cli._parse(argv)
+        assert built == []
+        assert vars(args) == vars(full_parse(argv))
 
     def test_table_and_full_parser_list_the_same_commands(self):
         sub = next(a for a in cli.build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
-        assert list(sub.choices) == list(cli.COMMANDS) == [
+        assert list(sub.choices) == list(cli.COMMANDS) == list(COMMAND_FLAGS) == [
             "generate", "schedule", "validate", "benchmark", "analyze", "list-schedulers",
         ]
 
     @pytest.mark.parametrize("argv", [
-        ["list-schedulers"],
+        ["generate", "--kind", "chains", "--out", "d"],
         ["schedule", "--instance", "i.json", "--scheduler", "HEFT", "--out", "s.json"],
         ["validate", "--instance", "i.json", "--schedule", "s.json"],
+        ["benchmark", "--datasets", "a", "b", "--out", "r.csv"],
+        ["analyze", "--results", "r.csv", "--mode", "effects", "--out", "e.csv"],
+        ["list-schedulers"],
     ], ids=lambda argv: argv[0])
-    def test_a_valid_call_builds_only_its_own_parser(self, argv, parsers_built):
-        cli._parse(argv)
-        assert parsers_built == [f"listsched {argv[0]}"]
+    def test_a_canonical_call_builds_no_parser(self, argv, parsers_built):
+        args = cli._parse(argv)
+        assert parsers_built == []
+        assert vars(args) == vars(full_parse(argv))
 
-    def test_nothing_is_cached_between_calls(self, parsers_built, capsys):
-        assert main(["list-schedulers"]) == 0
-        assert len(parsers_built) == 1
-        assert main(["list-schedulers"]) == 0
-        assert len(parsers_built) == 2
+    def test_nothing_is_cached_between_calls(self, instance_file, tmp_path, parsers_built,
+                                             capsys):
+        # not canonical: an abbreviation and --flag=value; the full parser is
+        # the top level and six commands, built again for the second call
+        out = tmp_path / "s.json"
+        argv = ["schedule", "--inst", str(instance_file), "--scheduler", "HEFT", f"--out={out}"]
+        assert main(argv) == 0
+        assert len(parsers_built) == 7
+        assert main(argv) == 0
+        assert len(parsers_built) == 14
+        assert capsys.readouterr().out == "1.0\n" * 2
 
     def test_leftover_arguments_reach_the_full_parser(self, parsers_built, capsys):
         with pytest.raises(SystemExit):
             cli._parse(["list-schedulers", "--x"])
-        # its own parser, then the full parser: top level and six commands
-        assert len(parsers_built) == 1 + 7
+        # the full parser alone: top level and six commands
+        assert len(parsers_built) == 7
         assert "listsched: error: unrecognized arguments: --x" in capsys.readouterr().err
 
 

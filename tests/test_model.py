@@ -4,9 +4,13 @@ import json
 import math
 import pickle
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from listsched import (
     Network,
@@ -624,3 +628,27 @@ class TestScheduleEntry:
         save_schedule(self.fixed_schedule(), path)
         assert path.read_bytes() == FIXED_SCHEDULE_FILE
         assert load_schedule(path) == self.fixed_schedule()
+
+
+#: any string id: quotes, backslashes, control, non-ASCII and astral characters
+ENTRY_IDS = st.text()
+#: times an entry holds: finite floats, the extremes of ``repr``, ints and bools
+ENTRY_TIMES = st.one_of(
+    st.floats(min_value=0, allow_infinity=False), st.sampled_from([-0.0, 5e-324, 1e16]),
+    st.integers(min_value=0, max_value=10**400), st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(ENTRY_IDS, ENTRY_IDS, ENTRY_TIMES, ENTRY_TIMES), max_size=4))
+@example([])
+@example([('"q\\b\x00\x1f\u00e2\U0001f600', "\u2028", -0.0, 5e-324),
+          ("a", "n0", 1e16, 10**20), ("b", "n1", False, True)])
+def test_schedule_file_is_the_indented_json(rows):
+    sched = Schedule(tuple(ScheduleEntry(task, node, *sorted(times))
+                           for task, node, *times in rows))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "s.json")
+        save_schedule(sched, path)
+        written = path.read_bytes()
+    assert written == (json.dumps(schedule_to_dict(sched), indent=2) + "\n").encode()
