@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import gc
+import io
 import itertools
 import math
 import statistics
@@ -28,7 +29,7 @@ from pathlib import Path
 from typing import Hashable, Iterable, Sequence
 
 from .datagen import Dataset, _split_dataset_name
-from .model import ProblemInstance, Schedule, makespan
+from .model import ProblemInstance, Schedule, _write_text, makespan
 from .scheduler import (
     SchedulerConfig,
     canonical_name,
@@ -340,15 +341,16 @@ def write_results_csv(
 ) -> None:
     """One line per record; a failed record or a missing ratio leaves its cells empty."""
     by_key = {(r.dataset, r.instance_index, r.scheduler): r for r in ratios}
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULTS_HEADER)
-        for r in records:
-            key = (r.dataset, r.instance_index, r.scheduler)
-            ratio = by_key.get(key) if r.error is None else None
-            values = ("", "") if r.error is not None else (r.makespan, r.runtime_seconds)
-            ratio_values = (ratio.makespan_ratio, ratio.runtime_ratio) if ratio else ("", "")
-            writer.writerow([*key, *values, *ratio_values, r.error or ""])
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(RESULTS_HEADER)
+    for r in records:
+        key = (r.dataset, r.instance_index, r.scheduler)
+        ratio = by_key.get(key) if r.error is None else None
+        values = ("", "") if r.error is not None else (r.makespan, r.runtime_seconds)
+        ratio_values = (ratio.makespan_ratio, ratio.runtime_ratio) if ratio else ("", "")
+        writer.writerow([*key, *values, *ratio_values, r.error or ""])
+    _write_text(path, buffer.getvalue())
 
 
 def read_results_csv(path: str | Path) -> list[BenchmarkRecord]:
@@ -412,11 +414,12 @@ def write_table_csv(path: str | Path, row_type: type, rows: Iterable[object]) ->
 
     ``csv`` writes a float as its ``repr`` and a bool as ``True``/``False``.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        names = [field.name for field in fields(row_type)]
-        writer.writerow(names)
-        writer.writerows([getattr(row, name) for name in names] for row in rows)
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    names = [field.name for field in fields(row_type)]
+    writer.writerow(names)
+    writer.writerows([getattr(row, name) for name in names] for row in rows)
+    _write_text(path, buffer.getvalue())
 
 
 def pareto_svg(points: Sequence[ParetoPoint]) -> str:

@@ -171,7 +171,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             points = bench.pareto_front(bench.mean_ratio_points(ratios))
             bench.write_table_csv(args.out, bench.ParetoPoint, points)
             svg_path = Path(args.out).with_suffix(".svg")
-            svg_path.write_text(bench.pareto_svg(points))
+            model._write_text(svg_path, bench.pareto_svg(points))
             print(f"wrote {svg_path}")
         elif args.mode == "effects":
             bench.write_table_csv(args.out, bench.EffectRow, bench.component_effects(ratios))

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import Network, ProblemInstance, TaskGraph, load_instance, save_instance
-from .model import _count, _id, _json_shape
+from .model import _count, _id, _json_shape, _write_text
 from .priority import _mean_recip
 
 __all__ = [
@@ -212,7 +212,7 @@ def save_dataset(dataset: Dataset, params: GenParams, out_dir: str | Path) -> No
         "seed": params.seed,
         "count": params.count,
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    _write_text(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
     for stale in out.glob("instance_*.json"):  # left by an earlier, larger dataset
         stale.unlink()
     for i, instance in enumerate(dataset.instances):

@@ -245,3 +245,19 @@ def wrong_shape_schedule(case: str | None = None) -> dict:
     elif case == "start is a numeric string":
         entries[0]["start"] = "0"
     return {"entries": entries}
+
+
+#: Bytes of a file already at an output path, longer than any output the
+#: tests write, so a writer that does not cut the file leaves some of them.
+LONGER_FILE = b"#" * 100_000
+
+
+def fresh_and_overwritten(tmp_path, write, name: str) -> tuple[bytes, bytes]:
+    """The bytes ``write(path)`` leaves at a new path, and at a path holding :data:`LONGER_FILE`."""
+    fresh, old = tmp_path / "fresh" / name, tmp_path / "old" / name
+    fresh.parent.mkdir()
+    old.parent.mkdir()
+    old.write_bytes(LONGER_FILE)
+    write(fresh)
+    write(old)
+    return fresh.read_bytes(), old.read_bytes()

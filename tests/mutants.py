@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Mutant kill-matrix: placement engine, scheduler, model, ranks, results reader, analysis and CLI parse.
+"""Mutant kill-matrix: placement engine, scheduler, model, ranks, results reader, analysis, CLI parse and output writes.
 
 Run from the root of a checkout, with pytest and hypothesis installed::
 
@@ -52,6 +52,10 @@ ENTRY = (
 )
 ANALYZE = "tests/test_cli.py::TestAnalyze"
 READER_REFERENCE = "tests/test_cli.py::test_results_reader_equals_the_reference_reader"
+OVERWRITE = (
+    "tests/test_model.py::test_a_longer_file_is_overwritten_with_the_bytes_of_a_fresh_write",
+    "tests/test_bench.py::TestCsv::test_a_longer_file_is_overwritten_with_the_bytes_of_a_fresh_write",
+)
 
 
 class Mutant(NamedTuple):
@@ -298,6 +302,20 @@ MUTANTS = [
         "from json.encoder import encode_basestring_ascii\n",
         "from json.encoder import py_encode_basestring as encode_basestring_ascii\n",
         ("tests/test_model.py::TestScheduleEntry::test_schedule_file_bytes_are_frozen",),
+    ),
+    Mutant(
+        "output not cut to its new length",
+        MODEL,
+        "fh.truncate()",
+        "pass",
+        OVERWRITE,
+    ),
+    Mutant(
+        "every output cut, a pipe or /dev/null too",
+        MODEL,
+        "if stat.S_ISREG(os.fstat(fd).st_mode):",
+        "if True:",
+        ("tests/test_cli.py::TestOutputFile",),
     ),
 ]
 

@@ -36,11 +36,14 @@ from listsched.bench import (
     write_results_csv,
     write_table_csv,
 )
+from listsched.cli import main
 from listsched.datagen import Dataset, GenParams, GraphKind, gen_dataset
 
 from conftest import (
+    LONGER_FILE,
     branches_past_the_largest_float,
     fork_with_tiny_weight,
+    fresh_and_overwritten,
     mk_instance,
     random_instance,
 )
@@ -632,6 +635,37 @@ class TestCsv:
             reference_write_table_csv(theirs, row_type, table)
             assert ours.read_bytes() == theirs.read_bytes()
             assert len(ours.read_bytes().splitlines()) == len(table) + 1
+
+    @pytest.mark.parametrize("writer", ["write_results_csv", "write_table_csv", "pareto svg"])
+    def test_a_longer_file_is_overwritten_with_the_bytes_of_a_fresh_write(self, tmp_path, writer):
+        records = [
+            record("d_ccr_1", 0, "HEFT", 2.5, 0.001),
+            record("d_ccr_1", 0, "MCT", 3.5, 0.0005),
+            record("d_ccr_1", 1, "HEFT", math.nan, math.nan, error="boom"),
+        ]
+        ratios = compute_ratios(records[:2])
+        results = tmp_path / "results.csv"
+        write_results_csv(results, records[:2], ratios)
+
+        def analyze_pareto(svg):
+            assert main(["analyze", "--results", str(results), "--mode", "pareto",
+                         "--out", str(svg.with_suffix(".csv"))]) == 0
+
+        name, write = {
+            "write_results_csv": ("r.csv", lambda path: write_results_csv(path, records, ratios)),
+            "write_table_csv": ("t.csv", lambda path: write_table_csv(
+                path, ParetoPoint, pareto_front(mean_ratio_points(ratios)))),
+            "pareto svg": ("p.svg", analyze_pareto),
+        }[writer]
+        fresh, overwritten = fresh_and_overwritten(tmp_path, write, name)
+        assert overwritten == fresh
+
+    def test_a_writer_that_raises_leaves_the_file_untouched(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(LONGER_FILE)
+        with pytest.raises(AttributeError):
+            write_table_csv(path, ParetoPoint, [object()])
+        assert path.read_bytes() == LONGER_FILE
 
     def test_svg_export(self):
         points = pareto_front([("A", 1.0, 2.0), ("B", 2.0, 1.0), ("C", 2.5, 2.5)])

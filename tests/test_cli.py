@@ -162,6 +162,73 @@ class TestSchedule:
         assert len(listed) == 72
 
 
+class TestOutputFile:
+    """Every ``--out`` is overwritten in place and cut to the new length."""
+
+    def schedule(self, instance_file, out):
+        return main(["schedule", "--instance", str(instance_file), "--scheduler", "HEFT",
+                     "--out", str(out)])
+
+    def fresh_bytes(self, instance_file, tmp_path):
+        self.schedule(instance_file, tmp_path / "fresh.json")
+        return (tmp_path / "fresh.json").read_bytes()
+
+    def test_dev_null_is_accepted(self, instance_file, capsys):
+        # ftruncate on a character device fails with EINVAL
+        assert self.schedule(instance_file, os.devnull) == 0
+        assert capsys.readouterr() == ("1.0\n", "")
+
+    def test_a_pipe_gets_the_schedule_bytes(self, instance_file, tmp_path, capsys):
+        read_end, write_end = os.pipe()
+        try:
+            code = self.schedule(instance_file, f"/dev/fd/{write_end}")
+        finally:
+            os.close(write_end)
+        with os.fdopen(read_end, "rb") as fh:
+            piped = fh.read()
+        assert code == 0
+        assert capsys.readouterr() == ("1.0\n", "")
+        assert piped == self.fresh_bytes(instance_file, tmp_path)
+
+    def test_a_symlink_stays_a_link_and_its_target_is_rewritten(
+        self, instance_file, tmp_path, capsys
+    ):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_bytes(b"#" * 100_000)
+        link.symlink_to(target)
+        assert self.schedule(instance_file, link) == 0
+        assert capsys.readouterr() == ("1.0\n", "")
+        assert link.is_symlink() and link.readlink() == target
+        assert target.read_bytes() == self.fresh_bytes(instance_file, tmp_path)
+
+    def test_a_hard_linked_output_changes_under_both_names(self, instance_file, tmp_path, capsys):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        first.write_bytes(b"#" * 100_000)
+        first.chmod(0o640)
+        os.link(first, second)
+        assert self.schedule(instance_file, second) == 0
+        assert capsys.readouterr() == ("1.0\n", "")
+        fresh = self.fresh_bytes(instance_file, tmp_path)
+        assert first.read_bytes() == second.read_bytes() == fresh
+        assert first.stat().st_ino == second.stat().st_ino
+        assert first.stat().st_mode & 0o777 == 0o640
+
+    @pytest.mark.parametrize("out, error", [
+        ("dir", "[Errno 21] Is a directory"),
+        ("dir/missing/s.json", "[Errno 2] No such file or directory"),
+    ], ids=["existing directory", "missing parent"])
+    def test_an_output_that_cannot_be_opened_is_an_io_error(
+        self, instance_file, tmp_path, capsys, out, error
+    ):
+        directory = tmp_path / "dir"
+        directory.mkdir()
+        (directory / "kept.json").write_text("kept")
+        assert self.schedule(instance_file, tmp_path / out) == 2
+        assert capsys.readouterr() == ("", f"IO error: {error}: '{tmp_path / out}'\n")
+        assert [p.name for p in directory.iterdir()] == ["kept.json"]
+        assert (directory / "kept.json").read_text() == "kept"
+
+
 @pytest.mark.parametrize("case", MALFORMED_CASES)
 @pytest.mark.parametrize("command", ["schedule", "validate"])
 def test_malformed_instance_is_domain_error(tmp_path, capsys, command, case):

@@ -25,6 +25,7 @@ from listsched import (
     validate_schedule,
 )
 from listsched.cli import main
+from listsched.datagen import GenParams, GraphKind, gen_dataset, save_dataset
 from listsched.model import (
     instance_from_dict,
     instance_to_dict,
@@ -42,6 +43,7 @@ from conftest import (
     WRONG_SHAPE_INSTANCES,
     WRONG_SHAPE_SCHEDULES,
     ab_instance_dict,
+    fresh_and_overwritten,
     malformed_instance_dict,
     mk_instance,
     random_instance,
@@ -628,6 +630,21 @@ class TestScheduleEntry:
         save_schedule(self.fixed_schedule(), path)
         assert path.read_bytes() == FIXED_SCHEDULE_FILE
         assert load_schedule(path) == self.fixed_schedule()
+
+
+def save_a_dataset(path):
+    params = GenParams(kind=GraphKind.CHAINS, seed=3, count=2, target_ccr=1.0)
+    save_dataset(gen_dataset(params), params, path.parent)
+
+
+@pytest.mark.parametrize("name, write", [
+    ("s.json", lambda path: save_schedule(TestScheduleEntry().fixed_schedule(), path)),
+    ("i.json", lambda path: save_instance(instance_from_dict(FIXED_INSTANCE_SOURCE), path)),
+    ("manifest.json", save_a_dataset),
+], ids=["save_schedule", "save_instance", "save_dataset manifest"])
+def test_a_longer_file_is_overwritten_with_the_bytes_of_a_fresh_write(tmp_path, name, write):
+    fresh, overwritten = fresh_and_overwritten(tmp_path, write, name)
+    assert overwritten == fresh
 
 
 #: any string id: quotes, backslashes, control, non-ASCII and astral characters
