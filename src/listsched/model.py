@@ -486,8 +486,8 @@ def _write_text(path: str | Path, text: str) -> None:
     """Overwrite ``path`` with ``text`` in place, then cut it to the new length.
 
     Every output file is written here.  The open has no ``O_TRUNC``:
-    truncating a 3 KB file to zero and rewriting it cost about 200 us on
-    ext4, which flushes such a file on close; an in-place overwrite, 8-20 us.
+    truncating a 3 KB file to zero and rewriting it cost 110-200 us on
+    ext4, which flushes such a file on close; an in-place overwrite, 8-23 us.
     Like ``open(path, "w")`` it follows a symlink, keeps hard links and the
     file's mode, and raises the same ``OSError``.  Only a regular file is
     cut, since ``ftruncate`` fails on ``/dev/null`` and on a pipe.

@@ -36,6 +36,7 @@ from listsched.cli import main
 from listsched.model import load_instance
 
 from conftest import (
+    LONGER_FILE,
     MALFORMED_CASES,
     WRONG_SHAPE_INSTANCES,
     WRONG_SHAPE_SCHEDULES,
@@ -194,7 +195,7 @@ class TestOutputFile:
         self, instance_file, tmp_path, capsys
     ):
         target, link = tmp_path / "target.json", tmp_path / "link.json"
-        target.write_bytes(b"#" * 100_000)
+        target.write_bytes(LONGER_FILE)
         link.symlink_to(target)
         assert self.schedule(instance_file, link) == 0
         assert capsys.readouterr() == ("1.0\n", "")
@@ -203,7 +204,7 @@ class TestOutputFile:
 
     def test_a_hard_linked_output_changes_under_both_names(self, instance_file, tmp_path, capsys):
         first, second = tmp_path / "first.json", tmp_path / "second.json"
-        first.write_bytes(b"#" * 100_000)
+        first.write_bytes(LONGER_FILE)
         first.chmod(0o640)
         os.link(first, second)
         assert self.schedule(instance_file, second) == 0
