@@ -414,12 +414,17 @@ def write_table_csv(path: str | Path, row_type: type, rows: Iterable[object]) ->
 
     ``csv`` writes a float as its ``repr`` and a bool as ``True``/``False``.
     """
+    _write_text(path, _table_text(row_type, rows))
+
+
+def _table_text(row_type: type, rows: Iterable[object]) -> str:
+    """The text :func:`write_table_csv` writes."""
     buffer = io.StringIO(newline="")
     writer = csv.writer(buffer)
     names = [field.name for field in fields(row_type)]
     writer.writerow(names)
     writer.writerows([getattr(row, name) for name in names] for row in rows)
-    _write_text(path, buffer.getvalue())
+    return buffer.getvalue()
 
 
 def pareto_svg(points: Sequence[ParetoPoint]) -> str:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -169,9 +170,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             bench.write_results_csv(args.out, records, ratios)
         elif args.mode == "pareto":
             points = bench.pareto_front(bench.mean_ratio_points(ratios))
-            bench.write_table_csv(args.out, bench.ParetoPoint, points)
+            table, svg = bench._table_text(bench.ParetoPoint, points), bench.pareto_svg(points)
             svg_path = Path(args.out).with_suffix(".svg")
-            model._write_text(svg_path, bench.pareto_svg(points))
+            # a failing call writes no file: the table is written only once
+            # the plot's path is open, and a plot file made for it goes again
+            new_svg = not os.path.lexists(svg_path)
+            svg_fd = model._open_output(svg_path)
+            try:
+                model._write_text(args.out, table)
+            except BaseException:
+                os.close(svg_fd)
+                if new_svg:
+                    os.unlink(svg_path)
+                raise
+            model._write_text(svg_fd, svg)
             print(f"wrote {svg_path}")
         elif args.mode == "effects":
             bench.write_table_csv(args.out, bench.EffectRow, bench.component_effects(ratios))

@@ -482,20 +482,28 @@ def schedule_from_dict(data: Mapping) -> Schedule:
     return Schedule(entries=tuple(ScheduleEntry(*row) for row in rows))
 
 
-def _write_text(path: str | Path, text: str) -> None:
-    """Overwrite ``path`` with ``text`` in place, then cut it to the new length.
+def _open_output(path: str | Path) -> int:
+    """A write-only descriptor on ``path``, created if missing; the open has no ``O_TRUNC``."""
+    return os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+
+
+def _write_text(path: str | Path | int, text: str) -> None:
+    """Overwrite ``path`` (or the descriptor from :func:`_open_output`) with ``text`` in place.
 
     Every output file is written here.  The open has no ``O_TRUNC``:
     truncating a 3 KB file to zero and rewriting it cost 110-200 us on
     ext4, which flushes such a file on close; an in-place overwrite, 8-23 us.
     Like ``open(path, "w")`` it follows a symlink, keeps hard links and the
-    file's mode, and raises the same ``OSError``.  Only a regular file is
-    cut, since ``ftruncate`` fails on ``/dev/null`` and on a pipe.
+    file's mode, and raises the same ``OSError``.  The file is then cut to
+    the new length, but only when it is regular (``ftruncate`` fails on
+    ``/dev/null`` and on a pipe) and was longer than ``len(text)``, a lower
+    bound on the bytes written: a new or shorter file needs no cut.
     """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    fd = path if type(path) is int else _open_output(path)
+    old = os.fstat(fd)
     with open(fd, "w", newline="") as fh:
         fh.write(text)
-        if stat.S_ISREG(os.fstat(fd).st_mode):
+        if stat.S_ISREG(old.st_mode) and old.st_size > len(text):
             fh.truncate()
 
 

@@ -17,17 +17,19 @@ CPoP-style priorities, whose raw values are not monotone along dependency
 edges on general DAGs.  Ties are broken by position in the deterministic
 topological order, so runs are bitwise reproducible.
 
-Each call compiles the instance once into the index form of
-:class:`~listsched.selection._PlacementState`; one engine pass over a
-task's candidate nodes yields its best node, that node's window, the
-sufferage value and the runner-up node.  A sufferage loser's pass is
-reused at the next step when the placement in between cannot change it.
-The CPoP ranks are computed once per call: a critical-path config whose
-priority is CPoPRanking takes its critical path from its priority map,
-and one whose priority is UpwardRanking hands its upward ranks to the
-priority module's CPoP sum.
-Nothing is cached across calls, so every timed run pays for its own
-set-up.
+Each call compiles the instance once, into
+:class:`~listsched.priority._Compiled`, where a task is named by its
+position in the topological order.  Everything after reads that form:
+the rank passes and the critical-path mask
+(:func:`~listsched.priority._priorities`, which runs each rank pass at
+most once), the ready heap of ``(-priority, position)`` pairs, and the
+placement engine :class:`~listsched.selection._PlacementState`.  Task ids
+come back only in the returned schedule and in error messages.  One
+engine pass over a task's candidate nodes yields its best node, that
+node's window, the sufferage value and the runner-up node.  A sufferage
+loser's pass is reused at the next step when the placement in between
+cannot change it.  Nothing is cached across calls or stored on the
+instance, so every timed run pays for its own compile and ranks.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
-from .model import ProblemInstance, Schedule, TaskId, topological_order
-from .priority import PriorityKind, _cpop_sum, critical_path_tasks, priority_map
+from .model import ProblemInstance, Schedule
+from .priority import PriorityKind, _Compiled, _priorities
 from .selection import CompareKind, _PlacementState
 
 __all__ = [
@@ -124,58 +126,46 @@ def schedule(instance: ProblemInstance, config: SchedulerConfig) -> Schedule:
 
     Entries appear in the returned schedule in placement order.
     """
-    tg = instance.task_graph
-
-    priorities = priority_map(instance, config.initial_priority)
-    topo_pos = {t: i for i, t in enumerate(topological_order(tg))}
-
-    state = _PlacementState(instance)
-    all_nodes = state.all_nodes
-    reserved: tuple[int, ...] = ()
-    cp_tasks: frozenset[TaskId] = frozenset()
-    if config.critical_path:
+    form = _Compiled(instance)
+    prio, cp = _priorities(instance, form, config.initial_priority, config.critical_path)
+    state = _PlacementState(instance, form)
+    all_nodes = reserved = state.all_nodes
+    if cp is None:
+        cp = [False] * len(prio)
+    else:
         # node indices follow sorted ids, so min keeps the smallest fastest id
         reserved = (min(all_nodes, key=lambda v: -state.speed[v]),)
-        cpop = None
-        if config.initial_priority is PriorityKind.CPOP_RANKING:
-            cpop = priorities
-        elif config.initial_priority is PriorityKind.UPWARD_RANKING:
-            cpop = _cpop_sum(instance, priorities)  # the upward ranks are at hand
-        cp_tasks = frozenset(critical_path_tasks(instance, cpop))
 
-    append_only, compare = config.append_only, config.compare
+    append_only, compare, sufferage = config.append_only, config.compare, config.sufferage
     # A sufferage loser was ready, so its data-ready times are fixed, and a
     # placement on node p can only delay its earliest fitting start on p:
     # under EFT and EST only p's key grows.  Unless p is the loser's best or
     # runner-up node, its evaluation holds at the next step.  A Quickest
     # key, (s + d) - s, is not monotone in s.
     monotone = compare is not CompareKind.QUICKEST
-    kept: tuple | None = None  # (task, evaluation) that holds at this step
+    kept: tuple | None = None  # (position, evaluation) that holds at this step
 
-    indeg = {t: len(tg.predecessors(t)) for t in tg.tasks}
-    ready = [(-priorities[t], topo_pos[t], t) for t in tg.tasks if indeg[t] == 0]
+    succs = form.succs
+    indeg = [len(p) for p in form.preds]
+    ready = [(-prio[i], i) for i, d in enumerate(indeg) if d == 0]
     heapq.heapify(ready)
-
-    def evaluate(task: TaskId) -> tuple[int, tuple[float, float], float, int | None]:
-        if kept is not None and kept[0] == task:
-            return kept[1]
-        candidates = reserved if task in cp_tasks else all_nodes
-        return state.best(task, candidates, append_only, compare)
 
     while ready:
         entry = heapq.heappop(ready)
-        task = entry[2]
-        best, best_w, suffer, second = evaluate(task)
+        task = entry[1]
+        if kept is not None and kept[0] == task:
+            best, best_w, suffer, second = kept[1]
+        else:
+            best, best_w, suffer, second = state.best(
+                task, reserved if cp[task] else all_nodes, append_only, compare)
         loser = None
-        if (
-            config.sufferage
-            and ready
-            and task not in cp_tasks
-            and ready[0][2] not in cp_tasks
-        ):
+        if sufferage and ready and not cp[task] and not cp[ready[0][1]]:
             rival_entry = heapq.heappop(ready)
-            rival = rival_entry[2]
-            rival_eval = evaluate(rival)
+            rival = rival_entry[1]
+            if kept is not None and kept[0] == rival:
+                rival_eval = kept[1]
+            else:
+                rival_eval = state.best(rival, all_nodes, append_only, compare)
             if rival_eval[2] > suffer:
                 heapq.heappush(ready, entry)
                 loser = (task, (best, best_w, suffer, second))
@@ -186,9 +176,9 @@ def schedule(instance: ProblemInstance, config: SchedulerConfig) -> Schedule:
 
         state.place(task, best, best_w)
         kept = loser if monotone and loser and best not in (loser[1][0], loser[1][3]) else None
-        for s in tg.successors(task):
+        for s, _ in succs[task]:
             indeg[s] -= 1
             if indeg[s] == 0:
-                heapq.heappush(ready, (-priorities[s], topo_pos[s], s))
+                heapq.heappush(ready, (-prio[s], s))
 
     return state.to_schedule()

@@ -11,14 +11,16 @@ the score inline, and the test suite's ``reference.py`` states each
 kind's score function for its spec-level scheduler.
 
 :class:`_PlacementState` is the one implementation of all of this, and
-the scheduler places tasks through it; its docstring, ``best``'s and
-:func:`_no_fit_threshold`'s give its index form, its pruning rules and
-why they are exact.
+the scheduler places tasks through it.  It reads the task graph's
+compiled form, :class:`~listsched.priority._Compiled`, which the
+scheduler builds once per call, so tasks are positions and nodes are
+indices; its docstring, ``best``'s and :func:`_no_fit_threshold`'s give
+its index form, its pruning rules and why they are exact.
 
 :func:`compare`, :func:`open_window_append_only` and
 :func:`open_window_insertion` each answer one question about one pair of
-windows or one (task, node) pair; the window queries compile a fresh
-engine from a whole :class:`Schedule` on every call.  They and
+windows or one (task, node) pair; the window queries compile the
+instance and a fresh engine from a whole :class:`Schedule` on every call.  They and
 :class:`Window` remain only because the benchmark times this layer
 through them; ``__all__`` leaves them out, so the package does not
 re-export them.  The plain spec-level versions of the window functions,
@@ -36,6 +38,7 @@ from operator import sub
 from typing import NamedTuple, Sequence
 
 from .model import NodeId, ProblemInstance, Schedule, ScheduleEntry, TaskId
+from .priority import _Compiled
 
 __all__ = ["CompareKind"]
 
@@ -102,7 +105,12 @@ def _no_fit_threshold(starts: Sequence[float], ends: Sequence[float]) -> float:
 class _PlacementState:
     """Incremental partial schedule on an instance compiled to index form.
 
-    Nodes are the indices of ``instance.network.node_order()``.  Node v's
+    Tasks are the positions of the task graph's compiled form
+    (:class:`~listsched.priority._Compiled`), whose ``order``, ``cost``
+    and ``preds`` the engine reads; ``where[i]`` is task i's
+    ``(node, start, end)``, ``None`` until it is placed, and ``placed``
+    lists the positions in placement order.  Nodes are the indices of
+    ``instance.network.node_order()``.  Node v's
     timeline is the parallel lists ``starts[v]`` and ``ends[v]``, sorted
     by (start, end).  The strength matrix holds ``inf`` on its diagonal,
     so data already on the node arrives after ``size / inf == 0.0``, and
@@ -119,12 +127,12 @@ class _PlacementState:
     """
 
     __slots__ = (
-        "nodes", "all_nodes", "speed", "strength", "cost", "preds", "starts", "ends", "placed",
-        "lasts", "fit",
+        "nodes", "all_nodes", "speed", "strength", "order", "cost", "preds", "starts", "ends",
+        "where", "placed", "lasts", "fit",
     )
 
-    def __init__(self, instance: ProblemInstance):
-        network, tg = instance.network, instance.task_graph
+    def __init__(self, instance: ProblemInstance, form: _Compiled):
+        network = instance.network
         self.nodes = network.node_order()
         self.all_nodes = tuple(range(len(self.nodes)))
         self.speed = [network.speed[v] for v in self.nodes]
@@ -132,19 +140,16 @@ class _PlacementState:
         self.strength = [[math.inf] * len(self.nodes) for _ in self.nodes]
         for (u, v), x in network.strength.items():
             self.strength[index[u]][index[v]] = self.strength[index[v]][index[u]] = x
-        self.cost = tg.compute_cost
-        self.preds: dict[TaskId, list[tuple[TaskId, float]]] = {t: [] for t in tg.tasks}
-        for (p, t), size in tg.data_size.items():
-            self.preds[t].append((p, size))
+        self.order, self.cost, self.preds = form.order, form.cost, form.preds
         self.starts: list[list[float]] = [[] for _ in self.nodes]
         self.ends: list[list[float]] = [[] for _ in self.nodes]
         self.lasts = [0.0] * len(self.nodes)
         self.fit: list[float | None] = [None] * len(self.nodes)
-        #: task -> (node, start, end), in placement order
-        self.placed: dict[TaskId, tuple[int, float, float]] = {}
+        self.where: list[tuple[int, float, float] | None] = [None] * len(self.order)
+        self.placed: list[int] = []
 
-    def _ready_times(self, task: TaskId) -> list[float]:
-        """Data-ready time of ``task`` on every node, in node order.
+    def _ready_times(self, task: int) -> list[float]:
+        """Data-ready time of task position ``task`` on every node, in node order.
 
         Each predecessor's arrivals are read off its strength row.  The
         first one's are the running maximum; a later one's arrival ``a``
@@ -152,10 +157,10 @@ class _PlacementState:
         so the row is bit-identical to a ``max`` merge.  Arrivals are never
         negative or NaN, so the order of ``preds`` does not matter.
         """
-        placed, strength = self.placed, self.strength
+        where, strength = self.where, self.strength
         ready = None
         for p, size in self.preds[task]:
-            p_node, _, p_end = placed[p]
+            p_node, _, p_end = where[p]
             row = strength[p_node]
             if ready is None:
                 ready = [p_end + size / x for x in row]
@@ -164,9 +169,9 @@ class _PlacementState:
         return [0.0] * len(self.nodes) if ready is None else ready
 
     def best(
-        self, task: TaskId, candidates: Sequence[int], append_only: bool, compare: CompareKind
+        self, task: int, candidates: Sequence[int], append_only: bool, compare: CompareKind
     ) -> tuple[int, tuple[float, float], float, int | None]:
-        """``task``'s best node, its window, the sufferage value and the runner-up.
+        """Task position ``task``'s best node, its window, the sufferage value and the runner-up.
 
         The window is a plain ``(start, end)`` tuple.  The lower key wins,
         ties go to the earlier candidate, and the sufferage value is the
@@ -215,7 +220,7 @@ class _PlacementState:
         suffer = 0.0 if second is None else second_key - best_key
         return best, window, suffer, second
 
-    def place(self, task: TaskId, node: int, window: tuple[float, float]) -> None:
+    def place(self, task: int, node: int, window: tuple[float, float]) -> None:
         start, end = window
         starts = self.starts[node]
         # only a zero-length entry can share its start with another entry;
@@ -223,7 +228,8 @@ class _PlacementState:
         i = bisect_left(starts, start) if end == start else bisect_right(starts, start)
         starts.insert(i, start)
         self.ends[node].insert(i, end)
-        self.placed[task] = (node, start, end)
+        self.where[task] = (node, start, end)
+        self.placed.append(task)
         if i < len(starts) - 1:  # a middle insertion splits a gap
             self.fit[node] = None
             return
@@ -240,11 +246,13 @@ class _PlacementState:
         """The placed entries, in placement order."""
         # a list, not a generator: in CPython 3.11, tuple() over a generator
         # here made peak RSS grow with every call across instances
+        order, nodes, where = self.order, self.nodes, self.where
         return Schedule(
             entries=tuple(
                 [
-                    ScheduleEntry(t, self.nodes[v], s, e)
-                    for t, (v, s, e) in self.placed.items()
+                    ScheduleEntry(order[i], nodes[v], s, e)
+                    for i in self.placed
+                    for v, s, e in (where[i],)
                 ]
             )
         )
@@ -252,11 +260,11 @@ class _PlacementState:
 
 def _query_state(
     instance: ProblemInstance, partial: Schedule, node: NodeId, task: TaskId
-) -> tuple[_PlacementState, int]:
-    """An engine holding ``partial``'s entries, and ``node``'s index in it.
+) -> tuple[_PlacementState, int, int]:
+    """An engine holding ``partial``'s entries, ``task``'s position and ``node``'s index in it.
 
     Every predecessor of ``task`` must appear exactly once in ``partial``;
-    an entry on a node the instance lacks raises ``KeyError``.
+    an entry with a task or on a node the instance lacks raises ``KeyError``.
     """
     counts = Counter(e.task for e in partial.entries)
     for p in instance.task_graph.predecessors(task):
@@ -264,24 +272,26 @@ def _query_state(
             raise ValueError(
                 f"predecessor {p!r} of {task!r} scheduled {counts[p]} times, expected once"
             )
-    state = _PlacementState(instance)
+    form = _Compiled(instance)
+    state = _PlacementState(instance, form)
+    pos = {t: i for i, t in enumerate(form.order)}
     index = {v: i for i, v in enumerate(state.nodes)}
     for e in partial.entries:
-        state.place(e.task, index[e.node], (e.start, e.end))
-    return state, index[node]
+        state.place(pos[e.task], index[e.node], (e.start, e.end))
+    return state, pos[task], index[node]
 
 
 def open_window_append_only(
     instance: ProblemInstance, partial: Schedule, node: NodeId, task: TaskId
 ) -> Window:
     """Window starting after the last entry on ``node`` (and data arrival)."""
-    state, v = _query_state(instance, partial, node, task)
-    return Window(*state.best(task, (v,), True, CompareKind.EFT)[1])
+    state, i, v = _query_state(instance, partial, node, task)
+    return Window(*state.best(i, (v,), True, CompareKind.EFT)[1])
 
 
 def open_window_insertion(
     instance: ProblemInstance, partial: Schedule, node: NodeId, task: TaskId
 ) -> Window:
     """Earliest idle window on ``node`` large enough for ``task``."""
-    state, v = _query_state(instance, partial, node, task)
-    return Window(*state.best(task, (v,), False, CompareKind.EFT)[1])
+    state, i, v = _query_state(instance, partial, node, task)
+    return Window(*state.best(i, (v,), False, CompareKind.EFT)[1])

@@ -52,6 +52,7 @@ ENTRY = (
 )
 ANALYZE = "tests/test_cli.py::TestAnalyze"
 READER_REFERENCE = "tests/test_cli.py::test_results_reader_equals_the_reference_reader"
+REFERENCE_RANKS = "tests/test_priority.py::TestReferenceRanks"
 OVERWRITE = (
     "tests/test_model.py::test_a_longer_file_is_overwritten_with_the_bytes_of_a_fresh_write",
     "tests/test_bench.py::TestCsv::test_a_longer_file_is_overwritten_with_the_bytes_of_a_fresh_write",
@@ -216,9 +217,16 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "downward pass walking successors",
+        PRIORITY,
+        "cost, preds = form.cost, form.preds",
+        "cost, preds = form.cost, form.succs",
+        (REFERENCE_RANKS,),
+    ),
+    Mutant(
         "rank finiteness check dropped",
         PRIORITY,
-        "    if math.inf in ranks.values():",
+        "    if math.inf in ranks:",
         "    if False:",
         (
             "tests/test_priority.py::TestRankOverflow",
@@ -313,9 +321,16 @@ MUTANTS = [
     Mutant(
         "every output cut, a pipe or /dev/null too",
         MODEL,
-        "if stat.S_ISREG(os.fstat(fd).st_mode):",
+        "if stat.S_ISREG(old.st_mode) and old.st_size > len(text):",
         "if True:",
         ("tests/test_cli.py::TestOutputFile",),
+    ),
+    Mutant(
+        "plot file made for a failed pareto table kept",
+        CLI,
+        "                if new_svg:\n                    os.unlink(svg_path)\n",
+        "",
+        ("tests/test_cli.py::TestAnalyze::test_pareto_writes_no_file_unless_both_open",),
     ),
 ]
 

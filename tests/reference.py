@@ -1,15 +1,23 @@
 """Slow reference versions of fast paths, for differential tests.
 
+The spec-level ranks: ``reference_priority_map`` and
+``reference_critical_path`` compute the upward, downward and CPoP ranks
+straight from the formulas in the ``listsched.priority`` docstrings,
+over dicts keyed by task id, and share no code with the package's
+compiled rank passes.  Each rank is the same float expression, in the
+same order, as the package's, so the two agree bit for bit.
+
 The spec-level placement functions and the paper's list scheduler built
 on them: the window functions here recompute everything from a whole
 :class:`Schedule` on every call, straight from the definitions, and share
 no code with the placement engine in ``listsched.selection``: the
 insertion finder tries every candidate start time instead of bisecting
-sorted timelines.  ``reference_schedule`` rebuilds the partial schedule
+sorted timelines.  ``reference_schedule`` takes its priorities and
+critical path from the spec-level ranks, rebuilds the partial schedule
 before every node choice, recomputes the ready set from scratch at every
 step, and picks nodes through ``best_two_nodes`` with these finders.  So
 ``schedule()`` agreeing with it entry for entry is a differential check
-of the engine and of every shortcut the scheduler takes.
+of the ranks, of the engine and of every shortcut the scheduler takes.
 ``COMPARE_KEYS`` states each compare kind's window score: ``best_two_nodes``
 ranks windows by it, and ``reference_schedule`` takes its sufferage value
 from it.
@@ -35,12 +43,11 @@ from typing import Callable, Sequence
 from listsched import (
     BenchmarkRecord,
     CompareKind,
+    PriorityKind,
     Schedule,
     ScheduleEntry,
     comm_time,
-    critical_path_tasks,
     exec_time,
-    priority_map,
 )
 from listsched.model import NodeId, ProblemInstance, TaskId, topological_order
 
@@ -54,6 +61,57 @@ COMPARE_KEYS: dict[CompareKind, Callable[[Window], float]] = {
     CompareKind.EST: itemgetter(0),
     CompareKind.QUICKEST: lambda w: w[1] - w[0],
 }
+
+
+def mean_reciprocal(weights):
+    """Mean of 1 / weight over a network's speeds or link strengths; 0.0 over none."""
+    return sum(1.0 / x for x in weights.values()) / len(weights) if weights else 0.0
+
+
+def reference_upward_rank(instance):
+    """rank(t) = avg_exec(t) + max over successors s of (avg_comm(t, s) + rank(s)), 0 over none."""
+    tg, net = instance.task_graph, instance.network
+    w, c = mean_reciprocal(net.speed), mean_reciprocal(net.strength)
+    rank = {}
+    for t in reversed(topological_order(tg)):
+        tail = max((tg.data_size[(t, s)] * c + rank[s] for s in tg.successors(t)), default=0.0)
+        rank[t] = tg.compute_cost[t] * w + tail
+    return rank
+
+
+def reference_downward_rank(instance):
+    """rank(t) = max over predecessors p of (rank(p) + avg_exec(p) + avg_comm(p, t)); 0 if none."""
+    tg, net = instance.task_graph, instance.network
+    w, c = mean_reciprocal(net.speed), mean_reciprocal(net.strength)
+    rank = {}
+    for t in topological_order(tg):
+        rank[t] = max(
+            (rank[p] + tg.compute_cost[p] * w + tg.data_size[(p, t)] * c
+             for p in tg.predecessors(t)),
+            default=0.0,
+        )
+    return rank
+
+
+def reference_priority_map(instance, kind):
+    """Upward rank, upward plus downward rank (CPoP), or |T| - i at topological position i."""
+    if kind is PriorityKind.UPWARD_RANKING:
+        return reference_upward_rank(instance)
+    if kind is PriorityKind.CPOP_RANKING:
+        up, down = reference_upward_rank(instance), reference_downward_rank(instance)
+        return {t: up[t] + down[t] for t in up}
+    order = topological_order(instance.task_graph)
+    return {t: float(len(order) - i) for i, t in enumerate(order)}
+
+
+def reference_critical_path(instance):
+    """Tasks whose CPoP priority is within a relative 1e-9 of the maximum, in topological order."""
+    total = reference_priority_map(instance, PriorityKind.CPOP_RANKING)
+    top = max(total.values(), default=0.0)
+    return [
+        t for t in topological_order(instance.task_graph)
+        if math.isclose(total[t], top, rel_tol=1e-9)
+    ]
 
 
 def data_available_time(instance, partial, task, node):
@@ -178,10 +236,10 @@ def best_two_nodes(
 def reference_schedule(instance, config):
     tg, speed = instance.task_graph, instance.network.speed
     nodes = list(instance.network.node_order())
-    priorities = priority_map(instance, config.initial_priority)
+    priorities = reference_priority_map(instance, config.initial_priority)
     topo_pos = {t: i for i, t in enumerate(topological_order(tg))}
     finder = open_window_append_only if config.append_only else open_window_insertion
-    cp_tasks = set(critical_path_tasks(instance)) if config.critical_path else set()
+    cp_tasks = set(reference_critical_path(instance)) if config.critical_path else set()
     fastest = [min(nodes, key=lambda v: (-speed[v], v))]
     key = COMPARE_KEYS[config.compare]
     entries = []

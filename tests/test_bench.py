@@ -503,31 +503,45 @@ class TestRunBenchmark:
 
     def test_every_timed_run_pays_for_its_own_set_up(self, monkeypatch):
         # runtime_ratio compares what each run pays: a cache that carried
-        # priorities or the compiled engine from one run to the next would
-        # make the later repeats cheaper and skew the medians
+        # the compiled instance, the priorities or the engine from one run
+        # to the next would make the later repeats cheaper and skew the
+        # medians, and so would one kept on the instance itself
+        import copy
+
         import listsched.scheduler as scheduler_mod
+        from listsched.priority import _Compiled
         from listsched.selection import _PlacementState
 
-        priority_calls, engines = [], []
-        priority_map = scheduler_mod.priority_map
-        engine_init = _PlacementState.__init__
+        compiles, rankings, engines = [], [], []
+        compile_init, engine_init = _Compiled.__init__, _PlacementState.__init__
+        priorities = scheduler_mod._priorities
 
-        def counting_priority_map(instance, kind):
-            priority_calls.append(kind)
-            return priority_map(instance, kind)
+        def counting_compile(self, instance):
+            compiles.append(instance)
+            compile_init(self, instance)
 
-        def counting_init(self, instance):
-            engines.append(instance)
-            engine_init(self, instance)
+        def counting_priorities(instance, form, kind, critical_path=False):
+            rankings.append(form)
+            return priorities(instance, form, kind, critical_path)
 
-        monkeypatch.setattr(scheduler_mod, "priority_map", counting_priority_map)
-        monkeypatch.setattr(_PlacementState, "__init__", counting_init)
+        def counting_engine(self, instance, form):
+            engines.append(form)
+            engine_init(self, instance, form)
+
+        monkeypatch.setattr(_Compiled, "__init__", counting_compile)
+        monkeypatch.setattr(scheduler_mod, "_priorities", counting_priorities)
+        monkeypatch.setattr(_PlacementState, "__init__", counting_engine)
         one = gen_dataset(GenParams(GraphKind.CHAINS, seed=3, count=1, target_ccr=1.0))
+        (instance,) = one.instances
+        parts = (instance, instance.task_graph, instance.network)
+        before = copy.deepcopy([vars(part) for part in parts])
         configs = [(name, config_by_name(name)) for name in ("HEFT", "MCT")]
         records = run_benchmark([one], configs, timing_repeats=3)
         assert [r.error for r in records] == [None, None]
-        assert len(priority_calls) == 6
-        assert len(engines) == 6
+        assert len(compiles) == len(rankings) == len(engines) == 6
+        # each run ranks and places on the form compiled in that run
+        assert rankings == engines and len({id(form) for form in rankings}) == 6
+        assert [vars(part) for part in parts] == before
 
     def test_failure_is_recorded_and_the_sweep_continues(self, tiny_dataset, monkeypatch):
         import listsched.bench as bench_mod

@@ -939,6 +939,20 @@ class TestAnalyze:
             f"--mode pareto would overwrite --out {out} with its .svg plot\n")
         assert not Path(out).exists()
 
+    @pytest.mark.parametrize("directory", ["pf/x.svg", "pf/x.csv"])
+    def test_pareto_writes_no_file_unless_both_open(
+        self, results_csv, tmp_path, capsys, monkeypatch, directory
+    ):
+        # with the plot's path a directory, the table used to be written first
+        monkeypatch.chdir(tmp_path)
+        Path(directory).mkdir(parents=True)
+        code = main(["analyze", "--results", str(results_csv), "--mode", "pareto",
+                     "--out", "pf/x.csv"])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"IO error: [Errno 21] Is a directory: '{directory}'\n")
+        assert [p.name for p in Path("pf").iterdir()] == [Path(directory).name]
+        assert not any(Path(directory).iterdir())
+
     def test_interactions_params_checked_before_reading_results(self, tmp_path):
         # a header-only file used to fail the analysis first, exit 1
         src = tmp_path / "header.csv"

@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from listsched import (
     Network,
@@ -21,7 +22,14 @@ from conftest import (
     mk_instance,
     random_instance,
 )
+from reference import (
+    reference_critical_path,
+    reference_downward_rank,
+    reference_priority_map,
+    reference_upward_rank,
+)
 from test_fingerprint import corpus
+from test_properties import problem_instances
 
 
 # ---------------------------------------------------------------------------
@@ -213,16 +221,43 @@ class TestCriticalPath:
                 assert up_k[t] == pytest.approx(up[t] / k, rel=1e-9)
 
     def test_given_cpop_map_gives_the_same_path(self):
-        # the scheduler passes the CPoP priority map it already holds, or
-        # under UpwardRanking builds it from its priorities and the downward
-        # ranks; the corpus is the standard datasets plus a 300-task layered DAG
+        # the path is the argmax set of the CPoP priority map, and that map
+        # is the upward plus the downward ranks, bit for bit; the corpus is
+        # the standard datasets plus a 300-task layered DAG
         for label, inst in corpus():
             total = priority_map(inst, PriorityKind.CPOP_RANKING)
-            assert critical_path_tasks(inst, total) == critical_path_tasks(inst), label
+            top = max(total.values())
+            argmax = [t for t in topological_order(inst.task_graph)
+                      if math.isclose(total[t], top, rel_tol=1e-9)]
+            assert critical_path_tasks(inst) == argmax, label
             up, down = priority_map(inst, PriorityKind.UPWARD_RANKING), downward_rank(inst)
             summed = {t: up[t] + down[t] for t in inst.task_graph.tasks}
-            assert list(map(float.hex, summed.values())) == list(map(float.hex, total.values()))
-            assert critical_path_tasks(inst, summed) == critical_path_tasks(inst), label
+            assert hex_map(summed) == hex_map(total), label
+
+
+def hex_map(ranks):
+    return {t: float.hex(r) for t, r in ranks.items()}
+
+
+def assert_ranks_equal_the_reference(inst):
+    assert hex_map(upward_rank(inst)) == hex_map(reference_upward_rank(inst))
+    assert hex_map(downward_rank(inst)) == hex_map(reference_downward_rank(inst))
+    for kind in PriorityKind:
+        assert hex_map(priority_map(inst, kind)) == hex_map(reference_priority_map(inst, kind))
+    assert critical_path_tasks(inst) == reference_critical_path(inst)
+
+
+class TestReferenceRanks:
+    """The compiled rank passes equal the spec-level ranks of ``reference.py`` bit for bit."""
+
+    def test_on_the_fingerprint_corpus(self):
+        for _, inst in corpus():
+            assert_ranks_equal_the_reference(inst)
+
+    @settings(max_examples=200, deadline=None)
+    @given(problem_instances(max_tasks=12))
+    def test_on_random_dags(self, inst):
+        assert_ranks_equal_the_reference(inst)
 
 
 class TestRankAverages:

@@ -15,6 +15,7 @@ from listsched import (
     exec_time,
     schedule,
 )
+from listsched.priority import _Compiled
 from listsched.selection import (
     Window,
     compare,
@@ -29,6 +30,12 @@ from conftest import layered_dag, mk_instance
 from reference import COMPARE_KEYS, data_available_time, earliest_fit
 
 ALL_KINDS = list(CompareKind)
+
+
+def engine(instance):
+    """A fresh engine on ``instance``, and each task's position in it by task id."""
+    form = _Compiled(instance)
+    return _PlacementState(instance, form), {t: i for i, t in enumerate(form.order)}
 
 
 def busy_node_schedule(intervals, node="n0"):
@@ -86,8 +93,9 @@ def placement_cases(draw, floats=False):
     ``floats``, gaps and lengths are floats instead, and the task's
     duration on one node is within 4 ulps of one of that node's gaps or of
     its no-fit threshold, so the threshold skip is tried on both sides of
-    its boundary.  The task's up to 4 predecessors are among the placed
-    entries, in the engine's ``data_size`` order; the candidates are every
+    its boundary.  The task, ``tk``, is given by its position; its up to 4
+    predecessors are among the placed entries, in the engine's
+    ``data_size`` order; the candidates are every
     node, as the scheduler passes them, or one node, as the oracle and the
     window queries do.  The timelines and weights come from a drawn seed:
     drawing each of them one by one made a 32-node case cost tens of
@@ -127,12 +135,12 @@ def placement_cases(draw, floats=False):
         if duration > 0.0:
             costs["tk"] = duration * speeds[v]  # a power of two: d is exactly duration
     instance = mk_instance(costs, sizes, speeds, strengths)
-    state = _PlacementState(instance)
+    state, pos = engine(instance)
     index = {v: i for i, v in enumerate(state.nodes)}
     for t, v, start, end in intervals:
-        state.place(t, index[v], Window(start, end))
+        state.place(pos[t], index[v], Window(start, end))
     one = st.integers(0, n_nodes - 1).map(lambda v: (v,))
-    return state, "tk", draw(st.one_of(st.just(state.all_nodes), one)), instance
+    return state, pos["tk"], draw(st.one_of(st.just(state.all_nodes), one)), instance
 
 
 #: timeline offsets where one ulp is far below, near and far above 1.0
@@ -174,12 +182,15 @@ def float_timelines(draw):
 
 
 def unpruned_best(state, task, candidates, append_only, kind):
-    """``_PlacementState.best`` as one plain pass: every candidate scanned."""
+    """``_PlacementState.best`` as one plain pass: every candidate scanned.
+
+    ``task`` and the predecessors in ``state.preds`` are task positions.
+    """
     keyed = []
     for v in candidates:
         ready = 0.0
         for p, size in state.preds[task]:
-            p_node, _, p_end = state.placed[p]
+            p_node, _, p_end = state.where[p]
             ready = max(ready, p_end + (0.0 if p_node == v else size / state.strength[p_node][v]))
         d = state.cost[task] / state.speed[v]
         if append_only:
@@ -367,7 +378,8 @@ class TestPlacementState:
         # the fused merge and the data_size order of preds change no bit
         state, task, _, instance = case
         partial = state.to_schedule()
-        expected = [data_available_time(instance, partial, task, v) for v in state.nodes]
+        tk = state.order[task]
+        expected = [data_available_time(instance, partial, tk, v) for v in state.nodes]
         assert list(map(float.hex, state._ready_times(task))) == list(map(float.hex, expected))
 
     def test_data_size_order_moves_no_entry(self):
@@ -399,11 +411,11 @@ class TestPlacementState:
         # inside the engine a window is a plain (start, end) tuple; the
         # public queries, which perfbench and users consume, return Window
         inst, partial = instance_with_busy(2.0, intervals, ready=ready)
-        state = _PlacementState(inst)
+        state, pos = engine(inst)
         index = {v: i for i, v in enumerate(state.nodes)}
         for e in partial.entries:
-            state.place(e.task, index[e.node], (e.start, e.end))
-        pair = state.best("tk", (index["n0"],), append_only, CompareKind.EFT)[1]
+            state.place(pos[e.task], index[e.node], (e.start, e.end))
+        pair = state.best(pos["tk"], (index["n0"],), append_only, CompareKind.EFT)[1]
         window = finder(inst, partial, "n0", "tk")
         assert type(pair) is tuple and len(pair) == 2
         assert type(window) is Window
@@ -411,24 +423,24 @@ class TestPlacementState:
 
     def test_gap_insertion_goes_between_its_neighbours(self):
         inst = mk_instance({"a": 1.0, "b": 1.0, "c": 1.0}, {}, {"n0": 1.0})
-        state = _PlacementState(inst)
-        state.place("a", 0, Window(0.0, 1.0))
-        state.place("b", 0, Window(3.0, 4.0))
-        window = state.best("c", (0,), False, CompareKind.EFT)[1]
+        state, pos = engine(inst)
+        state.place(pos["a"], 0, Window(0.0, 1.0))
+        state.place(pos["b"], 0, Window(3.0, 4.0))
+        window = state.best(pos["c"], (0,), False, CompareKind.EFT)[1]
         assert window == Window(1.0, 2.0)  # the gap between a and b
-        state.place("c", 0, window)
+        state.place(pos["c"], 0, window)
         assert state.starts == [[0.0, 1.0, 3.0]] and state.ends == [[1.0, 2.0, 4.0]]
 
     def test_zero_length_entry_goes_before_an_equal_start(self):
         # z's duration vanishes against its start: its window (1.0, 1.0)
         # sits at the start of b, and the ends must stay sorted
         inst = mk_instance({"a": 1.0, "b": 1.0, "z": 1e-300, "w": 0.2}, {}, {"n0": 1.0})
-        state = _PlacementState(inst)
-        state.place("a", 0, Window(0.0, 1.0))
-        state.place("b", 0, Window(1.0, 2.0))
-        state.place("z", 0, Window(1.0, 1.0))
+        state, pos = engine(inst)
+        state.place(pos["a"], 0, Window(0.0, 1.0))
+        state.place(pos["b"], 0, Window(1.0, 2.0))
+        state.place(pos["z"], 0, Window(1.0, 1.0))
         assert state.starts == [[0.0, 1.0, 1.0]] and state.ends == [[1.0, 1.0, 2.0]]
-        assert state.best("w", (0,), False, CompareKind.EFT)[1] == Window(2.0, 2.2)
+        assert state.best(pos["w"], (0,), False, CompareKind.EFT)[1] == Window(2.0, 2.2)
 
 
 class TestNoFitThreshold:
@@ -465,13 +477,11 @@ class TestNoFitThreshold:
             if rng.random() < 0.2
         }
         nodes = [f"n{j}" for j in range(n_nodes)]
-        state = _PlacementState(mk_instance(costs, sizes, {v: 1.0 for v in nodes}))
-        preds = {t: [p for p, u in sizes if u == t] for t in tasks}
+        state, pos = engine(mk_instance(costs, sizes, {v: 1.0 for v in nodes}))
+        preds = {pos[t]: [pos[p] for p, u in sizes if u == t] for t in tasks}
         for _ in tasks:
-            ready = [
-                t for t in tasks
-                if t not in state.placed and all(p in state.placed for p in preds[t])
-            ]
+            placed = {i for i, w in enumerate(state.where) if w is not None}
+            ready = [i for i in sorted(preds) if i not in placed and placed.issuperset(preds[i])]
             task = ready[rng.integers(len(ready))]
             windows = [state.best(task, (v,), False, CompareKind.EFT)[1] for v in range(n_nodes)]
             v = int(rng.integers(n_nodes))
