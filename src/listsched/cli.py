@@ -173,7 +173,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             table, svg = bench._table_text(bench.ParetoPoint, points), bench.pareto_svg(points)
             svg_path = Path(args.out).with_suffix(".svg")
             # a failing call writes no file: the table is written only once
-            # the plot's path is open, and a plot file made for it goes again
+            # the plot's path is open, and a plot file that this call
+            # created is removed again if the table cannot be written
             new_svg = not os.path.lexists(svg_path)
             svg_fd = model._open_output(svg_path)
             try:

@@ -20,11 +20,12 @@ its index form, its pruning rules and why they are exact.
 :func:`compare`, :func:`open_window_append_only` and
 :func:`open_window_insertion` each answer one question about one pair of
 windows or one (task, node) pair; the window queries compile the
-instance and a fresh engine from a whole :class:`Schedule` on every call.  They and
-:class:`Window` remain only because the benchmark times this layer
-through them; ``__all__`` leaves them out, so the package does not
-re-export them.  The plain spec-level versions of the window functions,
-written without the engine, live in the test suite's ``reference.py``.
+instance and a fresh engine from a whole :class:`Schedule` on every
+call.  They and :class:`Window` remain only because the benchmark times
+this layer through them; ``__all__`` leaves them out, so the package
+does not re-export them.  The plain spec-level versions of the window
+functions, written without the engine, live in the test suite's
+``reference.py``.
 """
 
 from __future__ import annotations
@@ -110,11 +111,11 @@ class _PlacementState:
     and ``preds`` the engine reads; ``where[i]`` is task i's
     ``(node, start, end)``, ``None`` until it is placed, and ``placed``
     lists the positions in placement order.  Nodes are the indices of
-    ``instance.network.node_order()``.  Node v's
-    timeline is the parallel lists ``starts[v]`` and ``ends[v]``, sorted
-    by (start, end).  The strength matrix holds ``inf`` on its diagonal,
-    so data already on the node arrives after ``size / inf == 0.0``, and
-    ``end + 0.0`` is exactly ``end``.
+    ``instance.network.node_order()``.  Node v's timeline is the parallel
+    lists ``starts[v]`` and ``ends[v]``, sorted by (start, end).  The
+    strength matrix holds ``inf`` on its diagonal, so data already on the
+    node arrives after ``size / inf == 0.0``, and ``end + 0.0`` is
+    exactly ``end``.
 
     ``lasts[v]`` is node v's last end, 0.0 while it is empty.  ``fit[v]``
     is its :func:`_no_fit_threshold`, or ``None`` when unknown; ``best``

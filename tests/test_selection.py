@@ -95,9 +95,8 @@ def placement_cases(draw, floats=False):
     its no-fit threshold, so the threshold skip is tried on both sides of
     its boundary.  The task, ``tk``, is given by its position; its up to 4
     predecessors are among the placed entries, in the engine's
-    ``data_size`` order; the candidates are every
-    node, as the scheduler passes them, or one node, as the oracle and the
-    window queries do.  The timelines and weights come from a drawn seed:
+    ``data_size`` order; the candidates are every node, as the scheduler
+    passes them, or one node, as the oracle and the window queries do.  The timelines and weights come from a drawn seed:
     drawing each of them one by one made a 32-node case cost tens of
     milliseconds.
     """
