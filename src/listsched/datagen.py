@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import Network, ProblemInstance, TaskGraph, load_instance, save_instance
-from .model import _count, _id, _json_shape, _write_text
+from .model import _count, _id, _json_leaf, _json_shape, _write_text
 from .priority import _mean_recip
 
 __all__ = [
@@ -205,14 +205,12 @@ def gen_dataset(params: GenParams) -> Dataset:
 def save_dataset(dataset: Dataset, params: GenParams, out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "name": dataset.name,
-        "kind": params.kind.value,
-        "target_ccr": params.target_ccr,
-        "seed": params.seed,
-        "count": params.count,
-    }
-    _write_text(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    # json.dumps(manifest, indent=2) and a newline, from a template like save_instance's
+    name, kind = _json_leaf(dataset.name), _json_leaf(params.kind.value)
+    _write_text(out / "manifest.json",
+                f'{{\n  "name": {name},\n  "kind": {kind},\n'
+                f'  "target_ccr": {_json_leaf(params.target_ccr)},\n'
+                f'  "seed": {_json_leaf(params.seed)},\n  "count": {_json_leaf(params.count)}\n}}\n')
     for stale in out.glob("instance_*.json"):  # left by an earlier, larger dataset
         stale.unlink()
     for i, instance in enumerate(dataset.instances):

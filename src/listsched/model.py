@@ -377,6 +377,8 @@ def validate_schedule(instance: ProblemInstance, schedule: Schedule) -> list[Vio
 # is a ``ValueError`` naming the part; constructors check value ranges.
 # Floats are written with repr, the shortest decimal that parses back to the
 # same double, so files round-trip losslessly and regenerate byte-identically.
+# Files are written from templates whose bytes equal ``json.dumps(layout,
+# indent=2)`` and a newline; ``tests/reference.py`` holds the layouts as dicts.
 # ---------------------------------------------------------------------------
 
 
@@ -411,27 +413,6 @@ def _count(value: object) -> int:
     return value
 
 
-def instance_to_dict(instance: ProblemInstance) -> dict:
-    net = instance.network
-    tg = instance.task_graph
-    return {
-        "network": {
-            "nodes": [{"id": n, "speed": net.speed[n]} for n in net.node_order()],
-            "links": [
-                {"u": u, "v": v, "strength": net.strength[(u, v)]}
-                for (u, v) in sorted(net.strength)
-            ],
-        },
-        "task_graph": {
-            "tasks": [{"id": t, "cost": tg.compute_cost[t]} for t in sorted(tg.tasks)],
-            "deps": [
-                {"src": s, "dst": d, "size": tg.data_size[(s, d)]}
-                for (s, d) in sorted(tg.deps)
-            ],
-        },
-    }
-
-
 def _unique(label: str, keys: list) -> list:
     seen = set()
     for key in keys:
@@ -461,15 +442,6 @@ def instance_from_dict(data: Mapping) -> ProblemInstance:
         data_size = {dep: _number(x["size"]) for dep, x in zip(deps, tg["deps"])}
     network = Network(nodes=frozenset(nodes), speed=speed, strength=strength)
     return ProblemInstance(network=network, task_graph=TaskGraph(compute_cost, data_size))
-
-
-def schedule_to_dict(schedule: Schedule) -> dict:
-    return {
-        "entries": [
-            {"task": e.task, "node": e.node, "start": e.start, "end": e.end}
-            for e in schedule.entries
-        ]
-    }
 
 
 def schedule_from_dict(data: Mapping) -> Schedule:
@@ -507,14 +479,6 @@ def _write_text(path: str | Path | int, text: str) -> None:
             fh.truncate()
 
 
-def save_instance(instance: ProblemInstance, path: str | Path) -> None:
-    _write_text(path, json.dumps(instance_to_dict(instance), indent=2) + "\n")
-
-
-def load_instance(path: str | Path) -> ProblemInstance:
-    return instance_from_dict(json.loads(Path(path).read_text()))
-
-
 def _json_leaf(value: object) -> str:
     """``json.dumps(value)``; a string or a finite float is encoded without the call."""
     if type(value) is str:
@@ -524,18 +488,60 @@ def _json_leaf(value: object) -> str:
     return json.dumps(value)
 
 
-def save_schedule(schedule: Schedule, path: str | Path) -> None:
-    """Write ``json.dumps(schedule_to_dict(schedule), indent=2)`` and a newline.
+def _json_list(rows: list[str], indent: str) -> str:
+    """The indented JSON list of ``rows``, each already indented; ``[]`` when empty.
 
-    The bytes come from a template of that layout, since ``indent`` makes
-    ``json`` fall back to its pure-Python encoder.
+    ``indent`` is the indent of the closing bracket, the list's key's own.
     """
-    rows = ",\n".join(
+    body = ",\n".join(rows)
+    return f"[\n{body}\n{indent}]" if body else "[]"
+
+
+def save_instance(instance: ProblemInstance, path: str | Path) -> None:
+    """Write the instance file: ``json.dumps(..., indent=2)`` of its layout, and a newline.
+
+    Nodes, links, tasks and deps are written sorted by id.  The bytes come
+    from a template of that layout, since ``indent`` makes ``json`` fall
+    back to its pure-Python encoder.
+    """
+    net, tg = instance.network, instance.task_graph
+    nodes = _json_list([
+        f'      {{\n        "id": {_json_leaf(n)},\n        "speed": {_json_leaf(x)}\n      }}'
+        for n, x in sorted(net.speed.items())
+    ], "    ")
+    links = _json_list([
+        f'      {{\n        "u": {_json_leaf(u)},\n        "v": {_json_leaf(v)},\n'
+        f'        "strength": {_json_leaf(x)}\n      }}'
+        for (u, v), x in sorted(net.strength.items())
+    ], "    ")
+    tasks = _json_list([
+        f'      {{\n        "id": {_json_leaf(t)},\n        "cost": {_json_leaf(x)}\n      }}'
+        for t, x in sorted(tg.compute_cost.items())
+    ], "    ")
+    deps = _json_list([
+        f'      {{\n        "src": {_json_leaf(s)},\n        "dst": {_json_leaf(d)},\n'
+        f'        "size": {_json_leaf(x)}\n      }}'
+        for (s, d), x in sorted(tg.data_size.items())
+    ], "    ")
+    _write_text(path, f'{{\n  "network": {{\n    "nodes": {nodes},\n    "links": {links}\n  }},\n'
+                      f'  "task_graph": {{\n    "tasks": {tasks},\n    "deps": {deps}\n  }}\n}}\n')
+
+
+def load_instance(path: str | Path) -> ProblemInstance:
+    return instance_from_dict(json.loads(Path(path).read_text()))
+
+
+def save_schedule(schedule: Schedule, path: str | Path) -> None:
+    """Write the schedule file: ``json.dumps(..., indent=2)`` of its layout, and a newline.
+
+    Entries are written in schedule order, from a template like
+    :func:`save_instance`'s.
+    """
+    entries = _json_list([
         f'    {{\n      "task": {_json_leaf(e.task)},\n      "node": {_json_leaf(e.node)},\n'
         f'      "start": {_json_leaf(e.start)},\n      "end": {_json_leaf(e.end)}\n    }}'
         for e in schedule.entries
-    )
-    entries = f"[\n{rows}\n  ]" if rows else "[]"
+    ], "  ")
     _write_text(path, f'{{\n  "entries": {entries}\n}}\n')
 
 

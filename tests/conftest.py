@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from listsched import Network, ProblemInstance, TaskGraph
-from listsched.model import instance_to_dict
+
+from reference import instance_to_dict
 
 
 def unit_network(n: int) -> Network:

@@ -312,6 +312,13 @@ MUTANTS = [
         ("tests/test_model.py::TestScheduleEntry::test_schedule_file_bytes_are_frozen",),
     ),
     Mutant(
+        "instance links written in strength dict order",
+        MODEL,
+        "for (u, v), x in sorted(net.strength.items())",
+        "for (u, v), x in net.strength.items()",
+        ("tests/test_model.py::test_instance_file_is_the_indented_json",),
+    ),
+    Mutant(
         "output not cut to its new length",
         MODEL,
         "fh.truncate()",

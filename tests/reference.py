@@ -31,6 +31,11 @@ reaches.
 The results-table reader and writer: ``reference_read_results_csv``
 reads by column name through ``csv.DictReader``, and
 ``reference_write_table_csv`` writes ``dataclasses.astuple`` rows.
+
+The file layouts: ``instance_to_dict`` and ``schedule_to_dict`` are the
+instance and schedule files as dicts.  The package writes each file from
+a template, and its bytes must equal ``json.dumps(layout, indent=2)`` and
+a newline.
 """
 
 import csv
@@ -329,3 +334,35 @@ def reference_write_table_csv(path, row_type, rows):
         writer = csv.writer(fh)
         writer.writerow(field.name for field in dataclasses.fields(row_type))
         writer.writerows(dataclasses.astuple(row) for row in rows)
+
+
+def instance_to_dict(instance):
+    """The instance file's layout: nodes, links, tasks and deps sorted by id."""
+    net = instance.network
+    tg = instance.task_graph
+    return {
+        "network": {
+            "nodes": [{"id": n, "speed": net.speed[n]} for n in net.node_order()],
+            "links": [
+                {"u": u, "v": v, "strength": net.strength[(u, v)]}
+                for (u, v) in sorted(net.strength)
+            ],
+        },
+        "task_graph": {
+            "tasks": [{"id": t, "cost": tg.compute_cost[t]} for t in sorted(tg.tasks)],
+            "deps": [
+                {"src": s, "dst": d, "size": tg.data_size[(s, d)]}
+                for (s, d) in sorted(tg.deps)
+            ],
+        },
+    }
+
+
+def schedule_to_dict(schedule):
+    """The schedule file's layout: entries in schedule order."""
+    return {
+        "entries": [
+            {"task": e.task, "node": e.node, "start": e.start, "end": e.end}
+            for e in schedule.entries
+        ]
+    }

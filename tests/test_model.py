@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import json
 import math
 import pickle
@@ -28,13 +29,11 @@ from listsched.cli import main
 from listsched.datagen import GenParams, GraphKind, gen_dataset, save_dataset
 from listsched.model import (
     instance_from_dict,
-    instance_to_dict,
     load_instance,
     load_schedule,
     save_instance,
     save_schedule,
     schedule_from_dict,
-    schedule_to_dict,
     topological_order,
 )
 
@@ -51,7 +50,7 @@ from conftest import (
     wrong_shape_instance,
     wrong_shape_schedule,
 )
-from reference import data_available_time
+from reference import data_available_time, instance_to_dict, schedule_to_dict
 
 
 def entries(*specs):
@@ -669,3 +668,63 @@ def test_schedule_file_is_the_indented_json(rows):
         save_schedule(sched, path)
         written = path.read_bytes()
     assert written == (json.dumps(schedule_to_dict(sched), indent=2) + "\n").encode()
+
+
+def weights(least):
+    """Weights of at least ``least``: floats and numpy floats, the extremes of ``repr``, ints, a bool."""
+    floats = st.floats(min_value=least, allow_infinity=False)
+    extremes = [x for x in (5e-324, 1e16, 1e308) if x >= least]
+    return st.one_of(floats, floats.map(np.float64), st.sampled_from(extremes),
+                     st.integers(min_value=1, max_value=10**20), st.just(True))
+
+
+@st.composite
+def api_instances(draw):
+    """An instance built through the API, every map filled in an order drawn apart from the ids'.
+
+    Speeds are at least 1, so every execution time stays finite.
+    """
+    nodes = draw(st.lists(ENTRY_IDS, min_size=1, max_size=4, unique=True))
+    tasks = draw(st.lists(ENTRY_IDS, max_size=5, unique=True))
+    pairs = draw(st.permutations(list(itertools.combinations(sorted(nodes), 2))))
+    edges = draw(st.lists(st.tuples(st.sampled_from(tasks), st.sampled_from(tasks)), max_size=6)
+                 if len(tasks) > 1 else st.just([]))
+    rank = {t: i for i, t in enumerate(tasks)}  # edges run forward in the drawn task order
+    deps = list(dict.fromkeys((s, d) for s, d in edges if rank[s] < rank[d]))
+    return mk_instance(
+        {t: draw(weights(5e-324)) for t in tasks},
+        {dep: draw(weights(5e-324)) for dep in deps},
+        {n: draw(weights(1)) for n in nodes},
+        {pair: draw(weights(5e-324)) for pair in pairs},
+    )
+
+
+ODD_ID = '"q\\b\x00\x1f\u00e2\U0001f600'
+
+
+@settings(max_examples=200, deadline=None)
+@given(api_instances())
+@example(mk_instance({"a": 1.0}, {}, {"n0": 1.0}))
+@example(mk_instance(
+    {ODD_ID: 5e-324, " ": 1e308, "a": np.float64(0.1)},
+    {(" ", ODD_ID): 3, ("a", ODD_ID): True, (" ", "a"): 1e16},
+    {"né": True, "n0": 1e16, ODD_ID: np.float64(2.5)},
+    {("n0", "né"): 1e308, (ODD_ID, "né"): 10**20, (ODD_ID, "n0"): 5e-324},
+))
+def test_instance_file_is_the_indented_json(instance):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "i.json")
+        save_instance(instance, path)
+        written = path.read_bytes()
+    assert written == (json.dumps(instance_to_dict(instance), indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize("seed, ccr", [(0, 1.0), (2**63, 0.2)])
+def test_manifest_file_is_the_indented_json(tmp_path, seed, ccr):
+    params = GenParams(kind=GraphKind.IN_TREES, seed=seed, count=1, target_ccr=ccr)
+    dataset = gen_dataset(params)
+    save_dataset(dataset, params, tmp_path)
+    manifest = {"name": dataset.name, "kind": "in_trees", "target_ccr": ccr, "seed": seed,
+                "count": 1}
+    assert (tmp_path / "manifest.json").read_bytes() == (
+        json.dumps(manifest, indent=2) + "\n").encode()

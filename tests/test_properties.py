@@ -22,17 +22,16 @@ from listsched import (
     upward_rank,
     validate_schedule,
 )
-from listsched.model import (
-    instance_from_dict,
-    instance_to_dict,
-    schedule_from_dict,
-    schedule_to_dict,
-    topological_order,
-)
+from listsched.model import instance_from_dict, schedule_from_dict, topological_order
 from listsched.selection import open_window_append_only, open_window_insertion
 
 from conftest import mk_instance
-from reference import brute_force_min_makespan, reference_schedule
+from reference import (
+    brute_force_min_makespan,
+    instance_to_dict,
+    reference_schedule,
+    schedule_to_dict,
+)
 
 ALL_CONFIGS = enumerate_configs()
 

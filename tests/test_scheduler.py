@@ -21,7 +21,7 @@ from listsched import (
     schedule,
     validate_schedule,
 )
-from listsched.model import schedule_to_dict, topological_order
+from listsched.model import topological_order
 from listsched.scheduler import alias_of
 from listsched.selection import Window
 from listsched.datagen import GenParams, GraphKind, gen_dataset
@@ -33,6 +33,7 @@ from reference import (
     brute_force_min_makespan,
     open_window_append_only,
     open_window_insertion,
+    schedule_to_dict,
 )
 
 ALL_CONFIGS = enumerate_configs()
