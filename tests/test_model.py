@@ -671,7 +671,7 @@ def test_schedule_file_is_the_indented_json(rows):
 
 
 def weights(least):
-    """Weights of at least ``least``: floats and numpy floats, the extremes of ``repr``, ints, a bool."""
+    """Weights of at least ``least``: floats, numpy floats, ``repr`` extremes, ints, a bool."""
     floats = st.floats(min_value=least, allow_infinity=False)
     extremes = [x for x in (5e-324, 1e16, 1e308) if x >= least]
     return st.one_of(floats, floats.map(np.float64), st.sampled_from(extremes),
