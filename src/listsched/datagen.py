@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import Network, ProblemInstance, TaskGraph, load_instance, save_instance
-from .model import _count, _id, _json_leaf, _json_shape, _write_text
+from .model import _count, _id, _json_leaf, _json_shape, _read_text, _write_text
 from .priority import _mean_recip
 
 __all__ = [
@@ -224,7 +224,7 @@ def _instance_file(i: int) -> str:
 def load_dataset(dir_path: str | Path) -> Dataset:
     """The dataset in ``dir_path``; its ``instance_*.json`` files must be the manifest's."""
     path = Path(dir_path)
-    manifest = json.loads((path / "manifest.json").read_text())
+    manifest = json.loads(_read_text(path / "manifest.json"))
     with _json_shape("manifest"):
         name, count = _id(manifest["name"]), _count(manifest["count"])
     # a set, since instance_1000 sorts before instance_101; the sizes are

@@ -54,8 +54,8 @@ class TaskGraph:
     key sets of the two maps.  Construction validates that every edge joins
     two distinct known tasks, that the dependency relation is acyclic and
     that every weight is strictly positive; the deterministic topological
-    order (Kahn's algorithm with the ready set kept sorted by task id) is
-    computed once and cached.
+    order (Kahn, ready set sorted by task id) is computed once and cached,
+    and adjacency, kept unsorted, is sorted by id on access.
     """
 
     compute_cost: dict[TaskId, float]
@@ -63,8 +63,8 @@ class TaskGraph:
     tasks: frozenset[TaskId] = field(init=False, compare=False)
     deps: frozenset[tuple[TaskId, TaskId]] = field(init=False, compare=False)
     _topo: tuple[TaskId, ...] = field(init=False, repr=False, compare=False)
-    _succs: dict[TaskId, tuple[TaskId, ...]] = field(init=False, repr=False, compare=False)
-    _preds: dict[TaskId, tuple[TaskId, ...]] = field(init=False, repr=False, compare=False)
+    _succs: dict[TaskId, list[TaskId]] = field(init=False, repr=False, compare=False)
+    _preds: dict[TaskId, list[TaskId]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "compute_cost", dict(self.compute_cost))
@@ -72,19 +72,17 @@ class TaskGraph:
         object.__setattr__(self, "tasks", frozenset(self.compute_cost))
         object.__setattr__(self, "deps", frozenset(self.data_size))
 
-        succs: dict[TaskId, list[TaskId]] = {t: [] for t in self.tasks}
-        preds: dict[TaskId, list[TaskId]] = {t: [] for t in self.tasks}
-        for src, dst in self.deps:
+        object.__setattr__(self, "_succs", {t: [] for t in self.tasks})
+        object.__setattr__(self, "_preds", {t: [] for t in self.tasks})
+        for src, dst in self.data_size:
             if src not in self.tasks or dst not in self.tasks:
                 raise ValueError(f"dependency ({src!r}, {dst!r}) references unknown task")
             if src == dst:
                 raise ValueError(f"self-dependency on task {src!r}")
-            succs[src].append(dst)
-            preds[dst].append(src)
+            self._succs[src].append(dst)
+            self._preds[dst].append(src)
         _check_positive("compute_cost", self.compute_cost)
         _check_positive("data_size", self.data_size)
-        object.__setattr__(self, "_succs", {t: tuple(sorted(s)) for t, s in succs.items()})
-        object.__setattr__(self, "_preds", {t: tuple(sorted(p)) for t, p in preds.items()})
         object.__setattr__(self, "_topo", self._kahn_order())
 
     def _kahn_order(self) -> tuple[TaskId, ...]:
@@ -115,10 +113,10 @@ class TaskGraph:
         return cls(compute_cost, data_size)
 
     def successors(self, task: TaskId) -> tuple[TaskId, ...]:
-        return self._succs[task]
+        return tuple(sorted(self._succs[task]))
 
     def predecessors(self, task: TaskId) -> tuple[TaskId, ...]:
-        return self._preds[task]
+        return tuple(sorted(self._preds[task]))
 
 
 def topological_order(task_graph: TaskGraph) -> tuple[TaskId, ...]:
@@ -371,14 +369,16 @@ def validate_schedule(instance: ProblemInstance, schedule: Schedule) -> list[Vio
 # Schedule files:
 #   {"entries": [{"task", "node", "start", "end"}...]}
 #
-# Each leaf goes through one parser: an id is a JSON string (integer ids are
-# rejected), a number a JSON int or float (not a bool, not quoted), a count
-# a JSON int >= 1.  A missing key or a leaf or container of the wrong type
-# is a ``ValueError`` naming the part; constructors check value ranges.
-# Floats are written with repr, the shortest decimal that parses back to the
-# same double, so files round-trip losslessly and regenerate byte-identically.
-# Files are written from templates whose bytes equal ``json.dumps(layout,
-# indent=2)`` and a newline; ``tests/reference.py`` holds the layouts as dicts.
+# One reader (_read_text) reads every input file, one writer (_write_text)
+# every output file.  A leaf that is not a str id or a float goes through one
+# parser: an id is a JSON string (integer ids are rejected), a number a JSON
+# int or float (not a bool, not quoted), a count a JSON int >= 1.  A missing
+# key or a leaf or container of the wrong type is a ``ValueError`` naming the
+# part; constructors check value ranges.  Floats are written with repr, the
+# shortest decimal that parses back to the same double, so files round-trip
+# losslessly and regenerate byte-identically.  Files are written from templates
+# whose bytes equal ``json.dumps(layout, indent=2)`` and a newline;
+# ``tests/reference.py`` holds the layouts as dicts and per-leaf loaders.
 # ---------------------------------------------------------------------------
 
 
@@ -413,12 +413,21 @@ def _count(value: object) -> int:
     return value
 
 
+def _leaves(rows: list, key: str, kind: type, parse) -> list:
+    """``[parse(row[key]) for row in rows]``, a leaf of type ``kind`` taken without the call."""
+    return [x if type(x := row[key]) is kind else parse(x) for row in rows]
+
+
+def _id_pairs(rows: list, a: str, b: str) -> list[tuple[str, str]]:
+    """``[(_id(row[a]), _id(row[b])) for row in rows]``, a str taken without the call."""
+    return [(x, y) if type(x := row[a]) is str and type(y := row[b]) is str
+            else (_id(x), _id(row[b])) for row in rows]
+
+
 def _unique(label: str, keys: list) -> list:
-    seen = set()
-    for key in keys:
-        if key in seen:
-            raise ValueError(f"duplicate {label} {key!r}")
-        seen.add(key)
+    if len(set(keys)) != len(keys):
+        seen = set()
+        raise ValueError(f"duplicate {label} {next(k for k in keys if k in seen or seen.add(k))!r}")
     return keys
 
 
@@ -430,16 +439,16 @@ def instance_from_dict(data: Mapping) -> ProblemInstance:
     with _json_shape("instance"):
         net, tg = data["network"], data["task_graph"]
     with _json_shape("network"):
-        nodes = _unique("node", [_id(n["id"]) for n in net["nodes"]])
-        ends = [(_id(l["u"]), _id(l["v"])) for l in net["links"]]
-        links = _unique("link", [(min(u, v), max(u, v)) for u, v in ends])
-        speed = {n: _number(x["speed"]) for n, x in zip(nodes, net["nodes"])}
-        strength = {pair: _number(l["strength"]) for pair, l in zip(links, net["links"])}
+        nodes = _unique("node", _leaves(net["nodes"], "id", str, _id))
+        ends = _id_pairs(net["links"], "u", "v")
+        links = _unique("link", [(u, v) if u < v else (v, u) for u, v in ends])
+        speed = dict(zip(nodes, _leaves(net["nodes"], "speed", float, _number)))
+        strength = dict(zip(links, _leaves(net["links"], "strength", float, _number)))
     with _json_shape("task_graph"):
-        tasks = _unique("task", [_id(t["id"]) for t in tg["tasks"]])
-        deps = _unique("dep", [(_id(d["src"]), _id(d["dst"])) for d in tg["deps"]])
-        compute_cost = {t: _number(x["cost"]) for t, x in zip(tasks, tg["tasks"])}
-        data_size = {dep: _number(x["size"]) for dep, x in zip(deps, tg["deps"])}
+        tasks = _unique("task", _leaves(tg["tasks"], "id", str, _id))
+        deps = _unique("dep", _id_pairs(tg["deps"], "src", "dst"))
+        compute_cost = dict(zip(tasks, _leaves(tg["tasks"], "cost", float, _number)))
+        data_size = dict(zip(deps, _leaves(tg["deps"], "size", float, _number)))
     network = Network(nodes=frozenset(nodes), speed=speed, strength=strength)
     return ProblemInstance(network=network, task_graph=TaskGraph(compute_cost, data_size))
 
@@ -447,11 +456,17 @@ def instance_from_dict(data: Mapping) -> ProblemInstance:
 def schedule_from_dict(data: Mapping) -> Schedule:
     """Parse a schedule by the leaf rules above; its part is the schedule entries."""
     with _json_shape("schedule entries"):
-        rows = [
-            (_id(e["task"]), _id(e["node"]), _number(e["start"]), _number(e["end"]))
-            for e in data["entries"]
-        ]
+        rows = [(t, v, s, f) if type(t := e["task"]) is str and type(v := e["node"]) is str
+                and type(s := e["start"]) is float and type(f := e["end"]) is float
+                else (_id(e["task"]), _id(e["node"]), _number(e["start"]), _number(e["end"]))
+                for e in data["entries"]]
     return Schedule(entries=tuple(ScheduleEntry(*row) for row in rows))
+
+
+def _read_text(path: str | Path) -> str:
+    """The UTF-8 file at ``path`` as text, from one unbuffered read; CRs are kept."""
+    with open(path, "rb", buffering=0) as fh:
+        return fh.read().decode("utf-8")
 
 
 def _open_output(path: str | Path) -> int:
@@ -528,7 +543,7 @@ def save_instance(instance: ProblemInstance, path: str | Path) -> None:
 
 
 def load_instance(path: str | Path) -> ProblemInstance:
-    return instance_from_dict(json.loads(Path(path).read_text()))
+    return instance_from_dict(json.loads(_read_text(path)))
 
 
 def save_schedule(schedule: Schedule, path: str | Path) -> None:
@@ -546,4 +561,4 @@ def save_schedule(schedule: Schedule, path: str | Path) -> None:
 
 
 def load_schedule(path: str | Path) -> Schedule:
-    return schedule_from_dict(json.loads(Path(path).read_text()))
+    return schedule_from_dict(json.loads(_read_text(path)))

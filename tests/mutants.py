@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Mutant kill-matrix: placement engine, scheduler, model, ranks, results reader, analysis, CLI parse and output writes.
+"""Mutant kill-matrix: placement engine, scheduler, model, ranks, input files, results reader,
+analysis, CLI parse and output writes.
 
 Run from the root of a checkout, with pytest and hypothesis installed::
 
@@ -53,6 +54,10 @@ ENTRY = (
 ANALYZE = "tests/test_cli.py::TestAnalyze"
 READER_REFERENCE = "tests/test_cli.py::test_results_reader_equals_the_reference_reader"
 REFERENCE_RANKS = "tests/test_priority.py::TestReferenceRanks"
+LOADERS = "tests/test_model.py::test_instance_loader_equals_the_per_leaf_loader"
+LOADERS_PAIRS = (
+    "tests/test_model.py::test_every_pair_of_instance_faults_reports_as_the_per_leaf_loader"
+)
 OVERWRITE = (
     "tests/test_model.py::test_a_longer_file_is_overwritten_with_the_bytes_of_a_fresh_write",
     "tests/test_bench.py::TestCsv::test_a_longer_file_is_overwritten_with_the_bytes_of_a_fresh_write",
@@ -317,6 +322,44 @@ MUTANTS = [
         "for (u, v), x in sorted(net.strength.items())",
         "for (u, v), x in net.strength.items()",
         ("tests/test_model.py::test_instance_file_is_the_indented_json",),
+    ),
+    Mutant(
+        "inline id check accepts an int",
+        MODEL,
+        "type(x := row[a]) is str and",
+        "type(x := row[a]) in (str, int) and",
+        (LOADERS,),
+    ),
+    Mutant(
+        "duplicate check's length test always passes",
+        MODEL,
+        "    if len(set(keys)) != len(keys):",
+        "    if False:",
+        ("tests/test_model.py::TestJson::test_malformed_instance_rejected", LOADERS),
+    ),
+    Mutant(
+        "successors returned unsorted",
+        MODEL,
+        "return tuple(sorted(self._succs[task]))",
+        "return self._succs[task]",
+        ("tests/test_model.py::TestConstruction::test_adjacency_is_sorted_on_access",),
+    ),
+    Mutant(
+        "input files decoded as latin-1",
+        MODEL,
+        'fh.read().decode("utf-8")',
+        'fh.read().decode("latin-1")',
+        ("tests/test_cli.py::TestInputFile",),
+    ),
+    Mutant(
+        "link ends parsed before the node dedupe",
+        MODEL,
+        '        nodes = _unique("node", _leaves(net["nodes"], "id", str, _id))\n'
+        '        ends = _id_pairs(net["links"], "u", "v")\n',
+        '        nodes = _leaves(net["nodes"], "id", str, _id)\n'
+        '        ends = _id_pairs(net["links"], "u", "v")\n'
+        '        nodes = _unique("node", nodes)\n',
+        (LOADERS_PAIRS,),
     ),
     Mutant(
         "output not cut to its new length",

@@ -36,6 +36,12 @@ The file layouts: ``instance_to_dict`` and ``schedule_to_dict`` are the
 instance and schedule files as dicts.  The package writes each file from
 a template, and its bytes must equal ``json.dumps(layout, indent=2)`` and
 a newline.
+
+The file loaders: ``reference_instance_from_dict`` and
+``reference_schedule_from_dict`` parse every leaf through the package's
+leaf parsers, one call per leaf, and find a repeated key with a set in a
+loop.  The package's loaders check most leaves inline instead, and must
+return an equal result or raise the same ``ValueError`` text.
 """
 
 import csv
@@ -48,13 +54,17 @@ from typing import Callable, Sequence
 from listsched import (
     BenchmarkRecord,
     CompareKind,
+    Network,
     PriorityKind,
     Schedule,
     ScheduleEntry,
+    TaskGraph,
     comm_time,
     exec_time,
 )
-from listsched.model import NodeId, ProblemInstance, TaskId, topological_order
+from listsched.model import (
+    NodeId, ProblemInstance, TaskId, _id, _json_shape, _number, topological_order,
+)
 
 #: A window: its start and end time.
 Window = tuple[float, float]
@@ -366,3 +376,45 @@ def schedule_to_dict(schedule):
             for e in schedule.entries
         ]
     }
+
+
+def _unique(label, keys):
+    seen = set()
+    for key in keys:
+        if key in seen:
+            raise ValueError(f"duplicate {label} {key!r}")
+        seen.add(key)
+    return keys
+
+
+def reference_instance_from_dict(data):
+    """An instance parsed leaf by leaf, in the loader's order.
+
+    Node ids, node dedupe, link ends, link dedupe, speeds and strengths, then
+    task ids, task dedupe, dep ends, dep dedupe, costs and sizes.
+    """
+    with _json_shape("instance"):
+        net, tg = data["network"], data["task_graph"]
+    with _json_shape("network"):
+        nodes = _unique("node", [_id(n["id"]) for n in net["nodes"]])
+        ends = [(_id(l["u"]), _id(l["v"])) for l in net["links"]]
+        links = _unique("link", [(min(u, v), max(u, v)) for u, v in ends])
+        speed = {n: _number(x["speed"]) for n, x in zip(nodes, net["nodes"])}
+        strength = {pair: _number(l["strength"]) for pair, l in zip(links, net["links"])}
+    with _json_shape("task_graph"):
+        tasks = _unique("task", [_id(t["id"]) for t in tg["tasks"]])
+        deps = _unique("dep", [(_id(d["src"]), _id(d["dst"])) for d in tg["deps"]])
+        compute_cost = {t: _number(x["cost"]) for t, x in zip(tasks, tg["tasks"])}
+        data_size = {dep: _number(x["size"]) for dep, x in zip(deps, tg["deps"])}
+    network = Network(nodes=frozenset(nodes), speed=speed, strength=strength)
+    return ProblemInstance(network=network, task_graph=TaskGraph(compute_cost, data_size))
+
+
+def reference_schedule_from_dict(data):
+    """A schedule parsed leaf by leaf, entry by entry."""
+    with _json_shape("schedule entries"):
+        rows = [
+            (_id(e["task"]), _id(e["node"]), _number(e["start"]), _number(e["end"]))
+            for e in data["entries"]
+        ]
+    return Schedule(entries=tuple(ScheduleEntry(*row) for row in rows))

@@ -296,6 +296,81 @@ def test_wrong_shape_fixtures_are_valid_unbroken(tmp_path, capsys):
     assert main(["validate", "--instance", str(instance), "--schedule", str(sched)]) == 0
 
 
+class TestInputFile:
+    """An input file is read as UTF-8 bytes; a bad one is one stderr line, and no file is written.
+
+    ``schedule`` reads the instance and would write ``out.json``; ``validate``
+    reads the instance and the schedule.
+    """
+
+    def run(self, tmp_path, command, instance, sched):
+        if command == "schedule":
+            args = ["schedule", "--instance", str(instance), "--scheduler", "HEFT",
+                    "--out", str(tmp_path / "out.json")]
+        else:
+            args = ["validate", "--instance", str(instance), "--schedule", str(sched)]
+        return main(args)
+
+    def inputs(self, tmp_path, instance: bytes, sched: bytes):
+        paths = tmp_path / "instance.json", tmp_path / "sched.json"
+        for path, data in zip(paths, (instance, sched)):
+            path.write_bytes(data)
+        return paths
+
+    def valid_bytes(self):
+        return json.dumps(ab_instance_dict()).encode(), json.dumps(wrong_shape_schedule()).encode()
+
+    def test_a_nan_speed_on_the_last_node_is_a_domain_error(self, tmp_path, capsys):
+        data = ab_instance_dict()
+        data["network"]["nodes"][-1]["speed"] = math.nan
+        instance, sched = self.inputs(tmp_path, json.dumps(data).encode(), b"")
+        assert b'"speed": NaN' in instance.read_bytes()
+        assert self.run(tmp_path, "schedule", instance, sched) == 1
+        assert capsys.readouterr() == (
+            "", "invalid instance file: speed for 'n1' must be positive and finite, got nan\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["instance.json", "sched.json"]
+
+    @pytest.mark.parametrize("fault", ["0xff byte", "UTF-8 BOM"])
+    @pytest.mark.parametrize("command, prefix, broken", [
+        ("schedule", "invalid instance file: ", "instance"),
+        ("validate", "invalid input: ", "schedule"),
+    ], ids=["instance file", "schedule file"])
+    def test_a_file_that_is_not_utf8_json_is_a_domain_error(
+        self, tmp_path, capsys, fault, command, prefix, broken
+    ):
+        files = dict(zip(("instance", "schedule"), self.valid_bytes()))
+        if fault == "0xff byte":
+            # task b renamed to the byte 0xff, which latin-1 would read as a valid id
+            files[broken] = files[broken].replace(b'"b"', b'"\xff"')
+            error = (f"'utf-8' codec can't decode byte 0xff in position "
+                     f"{files[broken].index(0xff)}: invalid start byte")
+        else:
+            files[broken] = b"\xef\xbb\xbf" + files[broken]
+            error = "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"
+        instance, sched = self.inputs(tmp_path, files["instance"], files["schedule"])
+        assert self.run(tmp_path, command, instance, sched) == 1
+        assert capsys.readouterr() == ("", f"{prefix}{error}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["instance.json", "sched.json"]
+
+    def test_an_instance_that_is_a_directory_is_an_io_error(self, tmp_path, capsys):
+        _, sched = self.inputs(tmp_path, *self.valid_bytes())
+        (tmp_path / "instance.json").unlink()
+        directory = tmp_path / "dir"
+        directory.mkdir()
+        assert self.run(tmp_path, "schedule", directory, sched) == 2
+        assert capsys.readouterr() == ("", f"IO error: [Errno 21] Is a directory: '{directory}'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "sched.json"]
+        assert not any(directory.iterdir())
+
+    def test_a_missing_schedule_is_an_io_error(self, tmp_path, capsys):
+        instance, sched = self.inputs(tmp_path, *self.valid_bytes())
+        sched.unlink()
+        assert self.run(tmp_path, "validate", instance, sched) == 2
+        assert capsys.readouterr() == (
+            "", f"IO error: [Errno 2] No such file or directory: '{sched}'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["instance.json"]
+
+
 class TestValidate:
     def test_valid_pair(self, instance_file, tmp_path, capsys):
         out = tmp_path / "sched.json"

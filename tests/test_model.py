@@ -50,7 +50,13 @@ from conftest import (
     wrong_shape_instance,
     wrong_shape_schedule,
 )
-from reference import data_available_time, instance_to_dict, schedule_to_dict
+from reference import (
+    data_available_time,
+    instance_to_dict,
+    reference_instance_from_dict,
+    reference_schedule_from_dict,
+    schedule_to_dict,
+)
 
 
 def entries(*specs):
@@ -436,6 +442,18 @@ class TestConstruction:
         )
         assert topological_order(tg) == ("a", "b", "c", "d")
 
+    def test_adjacency_is_sorted_on_access(self):
+        edges = [("z", "c"), ("z", "a"), ("y", "b"), ("c", "b"), ("a", "x"), ("b", "x"),
+                 ("y", "w"), ("z", "w"), ("c", "x")]
+        # every edge listed in reverse id order
+        tg = TaskGraph({t: 1.0 for t in "abcwxyz"}, {e: 1.0 for e in sorted(edges, reverse=True)})
+        assert [tg.successors(t) for t in "abcwxyz"] == [
+            ("x",), ("x",), ("b", "x"), (), (), ("b", "w"), ("a", "c", "w")]
+        assert [tg.predecessors(t) for t in "abcwxyz"] == [
+            ("z",), ("c", "y"), ("z",), ("y", "z"), ("a", "b", "c"), (), ()]
+        # the order of the graph whose adjacency was sorted at construction
+        assert topological_order(tg) == ("y", "z", "a", "c", "b", "w", "x")
+
 
 class TestJson:
     def test_instance_round_trip(self):
@@ -728,3 +746,243 @@ def test_manifest_file_is_the_indented_json(tmp_path, seed, ccr):
                 "count": 1}
     assert (tmp_path / "manifest.json").read_bytes() == (
         json.dumps(manifest, indent=2) + "\n").encode()
+
+
+#: Leaf values the loaders must take or reject the same way: ints and bools, NaN.
+#: A weight is a node's speed, a link's strength, a cost, a size or a time.
+ODD_LEAVES = {
+    "id is an int": 3, "id is a bool": False,
+    "weight is an int": 3, "weight is a bool": True, "weight is NaN": math.nan,
+}
+INSTANCE_FAULTS = (*MALFORMED_CASES, *(case for case, _ in WRONG_SHAPE_INSTANCES), *ODD_LEAVES)
+SCHEDULE_FAULTS = (*WRONG_SHAPE_SCHEDULES, *ODD_LEAVES)
+#: The id keys and the weight keys of each part's rows.
+ROW_KEYS = {
+    "nodes": (("id",), ("speed",)), "links": (("u", "v"), ("strength",)),
+    "tasks": (("id",), ("cost",)), "deps": (("src", "dst"), ("size",)),
+    "entries": (("task", "node"), ("start", "end")),
+}
+WEIGHTS = st.one_of(st.floats(min_value=1, max_value=1e6), st.integers(1, 10**6))
+
+
+def fault_lists(faults):
+    """0, 1 or 2 faults: two draws, each a fault or none about as often."""
+    draws = st.lists(st.one_of(st.sampled_from(faults), st.none()), min_size=2, max_size=2)
+    return draws.map(lambda cases: [case for case in cases if case is not None])
+
+
+@st.composite
+def instance_dicts(draw):
+    """A valid instance dict: rows in drawn order, each link's ends in either order."""
+    ids = st.text(max_size=3)
+    nodes = draw(st.lists(ids, min_size=1, max_size=4, unique=True))
+    tasks = draw(st.lists(ids, max_size=5, unique=True))
+    pairs = [draw(st.sampled_from([(u, v), (v, u)])) for u, v in itertools.combinations(nodes, 2)]
+    edges = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=6))
+    deps = list(dict.fromkeys((tasks[s], tasks[d]) for s, d in edges if s < d < len(tasks)))
+    return {
+        "network": {
+            "nodes": [{"id": n, "speed": draw(WEIGHTS)} for n in nodes],
+            "links": [{"u": u, "v": v, "strength": draw(WEIGHTS)}
+                      for u, v in draw(st.permutations(pairs))],
+        },
+        "task_graph": {
+            "tasks": [{"id": t, "cost": draw(WEIGHTS)} for t in tasks],
+            "deps": [{"src": s, "dst": d, "size": draw(WEIGHTS)}
+                     for s, d in draw(st.permutations(deps))],
+        },
+    }
+
+
+def rows_of(parts, name):
+    """The rows of part ``name``, or ``[]`` once a fault has made them something else."""
+    rows = parts[name]
+    return rows if type(rows) is list and all(type(r) is dict for r in rows) else []
+
+
+def leaf_key(data, name, case):
+    """A drawn key of part ``name`` of the kind ``case`` breaks: an id, or a weight."""
+    ids, weights = ROW_KEYS[name]
+    return data.draw(st.sampled_from(ids if case.startswith("id") else weights))
+
+
+def break_leaf(data, parts, case, row):
+    """Set a leaf of a drawn part and row to ``ODD_LEAVES[case]``."""
+    name = data.draw(st.sampled_from(sorted(k for k in parts if rows_of(parts, k))), label="part")
+    row(name)[leaf_key(data, name, case)] = ODD_LEAVES[case]
+
+
+def inject_instance_fault(data, root, case):
+    """``root`` (an instance dict, or a list around one) broken as ``case`` at drawn rows."""
+    doc = root
+    while type(doc) is list:
+        doc = doc[0]
+    net, tg = doc["network"] or {}, doc["task_graph"]
+    parts = {"nodes": net.get("nodes"), "links": net.get("links"),
+             "tasks": tg["tasks"], "deps": tg["deps"]}
+
+    def row(name):
+        rows = rows_of(parts, name)
+        return rows[data.draw(st.integers(0, len(rows) - 1), label=name)] if rows else {}
+
+    def duplicate(name):
+        rows = rows_of(parts, name)
+        if rows:
+            rows.insert(data.draw(st.integers(0, len(rows))), dict(row(name)))
+
+    if case == "root is a list":
+        return [root]
+    if case.startswith("duplicate "):
+        duplicate(case.removeprefix("duplicate ") + "s")
+    elif case in ODD_LEAVES:
+        if any(rows_of(parts, name) for name in parts):
+            break_leaf(data, parts, case, row)
+    elif case == "infinite strength":
+        row("links")["strength"] = math.inf
+    elif case == "infinite cost":
+        row("tasks")["cost"] = math.inf
+    elif case == "no nodes":
+        net["nodes"], net["links"] = [], []
+    elif case == "link to an unknown node":
+        if rows_of(parts, "nodes") and type(parts["links"]) is list:
+            known = row("nodes").get("id")
+            parts["links"].append({"u": known, "v": f"{known}?", "strength": 1.0})
+    elif case == "network is null":
+        doc["network"] = None
+    elif case == "nodes is a number":
+        net["nodes"] = 5
+    elif case == "task is a string":
+        if rows_of(parts, "tasks"):
+            tasks = parts["tasks"]
+            i = data.draw(st.integers(0, len(tasks) - 1))
+            tasks[i] = str(tasks[i].get("id"))
+    elif case == "speed is missing":
+        row("nodes").pop("speed", None)
+    else:
+        name, key, value = {
+            "speed is null": ("nodes", "speed", None),
+            "speed is a list": ("nodes", "speed", [1.0]),
+            "speed is true": ("nodes", "speed", True),
+            "speed is a numeric string": ("nodes", "speed", "2"),
+            "node id is null": ("nodes", "id", None),
+            "task id is an integer": ("tasks", "id", 1),
+            "cost is a 400-digit integer": ("tasks", "cost", 10**400),
+        }[case]
+        row(name)[key] = value
+    return root
+
+
+def outcome(load, doc):
+    """``("ok", ...)`` with every map's items in order, or ``("error", text)`` of a ValueError."""
+    try:
+        result = load(copy.deepcopy(doc))
+    except ValueError as exc:
+        return "error", str(exc)
+    if isinstance(result, Schedule):
+        return "ok", result.entries
+    net, tg = result.network, result.task_graph
+    maps = (net.speed, net.strength, tg.compute_cost, tg.data_size)
+    return "ok", net.nodes, tuple(tuple(m.items()) for m in maps)
+
+
+@settings(max_examples=500, deadline=None)
+@given(instance_dicts(), fault_lists(INSTANCE_FAULTS), st.data())
+def test_instance_loader_equals_the_per_leaf_loader(doc, faults, data):
+    for case in faults:
+        doc = inject_instance_fault(data, doc, case)
+    assert outcome(instance_from_dict, doc) == outcome(reference_instance_from_dict, doc)
+
+
+@st.composite
+def schedule_dicts(draw):
+    """A valid schedule dict: any ids, times in order as floats or ints."""
+    times = st.one_of(st.floats(min_value=0, max_value=1e9), st.integers(0, 10**9))
+    rows = draw(st.lists(st.tuples(st.text(max_size=3), st.text(max_size=3), times, times),
+                         max_size=5))
+    return {"entries": [{"task": t, "node": v, "start": min(a, b), "end": max(a, b)}
+                        for t, v, a, b in rows]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(schedule_dicts(), fault_lists(SCHEDULE_FAULTS), st.data())
+def test_schedule_loader_equals_the_per_leaf_loader(doc, faults, data):
+    for case in faults:
+        entries = doc["entries"]
+        if type(entries) is not list or not entries:
+            continue
+        i = data.draw(st.integers(0, len(entries) - 1))
+        if case == "entries is null":
+            doc["entries"] = None
+        elif case == "entry is a string":
+            entries[i] = "b"
+        elif type(entries[i]) is dict:
+            key = "start" if case.startswith("start") else leaf_key(data, "entries", case)
+            entries[i][key] = {"start is null": None, "start is a numeric string": "0",
+                               **ODD_LEAVES}[case]
+    assert outcome(schedule_from_dict, doc) == outcome(reference_schedule_from_dict, doc)
+
+
+def leaf_faults(doc, parts):
+    """Every one-leaf fault of ``doc`` and every repeated row, as ``(part, row, key, value)``.
+
+    ``parts`` maps a part's name to the path of keys from the root to its rows.
+    A key of ``None`` repeats the row; a value of ``KeyError`` deletes the key.
+    """
+    faults = []
+    for name, path in parts.items():
+        rows = doc
+        for key in path:
+            rows = rows[key]
+        for i, row in enumerate(rows):
+            faults.append((path, i, None, None))
+            for key in row:
+                faults += [(path, i, key, value) for value in (3, False, None, math.nan, KeyError)]
+    return faults
+
+
+def with_faults(doc, faults):
+    doc = copy.deepcopy(doc)
+    for path, i, key, value in faults:
+        rows = doc
+        for step in path:
+            rows = rows[step]
+        if key is None:
+            rows.append(dict(rows[i]))
+        elif value is KeyError:
+            rows[i].pop(key, None)
+        else:
+            rows[i][key] = value
+    return doc
+
+
+#: Three nodes with a link written backwards, three tasks and two deps.
+TWO_FAULT_INSTANCE = {
+    "network": {
+        "nodes": [{"id": "n0", "speed": 1.0}, {"id": "n2", "speed": 2}, {"id": "n1", "speed": 1.5}],
+        "links": [{"u": "n2", "v": "n0", "strength": 1.0}, {"u": "n0", "v": "n1", "strength": 2.0},
+                  {"u": "n1", "v": "n2", "strength": 0.5}],
+    },
+    "task_graph": {
+        "tasks": [{"id": "b", "cost": 1.0}, {"id": "a", "cost": 2.0}, {"id": "c", "cost": 3}],
+        "deps": [{"src": "a", "dst": "b", "size": 1.0}, {"src": "b", "dst": "c", "size": 0.5}],
+    },
+}
+
+
+def test_every_pair_of_instance_faults_reports_as_the_per_leaf_loader():
+    # exhaustive, so the parse order is pinned: a fault early in it wins
+    faults = leaf_faults(TWO_FAULT_INSTANCE, {
+        "nodes": ("network", "nodes"), "links": ("network", "links"),
+        "tasks": ("task_graph", "tasks"), "deps": ("task_graph", "deps"),
+    })
+    for pair in itertools.combinations(faults, 2):
+        doc = with_faults(TWO_FAULT_INSTANCE, pair)
+        assert outcome(instance_from_dict, doc) == outcome(reference_instance_from_dict, doc), pair
+
+
+def test_every_pair_of_schedule_faults_reports_as_the_per_leaf_loader():
+    doc = schedule_to_dict(entries(("a", "n0", 0.0, 1.0), ("b", "n1", 1.0, 2.5), ("c", "n0", 1, 3)))
+    for pair in itertools.combinations(leaf_faults(doc, {"entries": ("entries",)}), 2):
+        broken = with_faults(doc, pair)
+        assert (outcome(schedule_from_dict, broken)
+                == outcome(reference_schedule_from_dict, broken)), pair
