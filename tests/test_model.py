@@ -451,7 +451,7 @@ class TestConstruction:
             ("x",), ("x",), ("b", "x"), (), (), ("b", "w"), ("a", "c", "w")]
         assert [tg.predecessors(t) for t in "abcwxyz"] == [
             ("z",), ("c", "y"), ("z",), ("y", "z"), ("a", "b", "c"), (), ()]
-        # the order of the graph whose adjacency was sorted at construction
+        # the order Kahn gives when each adjacency list is sorted by id first
         assert topological_order(tg) == ("y", "z", "a", "c", "b", "w", "x")
 
 
