@@ -313,9 +313,7 @@ def _exact(argv: list[str]) -> argparse.Namespace | None:
         if option.dest not in values:
             if option.required:
                 return None
-            default = option.default
-            values[option.dest] = (option.type(default) if option.type and isinstance(default, str)
-                                   else default)
+            values[option.dest] = option.default
     return argparse.Namespace(command=argv[0], **values)
 
 

@@ -20,8 +20,7 @@ compiles the instance once per call, and :func:`_priorities` computes
 both averages once and every rank pass it needs from that form.
 :func:`upward_rank`, :func:`downward_rank`, :func:`priority_map` and
 :func:`critical_path_tasks` are thin wrappers that compile, run the same
-passes and key the result by task id; ArbitraryTopological needs only
-the order, so :func:`priority_map` compiles nothing for it.
+passes and key the result by task id.
 ``datagen.ccr`` reads the same averages.
 """
 
@@ -132,12 +131,6 @@ def _downward(form: _Compiled, w: float, c: float) -> list[float]:
     return _finite("downward rank", form, ranks)
 
 
-def _arbitrary(order: tuple[TaskId, ...]) -> list[float]:
-    """ArbitraryTopological priority by position: |T| - i for position i of the order."""
-    n = len(order)
-    return [float(n - i) for i in range(n)]
-
-
 def _averages(instance: ProblemInstance) -> tuple[float, float]:
     """The mean reciprocal speed and strength, in that order (see :func:`_mean_recip`)."""
     network = instance.network
@@ -158,7 +151,7 @@ def _priorities(
     pass run at most once.
     """
     if kind is PriorityKind.ARBITRARY_TOPOLOGICAL:
-        prio = _arbitrary(form.order)
+        prio = [float(n) for n in range(len(form.order), 0, -1)]
         if not critical_path:
             return prio, None
     elif kind not in (PriorityKind.UPWARD_RANKING, PriorityKind.CPOP_RANKING):
@@ -190,13 +183,7 @@ def downward_rank(instance: ProblemInstance) -> dict[TaskId, float]:
 
 
 def priority_map(instance: ProblemInstance, kind: PriorityKind) -> dict[TaskId, float]:
-    """Priority value per task for the given prioritization scheme (see :func:`_priorities`).
-
-    ArbitraryTopological reads the topological order alone and compiles nothing.
-    """
-    if kind is PriorityKind.ARBITRARY_TOPOLOGICAL:
-        order = topological_order(instance.task_graph)
-        return dict(zip(order, _arbitrary(order)))
+    """Priority value per task for the given prioritization scheme (see :func:`_priorities`)."""
     form = _Compiled(instance)
     return dict(zip(form.order, _priorities(instance, form, kind)[0]))
 

@@ -382,6 +382,21 @@ MUTANTS = [
         "",
         ("tests/test_cli.py::TestAnalyze::test_pareto_writes_no_file_unless_both_open",),
     ),
+    Mutant(
+        "unknown analysis parameter not raised",
+        BENCH,
+        '    else:\n        raise ValueError(f"unknown parameter {parameter!r}")\n',
+        "",
+        ("tests/test_cli.py::TestAnalyze::test_interactions_unknown_parameter_is_domain_error",),
+    ),
+    Mutant(
+        "network speeds not checked against the node set",
+        MODEL,
+        "        if set(self.speed) != self.nodes:\n"
+        '            raise ValueError("speed must be defined for exactly the node set")\n',
+        "",
+        ("tests/test_model.py::TestConstruction::test_network_speeds_must_cover_exactly_the_nodes",),
+    ),
 ]
 
 #: Substitutions that change no result, and why; not run.

@@ -998,6 +998,13 @@ class TestAnalyze:
         assert len(rows) == 3  # one dataset -> one CCR level x three compares
         assert {r["level_a"] for r in rows} == {"EFT", "EST", "Quickest"}
 
+    def test_interactions_unknown_parameter_is_domain_error(self, results_csv, tmp_path, capsys):
+        out = tmp_path / "inter.csv"
+        assert main(["analyze", "--results", str(results_csv), "--mode", "interactions",
+                     "--params", "foo,compare", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "analysis failed: unknown parameter 'foo'\n"
+        assert not out.exists()
+
     def test_interactions_require_params(self, results_csv, tmp_path):
         assert main(["analyze", "--results", str(results_csv),
                      "--mode", "interactions", "--out", str(tmp_path / "x.csv")]) == 2

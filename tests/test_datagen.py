@@ -159,6 +159,11 @@ class TestCcr:
         with pytest.raises(ValueError, match="no dependencies"):
             ccr(inst)
 
+    def test_undefined_on_a_single_node(self):
+        inst = mk_instance({"a": 1.0, "b": 1.0}, {("a", "b"): 1.0}, {"n0": 1.0})
+        with pytest.raises(ValueError, match="^CCR undefined: single-node network has no links$"):
+            ccr(inst)
+
     @pytest.mark.parametrize("weight", ["speed", "strength"])
     def test_an_overflowing_mean_reciprocal_is_an_error(self, weight):
         # was 0.0 for the speed and inf for the strength
@@ -278,6 +283,10 @@ class TestGenDataset:
         # rejected where it enters, not as a zero link strength in gen_dataset
         with pytest.raises(ValueError, match="target_ccr must be positive and finite"):
             GenParams(GraphKind.CHAINS, seed=1, count=1, target_ccr=target)
+
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="^seed must be non-negative$"):
+            GenParams(GraphKind.CHAINS, seed=-1, count=1, target_ccr=1.0)
 
     def test_count_must_fit_a_seed_spawn(self):
         # SeedSequence.spawn takes an ssize_t; a larger count is a ValueError

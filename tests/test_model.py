@@ -106,6 +106,12 @@ class TestTiming:
         for v in inst.network.nodes:
             assert comm_time(inst, ("a", "b"), v, v) == 0.0
 
+    def test_comm_time_same_node_must_be_known(self):
+        inst = mk_instance({"a": 1.0, "b": 1.0}, {("a", "b"): 2.0}, {"n0": 1.0, "n1": 1.0})
+        with pytest.raises(KeyError) as info:
+            comm_time(inst, ("a", "b"), "zz", "zz")
+        assert info.value.args == ("unknown node 'zz'",)
+
     def test_comm_time_direct(self):
         inst = mk_instance(
             {"a": 1.0, "b": 1.0}, {("a", "b"): 2.0}, {"n0": 1.0, "n1": 1.0},
@@ -374,6 +380,11 @@ class TestConstruction:
                 speed={"n0": 1.0, "n1": 1.0, "n2": 1.0},
                 strength={("n0", "n1"): 1.0},
             )
+
+    def test_network_speeds_must_cover_exactly_the_nodes(self):
+        for speed in ({"n0": 1.0}, {"n0": 1.0, "n1": 1.0, "n2": 1.0}):
+            with pytest.raises(ValueError, match="^speed must be defined for exactly the node set$"):
+                Network(nodes=frozenset({"n0", "n1"}), speed=speed, strength={("n0", "n1"): 1.0})
 
     def test_network_rejects_self_link(self):
         with pytest.raises(ValueError, match="self-link"):

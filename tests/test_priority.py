@@ -15,7 +15,6 @@ from listsched import (
     upward_rank,
 )
 from listsched.model import topological_order
-from listsched.priority import _Compiled
 
 from conftest import (
     branches_past_the_largest_float,
@@ -154,18 +153,6 @@ class TestPriorityMap:
         )
         values = priority_map(inst, PriorityKind.ARBITRARY_TOPOLOGICAL)
         assert values == {"A": 3.0, "B": 2.0, "C": 1.0}
-
-    def test_arbitrary_topological_reads_the_order_alone(self, monkeypatch):
-        def no_compile(form, instance):
-            raise AssertionError("ArbitraryTopological compiled the instance")
-
-        monkeypatch.setattr(_Compiled, "__init__", no_compile)
-        for _, inst in corpus():
-            order = topological_order(inst.task_graph)
-            n = len(order)
-            values = priority_map(inst, PriorityKind.ARBITRARY_TOPOLOGICAL)
-            assert values == {t: float(n - i) for i, t in enumerate(order)}
-            assert all(type(v) is float for v in values.values())
 
     def test_upward_ranking_strictly_decreases_along_deps(self):
         rng = np.random.default_rng(12)

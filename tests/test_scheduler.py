@@ -222,6 +222,12 @@ class TestScheduleExamples:
             with pytest.raises(ValueError, match=message):
                 schedule(inst, config)
 
+    def test_unknown_priority_kind_rejected(self):
+        inst = mk_instance({"a": 1.0, "b": 1.0}, {("a", "b"): 1.0}, {"n0": 1.0})
+        config = SchedulerConfig("bogus", CompareKind.EFT, False, False, False)
+        with pytest.raises(ValueError, match="^unknown priority kind 'bogus'$"):
+            schedule(inst, config)
+
     def test_empty_network_rejected(self):
         with pytest.raises(ValueError, match="network has no nodes"):
             Network(frozenset(), {}, {})
