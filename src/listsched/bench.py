@@ -177,8 +177,10 @@ def run_benchmark(
 def compute_ratios(records: Iterable[BenchmarkRecord]) -> list[RatioRow]:
     """Normalize makespan and runtime by the per-(dataset, instance) minimum.
 
-    Raises ``ValueError`` when a (dataset, instance, scheduler) key occurs
-    twice, since each row would then count twice in every mean.
+    An instance without a successful record gets no rows, so its records,
+    like any failed one, keep empty ratio cells.  Raises ``ValueError``
+    when a (dataset, instance, scheduler) key occurs twice, since each row
+    would then count twice in every mean.
     """
     # per (dataset, instance): the scheduler names seen and the successful records
     groups: dict[tuple[str, int], tuple[set[str], list]] = defaultdict(lambda: (set(), []))
@@ -198,7 +200,7 @@ def compute_ratios(records: Iterable[BenchmarkRecord]) -> list[RatioRow]:
     rows: list[RatioRow] = []
     for key, (_, ok) in groups.items():
         if not ok:
-            raise ValueError(f"no successful records for {key}; cannot normalize")
+            continue
         min_makespan = min(r.makespan for r in ok)
         min_runtime = min(r.runtime_seconds for r in ok)
         if min_makespan == 0:

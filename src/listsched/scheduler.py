@@ -145,6 +145,12 @@ def schedule(instance: ProblemInstance, config: SchedulerConfig) -> Schedule:
     monotone = compare is not CompareKind.QUICKEST
     kept: tuple | None = None  # (position, evaluation) that holds at this step
 
+    def evaluate(task: int) -> tuple:
+        """``state.best``'s result for ``task``: the kept one if it holds, else a fresh one."""
+        if kept is not None and kept[0] == task:
+            return kept[1]
+        return state.best(task, reserved if cp[task] else all_nodes, append_only, compare)
+
     succs = form.succs
     indeg = [len(p) for p in form.preds]
     ready = [(-prio[i], i) for i, d in enumerate(indeg) if d == 0]
@@ -153,29 +159,20 @@ def schedule(instance: ProblemInstance, config: SchedulerConfig) -> Schedule:
     while ready:
         entry = heapq.heappop(ready)
         task = entry[1]
-        if kept is not None and kept[0] == task:
-            best, best_w, suffer, second = kept[1]
-        else:
-            best, best_w, suffer, second = state.best(
-                task, reserved if cp[task] else all_nodes, append_only, compare)
+        best = evaluate(task)
         loser = None
         if sufferage and ready and not cp[task] and not cp[ready[0][1]]:
             rival_entry = heapq.heappop(ready)
-            rival = rival_entry[1]
-            if kept is not None and kept[0] == rival:
-                rival_eval = kept[1]
-            else:
-                rival_eval = state.best(rival, all_nodes, append_only, compare)
-            if rival_eval[2] > suffer:
+            rival = (rival_entry[1], evaluate(rival_entry[1]))
+            if rival[1][2] > best[2]:
                 heapq.heappush(ready, entry)
-                loser = (task, (best, best_w, suffer, second))
-                task, (best, best_w, suffer, second) = rival, rival_eval
+                loser, (task, best) = (task, best), rival
             else:
                 heapq.heappush(ready, rival_entry)
-                loser = (rival, rival_eval)
+                loser = rival
 
-        state.place(task, best, best_w)
-        kept = loser if monotone and loser and best not in (loser[1][0], loser[1][3]) else None
+        state.place(task, best[0], best[1])
+        kept = loser if monotone and loser and best[0] not in (loser[1][0], loser[1][3]) else None
         for s, _ in succs[task]:
             indeg[s] -= 1
             if indeg[s] == 0:

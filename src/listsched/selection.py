@@ -11,8 +11,10 @@ the score inline, and the test suite's ``reference.py`` states each
 kind's score function for its spec-level scheduler.
 
 :class:`_PlacementState` is the one implementation of all of this, and
-the scheduler places tasks through it.  It reads the task graph's
-compiled form, :class:`~listsched.priority._Compiled`, which the
+the scheduler places tasks through it.  Each placement appends its
+:class:`ScheduleEntry` to the engine's result, so the schedule is built
+as tasks are placed, with no second pass.  The engine reads the task
+graph's compiled form, :class:`~listsched.priority._Compiled`, which the
 scheduler builds once per call, so tasks are positions and nodes are
 indices; its docstring, ``best``'s and :func:`_no_fit_threshold`'s give
 its index form, its pruning rules and why they are exact.
@@ -109,13 +111,14 @@ class _PlacementState:
     Tasks are the positions of the task graph's compiled form
     (:class:`~listsched.priority._Compiled`), whose ``order``, ``cost``
     and ``preds`` the engine reads; ``where[i]`` is task i's
-    ``(node, start, end)``, ``None`` until it is placed, and ``placed``
-    lists the positions in placement order.  Nodes are the indices of
-    ``instance.network.node_order()``.  Node v's timeline is the parallel
-    lists ``starts[v]`` and ``ends[v]``, sorted by (start, end).  The
-    strength matrix holds ``inf`` on its diagonal, so data already on the
-    node arrives after ``size / inf == 0.0``, and ``end + 0.0`` is
-    exactly ``end``.
+    ``(node, start, end)``, ``None`` until it is placed, and ``entries``
+    holds the :class:`ScheduleEntry` of each placement, in placement
+    order, so an entry the model rejects raises at its placement.  Nodes
+    are the indices of ``instance.network.node_order()``.  Node v's
+    timeline is the parallel lists ``starts[v]`` and ``ends[v]``, sorted
+    by (start, end).  The strength matrix holds ``inf`` on its diagonal,
+    so data already on the node arrives after ``size / inf == 0.0``, and
+    ``end + 0.0`` is exactly ``end``.
 
     ``lasts[v]`` is node v's last end, 0.0 while it is empty.  ``fit[v]``
     is its :func:`_no_fit_threshold`, or ``None`` when unknown; ``best``
@@ -129,7 +132,7 @@ class _PlacementState:
 
     __slots__ = (
         "nodes", "all_nodes", "speed", "strength", "order", "cost", "preds", "starts", "ends",
-        "where", "placed", "lasts", "fit",
+        "where", "entries", "lasts", "fit",
     )
 
     def __init__(self, instance: ProblemInstance, form: _Compiled):
@@ -147,7 +150,7 @@ class _PlacementState:
         self.lasts = [0.0] * len(self.nodes)
         self.fit: list[float | None] = [None] * len(self.nodes)
         self.where: list[tuple[int, float, float] | None] = [None] * len(self.order)
-        self.placed: list[int] = []
+        self.entries: list[ScheduleEntry] = []
 
     def _ready_times(self, task: int) -> list[float]:
         """Data-ready time of task position ``task`` on every node, in node order.
@@ -223,6 +226,7 @@ class _PlacementState:
 
     def place(self, task: int, node: int, window: tuple[float, float]) -> None:
         start, end = window
+        self.entries.append(ScheduleEntry(self.order[task], self.nodes[node], start, end))
         starts = self.starts[node]
         # only a zero-length entry can share its start with another entry;
         # it goes first, so entries stay sorted by (start, end)
@@ -230,7 +234,6 @@ class _PlacementState:
         starts.insert(i, start)
         self.ends[node].insert(i, end)
         self.where[task] = (node, start, end)
-        self.placed.append(task)
         if i < len(starts) - 1:  # a middle insertion splits a gap
             self.fit[node] = None
             return
@@ -245,18 +248,7 @@ class _PlacementState:
 
     def to_schedule(self) -> Schedule:
         """The placed entries, in placement order."""
-        # a list, not a generator: in CPython 3.11, tuple() over a generator
-        # here made peak RSS grow with every call across instances
-        order, nodes, where = self.order, self.nodes, self.where
-        return Schedule(
-            entries=tuple(
-                [
-                    ScheduleEntry(order[i], nodes[v], s, e)
-                    for i in self.placed
-                    for v, s, e in (where[i],)
-                ]
-            )
-        )
+        return Schedule(entries=tuple(self.entries))
 
 
 def _query_state(

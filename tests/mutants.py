@@ -160,16 +160,33 @@ MUTANTS = [
     Mutant(
         "loser reuse that ignores the runner-up node",
         SCHEDULER,
-        "best not in (loser[1][0], loser[1][3])",
-        "best != loser[1][0]",
+        "best[0] not in (loser[1][0], loser[1][3])",
+        "best[0] != loser[1][0]",
         (FINGERPRINT, REFERENCE),
     ),
     Mutant(
         "sufferage arbitration with >=",
         SCHEDULER,
-        "if rival_eval[2] > suffer:",
-        "if rival_eval[2] >= suffer:",
+        "if rival[1][2] > best[2]:",
+        "if rival[1][2] >= best[2]:",
         (FINGERPRINT, REFERENCE),
+    ),
+    Mutant(
+        "entry recorded with its start as its end",
+        SELECTION,
+        "ScheduleEntry(self.order[task], self.nodes[node], start, end)",
+        "ScheduleEntry(self.order[task], self.nodes[node], start, start)",
+        (FINGERPRINT, REFERENCE),
+    ),
+    Mutant(
+        "an instance without a successful record raises again",
+        BENCH,
+        "        if not ok:\n            continue\n",
+        '        if not ok:\n            raise ValueError(f"no successful records for {key}")\n',
+        (
+            "tests/test_bench.py::TestComputeRatios::test_duplicate_is_reported_before_a_failed_instance",
+            "tests/test_cli.py::TestBenchmark::test_an_instance_without_a_successful_record_keeps_empty_ratios",
+        ),
     ),
     Mutant(
         "entry end-before-start check dropped",

@@ -472,15 +472,20 @@ class TestOverflowingExecutionTime:
         assert capsys.readouterr().err == f"invalid instance file: {self.MESSAGE}\n"
         assert not out.exists()
 
-    def test_an_overflowing_chain_cannot_be_scheduled(self, tmp_path, capsys):
+    @pytest.mark.parametrize("scheduler", [name for name, _ in enumerate_configs()])
+    def test_an_overflowing_chain_cannot_be_scheduled(self, tmp_path, capsys, scheduler):
         instance = self.write_chain(tmp_path / "instance.json", {"a": 1e308, "b": 1e308}, 1.0)
         out = tmp_path / "out.json"
-        # MCT ranks nothing; HEFT's upward rank of a overflows first
-        assert main(["schedule", "--instance", str(instance), "--scheduler", "MCT",
+        assert main(["schedule", "--instance", str(instance), "--scheduler", scheduler,
                      "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            "cannot schedule: entry for 'b' has a non-finite time: 1e+308 to inf\n"
-        )
+        # the 12 that rank nothing (AT without CP) fail where b is placed; in
+        # the other 60, a's upward rank overflows first
+        parts = scheduler.split("_")
+        if "AT" in parts and "CP" not in parts:
+            message = "entry for 'b' has a non-finite time: 1e+308 to inf"
+        else:
+            message = "upward rank of task 'a' is not finite: its path sum overflows"
+        assert capsys.readouterr().err == f"cannot schedule: {message}\n"
         assert not out.exists()
 
 
@@ -650,6 +655,37 @@ class TestBenchmark:
         assert code == 1
         assert "given more than once: HEFT" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_an_instance_without_a_successful_record_keeps_empty_ratios(
+        self, dataset_dir, tmp_path, capsys
+    ):
+        # every configuration overflows on the bad instance; benchmark used to exit 1
+        # with "no successful records for ('in_trees_ccr_1', 0)" and write nothing
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "manifest.json").write_text(json.dumps({"name": "in_trees_ccr_1", "count": 1}))
+        nodes = [{"id": "n0", "speed": 1.0}, {"id": "n1", "speed": 1.0}]
+        (bad / "instance_000.json").write_text(json.dumps({
+            "network": {"nodes": nodes, "links": [{"u": "n0", "v": "n1", "strength": 1.0}]},
+            "task_graph": {"tasks": [{"id": "a", "cost": 1e308}, {"id": "b", "cost": 1e308}],
+                           "deps": [{"src": "a", "dst": "b", "size": 1.0}]},
+        }))
+        out = tmp_path / "r.csv"
+        assert main(["benchmark", "--datasets", str(dataset_dir), str(bad),
+                     "--repeats", "1", "--out", str(out)]) == 0
+        assert capsys.readouterr() == (f"wrote 288 records to {out} (72 failures)\n", "")
+        rows = read_rows(out)
+        failed = [r for r in rows if r["dataset"] == "in_trees_ccr_1"]
+        assert len(rows) == 288 and len(failed) == 72
+        assert all(r["error"] and not (r["makespan"] or r["makespan_ratio"]) for r in failed)
+        assert all(not r["error"] and r["makespan_ratio"] for r in rows if r not in failed)
+        rewritten = tmp_path / "again.csv"
+        assert main(["analyze", "--results", str(out), "--mode", "ratios",
+                     "--out", str(rewritten)]) == 0
+        assert rewritten.read_bytes() == out.read_bytes()
+        for mode in ("effects", "pareto"):
+            assert main(["analyze", "--results", str(out), "--mode", mode,
+                         "--out", str(tmp_path / f"{mode}.csv")]) == 0
 
     @pytest.mark.parametrize("same_directory", [False, True])
     def test_repeated_dataset_name_rejected_before_the_sweep(
