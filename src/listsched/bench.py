@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Hashable, Iterable, Sequence
 
 from .datagen import Dataset, _split_dataset_name
-from .model import ProblemInstance, Schedule, _write_text, makespan
+from .model import ProblemInstance, Schedule, _slot_setters, _write_text, makespan
 from .scheduler import (
     SchedulerConfig,
     canonical_name,
@@ -72,7 +72,7 @@ CONFIG_PARAMETERS: dict[str, tuple[str, ...]] = {
 DERIVED_PARAMETERS = ("dataset_type", "ccr")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class BenchmarkRecord:
     dataset: str
     instance_index: int
@@ -81,14 +81,39 @@ class BenchmarkRecord:
     runtime_seconds: float
     error: str | None = None
 
+    def __init__(self, dataset: str, instance_index: int, scheduler: str, makespan: float,
+                 runtime_seconds: float, error: str | None = None) -> None:
+        _set_record_dataset(self, dataset)
+        _set_record_index(self, instance_index)
+        _set_record_scheduler(self, scheduler)
+        _set_makespan(self, makespan)
+        _set_runtime_seconds(self, runtime_seconds)
+        _set_error(self, error)
 
-@dataclass(frozen=True)
+
+(_set_record_dataset, _set_record_index, _set_record_scheduler, _set_makespan,
+ _set_runtime_seconds, _set_error) = _slot_setters(BenchmarkRecord)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class RatioRow:
     dataset: str
     instance_index: int
     scheduler: str
     makespan_ratio: float
     runtime_ratio: float
+
+    def __init__(self, dataset: str, instance_index: int, scheduler: str, makespan_ratio: float,
+                 runtime_ratio: float) -> None:
+        _set_ratio_dataset(self, dataset)
+        _set_ratio_index(self, instance_index)
+        _set_ratio_scheduler(self, scheduler)
+        _set_makespan_ratio(self, makespan_ratio)
+        _set_runtime_ratio(self, runtime_ratio)
+
+
+(_set_ratio_dataset, _set_ratio_index, _set_ratio_scheduler, _set_makespan_ratio,
+ _set_runtime_ratio) = _slot_setters(RatioRow)
 
 
 @dataclass(frozen=True)
@@ -227,8 +252,10 @@ def _group_means(rows: Sequence[RatioRow], keys: Iterable[Hashable]) -> dict:
 
 
 def mean_ratio_points(rows: Iterable[RatioRow]) -> list[tuple[str, float, float]]:
-    """Per-scheduler means of both ratios, sorted by scheduler name."""
+    """Per-scheduler means of both ratios, sorted by scheduler name; no rows is an error."""
     rows = list(rows)
+    if not rows:
+        raise ValueError("no ratio rows to analyze")
     means = _group_means(rows, [row.scheduler for row in rows])
     return [(name, *means[name]) for name in sorted(means)]
 

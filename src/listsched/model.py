@@ -20,7 +20,7 @@ import math
 import os
 import stat
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterator, Mapping
@@ -188,11 +188,21 @@ class ProblemInstance:
                              f"cost {cost[task]!r} over speed {speed[node]!r}")
 
 
-@dataclass(frozen=True, eq=True, slots=True)
+def _slot_setters(cls: type) -> tuple:
+    """The ``__set__`` of each field's slot, in field order, for a frozen slotted dataclass.
+
+    Its hand-written constructor writes through them, cheaper than the
+    generated one's ``object.__setattr__`` call per field.
+    """
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
+@dataclass(frozen=True, eq=True, slots=True, init=False)
 class ScheduleEntry:
     """One placed task: runs on ``node`` over [start, end].  Slotted, so no ``__dict__``.
 
-    The constructor rejects a negative start, an end before the start and a non-finite time.
+    The constructor rejects a negative start, an end before the start and a non-finite time,
+    then writes the four slots.
     """
 
     task: TaskId
@@ -200,14 +210,20 @@ class ScheduleEntry:
     start: float
     end: float
 
-    def __post_init__(self) -> None:
-        start, end = self.start, self.end
+    def __init__(self, task: TaskId, node: NodeId, start: float, end: float) -> None:
         if not 0 <= start <= end < math.inf:
             if start < 0:
-                raise ValueError(f"entry for {self.task!r} has negative start {start!r}")
+                raise ValueError(f"entry for {task!r} has negative start {start!r}")
             if end < start:
-                raise ValueError(f"entry for {self.task!r} ends before it starts")
-            raise ValueError(f"entry for {self.task!r} has a non-finite time: {start!r} to {end!r}")
+                raise ValueError(f"entry for {task!r} ends before it starts")
+            raise ValueError(f"entry for {task!r} has a non-finite time: {start!r} to {end!r}")
+        _set_task(self, task)
+        _set_node(self, node)
+        _set_start(self, start)
+        _set_end(self, end)
+
+
+_set_task, _set_node, _set_start, _set_end = _slot_setters(ScheduleEntry)
 
 
 @dataclass(frozen=True, eq=True)

@@ -52,6 +52,7 @@ ENTRY = (
     "tests/test_model.py::TestConstruction::test_entry_rejects_negative_duration",
 )
 ANALYZE = "tests/test_cli.py::TestAnalyze"
+RESULT_ROWS = "tests/test_bench.py::TestResultRows"
 READER_REFERENCE = "tests/test_cli.py::test_results_reader_equals_the_reference_reader"
 REFERENCE_RANKS = "tests/test_priority.py::TestReferenceRanks"
 LOADERS = "tests/test_model.py::test_instance_loader_equals_the_per_leaf_loader"
@@ -198,10 +199,31 @@ MUTANTS = [
     Mutant(
         "entry non-finite check dropped",
         MODEL,
-        '            raise ValueError(f"entry for {self.task!r} has a non-finite time: '
+        '            raise ValueError(f"entry for {task!r} has a non-finite time: '
         '{start!r} to {end!r}")\n',
         "",
         ENTRY,
+    ),
+    Mutant(
+        "entry start written as its end",
+        MODEL,
+        "        _set_start(self, start)\n",
+        "        _set_start(self, end)\n",
+        ENTRY,
+    ),
+    Mutant(
+        "ratio row makespan ratio written as the runtime ratio",
+        BENCH,
+        "        _set_makespan_ratio(self, makespan_ratio)\n",
+        "        _set_makespan_ratio(self, runtime_ratio)\n",
+        (RESULT_ROWS,),
+    ),
+    Mutant(
+        "benchmark record makespan written as the runtime",
+        BENCH,
+        "        _set_makespan(self, makespan)\n",
+        "        _set_makespan(self, runtime_seconds)\n",
+        (RESULT_ROWS,),
     ),
     Mutant(
         "results row-length rule dropped",
@@ -398,6 +420,17 @@ MUTANTS = [
         "                if new_svg:\n                    os.unlink(svg_path)\n",
         "",
         ("tests/test_cli.py::TestAnalyze::test_pareto_writes_no_file_unless_both_open",),
+    ),
+    Mutant(
+        "pareto over no ratio rows not raised",
+        BENCH,
+        '    if not rows:\n        raise ValueError("no ratio rows to analyze")\n    means',
+        "    means",
+        (
+            "tests/test_bench.py::TestMeanRatioPoints::test_no_rows_rejected",
+            "tests/test_cli.py::TestBenchmark::"
+            "test_results_without_a_successful_record_are_not_analyzed",
+        ),
     ),
     Mutant(
         "unknown analysis parameter not raised",

@@ -1,6 +1,9 @@
+import copy
 import csv
+import dataclasses
 import itertools
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -689,7 +692,80 @@ class TestCsv:
         assert "mean runtime ratio" in svg and "mean makespan ratio" in svg
 
 
+class TestResultRows:
+    """``ScheduleEntry``'s record contract, for the two result rows."""
+
+    ROWS = {
+        BenchmarkRecord: (
+            ("in_trees_ccr_1", 3, "HEFT", 2.5, 0.001, "boom"),
+            "BenchmarkRecord(dataset='in_trees_ccr_1', instance_index=3, scheduler='HEFT', "
+            "makespan=2.5, runtime_seconds=0.001, error='boom')",
+        ),
+        RatioRow: (
+            ("in_trees_ccr_1", 3, "HEFT", 1.25, 1.5),
+            "RatioRow(dataset='in_trees_ccr_1', instance_index=3, scheduler='HEFT', "
+            "makespan_ratio=1.25, runtime_ratio=1.5)",
+        ),
+    }
+    FIELDS = {
+        BenchmarkRecord: ["dataset", "instance_index", "scheduler", "makespan",
+                          "runtime_seconds", "error"],
+        RatioRow: ["dataset", "instance_index", "scheduler", "makespan_ratio", "runtime_ratio"],
+    }
+    row_types = pytest.mark.parametrize("row_type", [BenchmarkRecord, RatioRow],
+                                        ids=lambda t: t.__name__)
+
+    def row(self, row_type):
+        return row_type(*self.ROWS[row_type][0])
+
+    @row_types
+    def test_dataclass_behaviour(self, row_type):
+        values, text = self.ROWS[row_type]
+        row = self.row(row_type)
+        assert repr(row) == text
+        assert dataclasses.astuple(row) == values
+        assert [f.name for f in dataclasses.fields(row)] == self.FIELDS[row_type]
+        moved = dataclasses.replace(row, scheduler="MCT")
+        assert moved == row_type(*values[:2], "MCT", *values[3:])
+        assert copy.deepcopy(row) == row
+        assert pickle.loads(pickle.dumps(row)) == row
+
+    @row_types
+    def test_equal_and_hash_as_keyword_construction(self, row_type):
+        values, _ = self.ROWS[row_type]
+        keyword = row_type(**dict(zip(self.FIELDS[row_type], values)))
+        assert self.row(row_type) == keyword
+        assert hash(self.row(row_type)) == hash(keyword)
+        assert self.row(row_type) != row_type(*values[:3], 4.0, *values[4:])
+
+    def test_error_defaults_to_none(self):
+        values, _ = self.ROWS[BenchmarkRecord]
+        assert BenchmarkRecord(*values[:5]).error is None
+        assert BenchmarkRecord(*values[:5]) == BenchmarkRecord(*values[:5], None)
+        assert [f.default for f in dataclasses.fields(BenchmarkRecord)][-1] is None
+
+    @pytest.mark.parametrize("row_type, field", [
+        (row_type, name) for row_type, names in FIELDS.items() for name in names
+    ])
+    def test_assignment_is_refused(self, row_type, field):
+        row = self.row(row_type)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(row, field, 3.0)
+        assert row == self.row(row_type)
+
+    @pytest.mark.parametrize("row", [
+        BenchmarkRecord("d", 0, "A", 1.0, 0.001), RatioRow("d", 0, "A", 1.0, 1.0),
+        ScheduleEntry("a", "n0", 0.5, 1.25),
+    ], ids=lambda row: type(row).__name__)
+    def test_fields_are_slots(self, row):
+        assert not hasattr(row, "__dict__")
+
+
 class TestMeanRatioPoints:
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError, match="^no ratio rows to analyze$"):
+            mean_ratio_points([])
+
     def test_aggregation(self):
         rows = [
             ratio_row("A", 1.0, 2.0, idx=0),

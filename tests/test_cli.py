@@ -661,15 +661,7 @@ class TestBenchmark:
     ):
         # every configuration overflows on the bad instance; benchmark used to exit 1
         # with "no successful records for ('in_trees_ccr_1', 0)" and write nothing
-        bad = tmp_path / "bad"
-        bad.mkdir()
-        (bad / "manifest.json").write_text(json.dumps({"name": "in_trees_ccr_1", "count": 1}))
-        nodes = [{"id": "n0", "speed": 1.0}, {"id": "n1", "speed": 1.0}]
-        (bad / "instance_000.json").write_text(json.dumps({
-            "network": {"nodes": nodes, "links": [{"u": "n0", "v": "n1", "strength": 1.0}]},
-            "task_graph": {"tasks": [{"id": "a", "cost": 1e308}, {"id": "b", "cost": 1e308}],
-                           "deps": [{"src": "a", "dst": "b", "size": 1.0}]},
-        }))
+        bad = write_overflowing_chain_dataset(tmp_path / "bad")
         out = tmp_path / "r.csv"
         assert main(["benchmark", "--datasets", str(dataset_dir), str(bad),
                      "--repeats", "1", "--out", str(out)]) == 0
@@ -686,6 +678,25 @@ class TestBenchmark:
         for mode in ("effects", "pareto"):
             assert main(["analyze", "--results", str(out), "--mode", mode,
                          "--out", str(tmp_path / f"{mode}.csv")]) == 0
+
+    def test_results_without_a_successful_record_are_not_analyzed(self, tmp_path, capsys):
+        # pareto used to exit 0 with a header-only table and an empty plot
+        bad = write_overflowing_chain_dataset(tmp_path / "bad")
+        results = tmp_path / "r.csv"
+        assert main(["benchmark", "--datasets", str(bad), "--repeats", "1",
+                     "--out", str(results)]) == 0
+        assert capsys.readouterr() == (f"wrote 72 records to {results} (72 failures)\n", "")
+        rewritten = tmp_path / "again.csv"
+        assert main(["analyze", "--results", str(results), "--mode", "ratios",
+                     "--out", str(rewritten)]) == 0
+        assert capsys.readouterr() == (f"wrote {rewritten}\n", "")
+        assert rewritten.read_bytes() == results.read_bytes()
+        for mode in (["pareto"], ["effects"], ["interactions", "--params", "compare,ccr"]):
+            out = tmp_path / f"{mode[0]}.csv"
+            assert main(["analyze", "--results", str(results), "--mode", *mode,
+                         "--out", str(out)]) == 1
+            assert capsys.readouterr() == ("", "analysis failed: no ratio rows to analyze\n")
+            assert not out.exists() and not out.with_suffix(".svg").exists()
 
     @pytest.mark.parametrize("same_directory", [False, True])
     def test_repeated_dataset_name_rejected_before_the_sweep(
@@ -707,6 +718,19 @@ class TestBenchmark:
         assert err == (
             f"invalid dataset {other}: name 'chains_ccr_1' already belongs to {dataset_dir}\n")
         assert not out.exists()
+
+
+def write_overflowing_chain_dataset(directory):
+    """A one-instance dataset that every configuration fails on: a chain of two 1e308 tasks."""
+    directory.mkdir()
+    (directory / "manifest.json").write_text(json.dumps({"name": "in_trees_ccr_1", "count": 1}))
+    nodes = [{"id": "n0", "speed": 1.0}, {"id": "n1", "speed": 1.0}]
+    (directory / "instance_000.json").write_text(json.dumps({
+        "network": {"nodes": nodes, "links": [{"u": "n0", "v": "n1", "strength": 1.0}]},
+        "task_graph": {"tasks": [{"id": "a", "cost": 1e308}, {"id": "b", "cost": 1e308}],
+                       "deps": [{"src": "a", "dst": "b", "size": 1.0}]},
+    }))
+    return directory
 
 
 @pytest.fixture
@@ -1084,6 +1108,18 @@ class TestAnalyze:
                      "--mode", "ratios", "--out", str(out)]) == 0
         a, b = read_rows(results_csv), read_rows(out)
         assert [r["makespan_ratio"] for r in a] == [r["makespan_ratio"] for r in b]
+
+    def test_ratios_mode_writes_values_in_canonical_form(self, tmp_path):
+        # the parsed makespan and runtime go through repr again, so a cell
+        # that the writer would not have written comes back in its form
+        src = tmp_path / "hand.csv"
+        self.write_results(src, [["d", 0, "A", "2.50", "1e-3", "", "", ""],
+                                 ["d", 0, "B", "5", "0.0020", "", "", ""]])
+        out = tmp_path / "ratios.csv"
+        assert main(["analyze", "--results", str(src), "--mode", "ratios",
+                     "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1:] == [
+            "d,0,A,2.5,0.001,1.0,1.0,", "d,0,B,5.0,0.002,2.0,2.0,"]
 
 
 #: argv for the differential parse test: every command valid, with -h and
