@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Hashable, Iterable, Sequence
 
 from .datagen import Dataset, _split_dataset_name
-from .model import ProblemInstance, Schedule, _slot_setters, _write_text, makespan
+from .model import ProblemInstance, Schedule, _read_text, _slot_setters, _write_text, makespan
 from .scheduler import (
     SchedulerConfig,
     canonical_name,
@@ -383,7 +383,7 @@ def write_results_csv(
 
 
 def read_results_csv(path: str | Path) -> list[BenchmarkRecord]:
-    """Records of a results CSV; an error row's empty values load as NaN.
+    """Records of a results CSV, read as strict UTF-8; an error row's empty values load as NaN.
 
     The first row is the header, even when blank; with a repeated column
     name the last such column counts.  Blank rows are skipped.  Raises
@@ -395,46 +395,45 @@ def read_results_csv(path: str | Path) -> list[BenchmarkRecord]:
     """
     required = ("dataset", "instance", "scheduler", "makespan", "runtime_seconds")
     records = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh, strict=True)
-        try:
-            header = next(reader, [])
-            column = {name: i for i, name in enumerate(header)}
-            missing = [c for c in required if c not in column]
-            if missing:
-                raise ValueError(f"missing column(s): {', '.join(missing)}")
-            d, i, s, m, r = (column[c] for c in required)
-            e = column.get("error")
-            width = len(header)
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != width:
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""), strict=True)
+    try:
+        header = next(reader, [])
+        column = {name: i for i, name in enumerate(header)}
+        missing = [c for c in required if c not in column]
+        if missing:
+            raise ValueError(f"missing column(s): {', '.join(missing)}")
+        d, i, s, m, r = (column[c] for c in required)
+        e = column.get("error")
+        width = len(header)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != width:
+                raise ValueError(
+                    f"line {reader.line_num}: {len(row)} fields, the header has {width}"
+                )
+            try:
+                index = int(row[i])
+                span = float(row[m]) if row[m] else math.nan
+                runtime = float(row[r]) if row[r] else math.nan
+                numbers = row[m] + row[r]  # int and float also take '_' and non-ASCII digits
+                if not (row[i].isdigit() and (row[i] + numbers).isascii()) or "_" in numbers:
                     raise ValueError(
-                        f"line {reader.line_num}: {len(row)} fields, the header has {width}"
+                        f"instance {row[i]!r} must be ASCII digits, makespan {row[m]!r} "
+                        f"and runtime {row[r]!r} ASCII without '_'"
                     )
-                try:
-                    index = int(row[i])
-                    span = float(row[m]) if row[m] else math.nan
-                    runtime = float(row[r]) if row[r] else math.nan
-                    numbers = row[m] + row[r]  # int and float also take '_' and non-ASCII digits
-                    if not (row[i].isdigit() and (row[i] + numbers).isascii()) or "_" in numbers:
-                        raise ValueError(
-                            f"instance {row[i]!r} must be ASCII digits, makespan {row[m]!r} "
-                            f"and runtime {row[r]!r} ASCII without '_'"
-                        )
-                except ValueError as exc:
-                    raise ValueError(f"line {reader.line_num}: {exc}") from None
-                error = (row[e] or None) if e is not None else None
-                if error is None and not (0 <= span < math.inf and 0 <= runtime < math.inf):
-                    raise ValueError(
-                        f"line {reader.line_num} ({row[d]}, {row[i]}, {row[s]}) has no error "
-                        f"but makespan {row[m]!r} and runtime {row[r]!r}; "
-                        "both must be finite and >= 0"
-                    )
-                records.append(BenchmarkRecord(row[d], index, row[s], span, runtime, error))
-        except csv.Error as exc:
-            raise ValueError(f"line {reader.line_num}: {exc}") from None
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num}: {exc}") from None
+            error = (row[e] or None) if e is not None else None
+            if error is None and not (0 <= span < math.inf and 0 <= runtime < math.inf):
+                raise ValueError(
+                    f"line {reader.line_num} ({row[d]}, {row[i]}, {row[s]}) has no error "
+                    f"but makespan {row[m]!r} and runtime {row[r]!r}; "
+                    "both must be finite and >= 0"
+                )
+            records.append(BenchmarkRecord(row[d], index, row[s], span, runtime, error))
+    except csv.Error as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
     return records
 
 
@@ -443,17 +442,12 @@ def write_table_csv(path: str | Path, row_type: type, rows: Iterable[object]) ->
 
     ``csv`` writes a float as its ``repr`` and a bool as ``True``/``False``.
     """
-    _write_text(path, _table_text(row_type, rows))
-
-
-def _table_text(row_type: type, rows: Iterable[object]) -> str:
-    """The text :func:`write_table_csv` writes."""
     buffer = io.StringIO(newline="")
     writer = csv.writer(buffer)
     names = [field.name for field in fields(row_type)]
     writer.writerow(names)
     writer.writerows([getattr(row, name) for name in names] for row in rows)
-    return buffer.getvalue()
+    _write_text(path, buffer.getvalue())
 
 
 def pareto_svg(points: Sequence[ParetoPoint]) -> str:
@@ -499,13 +493,13 @@ def pareto_svg(points: Sequence[ParetoPoint]) -> str:
     for p in sorted(points, key=lambda p: p.scheduler):
         color = "steelblue" if p.pareto_optimal else "lightcoral"
         cx, cy = sx(p.mean_runtime_ratio), sy(p.mean_makespan_ratio)
+        # xml.sax.saxutils.escape, whose module imports urllib.request on load
+        name = p.scheduler.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(
             f'<circle cx="{cx:.1f}" cy="{cy:.1f}" r="4" fill="{color}">'
-            f"<title>{p.scheduler}</title></circle>"
+            f"<title>{name}</title></circle>"
         )
         if p.pareto_optimal:
-            parts.append(
-                f'<text x="{cx + 6:.1f}" y="{cy - 6:.1f}" font-size="9">{p.scheduler}</text>'
-            )
+            parts.append(f'<text x="{cx + 6:.1f}" y="{cy - 6:.1f}" font-size="9">{name}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

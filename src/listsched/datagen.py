@@ -227,6 +227,8 @@ def load_dataset(dir_path: str | Path) -> Dataset:
     manifest = json.loads(_read_text(path / "manifest.json"))
     with _json_shape("manifest"):
         name, count = _id(manifest["name"]), _count(manifest["count"])
+    if any("\ud800" <= c <= "\udfff" for c in name):  # the results file is UTF-8
+        raise ValueError(f"manifest name {name!r} holds a surrogate, which UTF-8 cannot encode")
     # a set, since instance_1000 sorts before instance_101; the sizes are
     # compared first so a huge count builds no name set
     found = {p.name for p in path.glob("instance_*.json")}

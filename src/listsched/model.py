@@ -386,15 +386,16 @@ def validate_schedule(instance: ProblemInstance, schedule: Schedule) -> list[Vio
 #   {"entries": [{"task", "node", "start", "end"}...]}
 #
 # One reader (_read_text) reads every input file, one writer (_write_text)
-# every output file.  A leaf that is not a str id or a float goes through one
-# parser: an id is a JSON string (integer ids are rejected), a number a JSON
-# int or float (not a bool, not quoted), a count a JSON int >= 1.  A missing
-# key or a leaf or container of the wrong type is a ``ValueError`` naming the
-# part; constructors check value ranges.  Floats are written with repr, the
-# shortest decimal that parses back to the same double, so files round-trip
-# losslessly and regenerate byte-identically.  Files are written from templates
-# whose bytes equal ``json.dumps(layout, indent=2)`` and a newline;
-# ``tests/reference.py`` holds the layouts as dicts and per-leaf loaders.
+# every output file, both as UTF-8 whatever the locale.  A leaf that is not
+# a str id or a float goes through one parser: an id is a JSON string
+# (integer ids are rejected), a number a JSON int or float (not a bool, not
+# quoted), a count a JSON int >= 1.  A missing key or a leaf or container of
+# the wrong type is a ``ValueError`` naming the part; constructors check
+# value ranges.  Floats are written with repr, the shortest decimal that
+# parses back to the same double, so files round-trip losslessly and
+# regenerate byte-identically.  Files are written from templates whose bytes
+# equal ``json.dumps(layout, indent=2)`` and a newline; ``tests/reference.py``
+# holds the layouts as dicts and per-leaf loaders.
 # ---------------------------------------------------------------------------
 
 
@@ -490,23 +491,24 @@ def _open_output(path: str | Path) -> int:
     return os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
 
 
-def _write_text(path: str | Path | int, text: str) -> None:
-    """Overwrite ``path`` (or the descriptor from :func:`_open_output`) with ``text`` in place.
+def _write_text(path: str | Path, text: str) -> None:
+    """Overwrite ``path`` with ``text`` as UTF-8, in place, whatever the locale.
 
-    Every output file is written here.  The open has no ``O_TRUNC``:
-    truncating a 3 KB file to zero and rewriting it cost 110-200 us on
-    ext4, which flushes such a file on close; an in-place overwrite, 8-23 us.
-    Like ``open(path, "w")`` it follows a symlink, keeps hard links and the
-    file's mode, and raises the same ``OSError``.  The file is then cut to
-    the new length, but only when it is regular (``ftruncate`` fails on
-    ``/dev/null`` and on a pipe) and was longer than ``len(text)``, a lower
-    bound on the bytes written: a new or shorter file needs no cut.
+    Every output file is written here.  The text is encoded before the
+    open, so a text that UTF-8 cannot encode changes or creates no file.
+    The open has no ``O_TRUNC``: truncating a 3 KB file to zero and
+    rewriting it cost 110-200 us on ext4, which flushes such a file on
+    close; an in-place overwrite, 8-23 us.  Like ``open(path, "w")`` it
+    follows a symlink, keeps hard links and the file's mode, and raises
+    the same ``OSError``.  The file is then cut to ``len(data)``, but only
+    when it is regular (``ftruncate`` fails on ``/dev/null`` and on a
+    pipe) and was longer: a new or shorter file needs no cut.
     """
-    fd = path if type(path) is int else _open_output(path)
-    old = os.fstat(fd)
-    with open(fd, "w", newline="") as fh:
-        fh.write(text)
-        if stat.S_ISREG(old.st_mode) and old.st_size > len(text):
+    data = text.encode("utf-8")
+    with open(_open_output(path), "wb") as fh:  # its writes loop until every byte is out
+        old = os.fstat(fh.fileno())
+        fh.write(data)
+        if stat.S_ISREG(old.st_mode) and old.st_size > len(data):
             fh.truncate()
 
 

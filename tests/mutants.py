@@ -59,6 +59,7 @@ LOADERS = "tests/test_model.py::test_instance_loader_equals_the_per_leaf_loader"
 LOADERS_PAIRS = (
     "tests/test_model.py::test_every_pair_of_instance_faults_reports_as_the_per_leaf_loader"
 )
+ASCII_LOCALE = "tests/test_cli.py::test_files_are_utf8_under_an_ascii_locale"
 OVERWRITE = (
     "tests/test_model.py::test_a_longer_file_is_overwritten_with_the_bytes_of_a_fresh_write",
     "tests/test_bench.py::TestCsv::test_a_longer_file_is_overwritten_with_the_bytes_of_a_fresh_write",
@@ -228,11 +229,11 @@ MUTANTS = [
     Mutant(
         "results row-length rule dropped",
         BENCH,
-        "                if len(row) != width:\n"
-        "                    raise ValueError(\n"
-        '                        f"line {reader.line_num}: {len(row)} fields, '
+        "            if len(row) != width:\n"
+        "                raise ValueError(\n"
+        '                    f"line {reader.line_num}: {len(row)} fields, '
         'the header has {width}"\n'
-        "                    )\n",
+        "                )\n",
         "",
         (ANALYZE,),
     ),
@@ -294,14 +295,14 @@ MUTANTS = [
     Mutant(
         "results reader not strict",
         BENCH,
-        "csv.reader(fh, strict=True)",
-        "csv.reader(fh)",
+        'newline=""), strict=True)',
+        'newline=""))',
         (ANALYZE,),
     ),
     Mutant(
         "results blank-row skip dropped",
         BENCH,
-        "                if not row:\n                    continue\n",
+        "            if not row:\n                continue\n",
         "",
         (ANALYZE, READER_REFERENCE),
     ),
@@ -388,7 +389,10 @@ MUTANTS = [
         MODEL,
         'fh.read().decode("utf-8")',
         'fh.read().decode("latin-1")',
-        ("tests/test_cli.py::TestInputFile",),
+        (
+            "tests/test_cli.py::TestInputFile",
+            "tests/test_cli.py::TestAnalyze::test_a_results_file_that_is_not_utf8_is_a_domain_error",
+        ),
     ),
     Mutant(
         "link ends parsed before the node dedupe",
@@ -410,7 +414,7 @@ MUTANTS = [
     Mutant(
         "every output cut, a pipe or /dev/null too",
         MODEL,
-        "if stat.S_ISREG(old.st_mode) and old.st_size > len(text):",
+        "if stat.S_ISREG(old.st_mode) and old.st_size > len(data):",
         "if True:",
         ("tests/test_cli.py::TestOutputFile",),
     ),
@@ -420,6 +424,44 @@ MUTANTS = [
         "                if new_svg:\n                    os.unlink(svg_path)\n",
         "",
         ("tests/test_cli.py::TestAnalyze::test_pareto_writes_no_file_unless_both_open",),
+    ),
+    Mutant(
+        "output encoded after the open",
+        MODEL,
+        '    data = text.encode("utf-8")\n'
+        '    with open(_open_output(path), "wb") as fh:  # its writes loop until every byte is out\n',
+        '    with open(_open_output(path), "wb") as fh:\n'
+        '        data = text.encode("utf-8")\n',
+        ("tests/test_model.py::test_a_text_utf8_cannot_encode_writes_no_file",),
+    ),
+    Mutant(
+        "output encoded in the locale's codec",
+        MODEL,
+        'data = text.encode("utf-8")',
+        'data = text.encode(__import__("locale").getpreferredencoding(False))',
+        (ASCII_LOCALE,),
+    ),
+    Mutant(
+        "results file read in the locale's codec",
+        BENCH,
+        'io.StringIO(_read_text(path), newline="")',
+        'open(path, newline="")',
+        (ASCII_LOCALE,),
+    ),
+    Mutant(
+        "manifest name that UTF-8 cannot encode accepted",
+        DATAGEN,
+        '    if any("\\ud800" <= c <= "\\udfff" for c in name):  # the results file is UTF-8\n'
+        '        raise ValueError(f"manifest name {name!r} holds a surrogate, which UTF-8 cannot encode")\n',
+        "",
+        ("tests/test_cli.py::TestBenchmark::test_manifest_name_utf8_cannot_encode_is_domain_error",),
+    ),
+    Mutant(
+        "plot names written unescaped",
+        BENCH,
+        'name = p.scheduler.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")',
+        "name = p.scheduler",
+        ("tests/test_bench.py::TestCsv::test_svg_escapes_scheduler_names",),
     ),
     Mutant(
         "pareto over no ratio rows not raised",

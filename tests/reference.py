@@ -294,7 +294,7 @@ def reference_schedule(instance, config):
 def reference_read_results_csv(path):
     """Records of a results CSV, read by column name; rows must have the header's length."""
     records = []
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         required = ("dataset", "instance", "scheduler", "makespan", "runtime_seconds")
         try:
@@ -340,7 +340,7 @@ def reference_read_results_csv(path):
 
 def reference_write_table_csv(path, row_type, rows):
     """An analysis table written from ``dataclasses.astuple`` rows."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(field.name for field in dataclasses.fields(row_type))
         writer.writerows(dataclasses.astuple(row) for row in rows)

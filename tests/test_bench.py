@@ -5,6 +5,7 @@ import itertools
 import math
 import pickle
 from dataclasses import replace
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -690,6 +691,15 @@ class TestCsv:
         assert svg.startswith("<svg")
         assert svg.count("<circle") == 3
         assert "mean runtime ratio" in svg and "mean makespan ratio" in svg
+
+    def test_svg_escapes_scheduler_names(self):
+        # a raw '&' or '<' used to make the plot ill-formed XML
+        points = pareto_front([("A&B<x>", 1.0, 2.0), ("C>D", 2.0, 1.0)])
+        root = ElementTree.fromstring(pareto_svg(points))
+        titles = [e.text for e in root.iter("{http://www.w3.org/2000/svg}title")]
+        labels = [e.text for e in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert titles == ["A&B<x>", "C>D"]
+        assert labels[-2:] == ["A&B<x>", "C>D"]
 
 
 class TestResultRows:

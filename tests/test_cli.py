@@ -591,6 +591,23 @@ class TestBenchmark:
         assert err.startswith(f"invalid dataset {dataset_dir}: wrong JSON shape in manifest: ")
         assert err.count("\n") == 1
 
+    def test_manifest_name_utf8_cannot_encode_is_domain_error(
+        self, dataset_dir, tmp_path, capsys
+    ):
+        # a lone surrogate is valid JSON; it used to escape from the results
+        # writer as a UnicodeEncodeError and leave an empty results file
+        manifest = dataset_dir / "manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()),
+                                        "name": "x\ud800_ccr_1"}))
+        out = tmp_path / "x.csv"
+        code = main(["benchmark", "--datasets", str(dataset_dir),
+                     "--schedulers", "HEFT", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"invalid dataset {dataset_dir}: manifest name 'x\\ud800_ccr_1' holds a "
+            "surrogate, which UTF-8 cannot encode\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("count", [5, 1], ids=["count above files", "count below files"])
     def test_manifest_count_must_match_the_files(self, dataset_dir, tmp_path, capsys, count):
         # 5 used to end in an IO error naming instance_003.json (exit 2);
@@ -789,10 +806,21 @@ class TestAnalyze:
         assert "minimum runtime is 0" in capsys.readouterr().err
 
     def write_results(self, path, rows, header=RESULTS_HEADER):
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(rows)
+
+    def test_a_results_file_that_is_not_utf8_is_a_domain_error(self, tmp_path, capsys):
+        # the scheduler cell holds the byte 0xff, which latin-1 would read as a valid name
+        src, out = tmp_path / "latin1.csv", tmp_path / "x.csv"
+        src.write_bytes(",".join(RESULTS_HEADER).encode() + b"\r\nd,0,A\xff,1.0,0.001,,,\r\n")
+        assert main(["analyze", "--results", str(src), "--mode", "ratios",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", (
+            "invalid results file: 'utf-8' codec can't decode byte 0xff in position "
+            f"{src.read_bytes().index(0xff)}: invalid start byte\n"))
+        assert not out.exists()
 
     def test_empty_makespan_is_domain_error(self, tmp_path, capsys):
         # an empty makespan without an error used to load as NaN and
@@ -1338,6 +1366,43 @@ class TestEntryPoint:
         assert result.returncode == 2 and result.stdout == ""
         assert result.stderr.startswith("usage: listsched [-h]")
         assert "the following arguments are required: command" in result.stderr
+
+
+#: an ASCII locale: no coercion to C.UTF-8 and no UTF-8 mode
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+def test_files_are_utf8_under_an_ascii_locale(dataset_dir, tmp_path):
+    # under this locale, benchmark used to stop with a UnicodeEncodeError
+    # traceback, and analyze to reject a results file written under UTF-8
+    manifest = dataset_dir / "manifest.json"
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()),
+                                    "name": "donn\u00e9es_ccr_1"}))
+
+    def run(env, *argv):
+        result = subprocess.run([sys.executable, *argv], capture_output=True, timeout=120,
+                                env={**os.environ, "PYTHONPATH": str(ROOT / "src"), **env})
+        assert (result.returncode, result.stderr) == (0, b"")
+        return result.stdout
+
+    assert run(ASCII_LOCALE, "-c", "import locale; print(locale.getpreferredencoding(False))"
+               ) == b"ANSI_X3.4-1968\n"
+    for name, env in (("own", {}), ("ascii", ASCII_LOCALE)):
+        run(env, "-m", "listsched.cli", "benchmark", "--datasets", str(dataset_dir),
+            "--schedulers", "HEFT,MCT", "--repeats", "1", "--out", str(tmp_path / f"{name}.csv"))
+        # both read the results file written under the suite's own locale
+        run(env, "-m", "listsched.cli", "analyze", "--results", str(tmp_path / "own.csv"),
+            "--mode", "pareto", "--out", str(tmp_path / f"{name}-pareto.csv"))
+
+    def makespans(name):  # runtimes are wall-clock, so only the makespan columns compare
+        rows = csv.DictReader(io.StringIO((tmp_path / name).read_bytes().decode("utf-8")))
+        return [(r["dataset"], r["instance"], r["scheduler"], r["makespan"]) for r in rows]
+
+    assert makespans("ascii.csv") == makespans("own.csv")
+    assert {row[0] for row in makespans("ascii.csv")} == {"donn\u00e9es_ccr_1"}
+    for output in ("pareto.csv", "pareto.svg"):
+        ascii_bytes = (tmp_path / f"ascii-{output}").read_bytes()
+        assert ascii_bytes == (tmp_path / f"own-{output}").read_bytes()
 
 
 class TestListSchedulers:

@@ -28,6 +28,7 @@ from listsched import (
 from listsched.cli import main
 from listsched.datagen import GenParams, GraphKind, gen_dataset, save_dataset
 from listsched.model import (
+    _write_text,
     instance_from_dict,
     load_instance,
     load_schedule,
@@ -38,6 +39,7 @@ from listsched.model import (
 )
 
 from conftest import (
+    LONGER_FILE,
     MALFORMED_CASES,
     WRONG_SHAPE_INSTANCES,
     WRONG_SHAPE_SCHEDULES,
@@ -673,6 +675,23 @@ def save_a_dataset(path):
 def test_a_longer_file_is_overwritten_with_the_bytes_of_a_fresh_write(tmp_path, name, write):
     fresh, overwritten = fresh_and_overwritten(tmp_path, write, name)
     assert overwritten == fresh
+
+
+def test_output_is_utf8_whatever_the_locale(tmp_path):
+    path = tmp_path / "s.json"
+    _write_text(path, '"donn\u00e9es \U0001f600"')
+    assert path.read_bytes() == '"donn\u00e9es \U0001f600"'.encode("utf-8")
+
+
+@pytest.mark.parametrize("existing", [None, LONGER_FILE], ids=["new path", "existing file"])
+def test_a_text_utf8_cannot_encode_writes_no_file(tmp_path, existing):
+    # the file used to be opened before the text was encoded, leaving a new file empty
+    path = tmp_path / "s.json"
+    if existing is not None:
+        path.write_bytes(existing)
+    with pytest.raises(UnicodeEncodeError):
+        _write_text(path, '{"name": "x\ud800"}')
+    assert [p.read_bytes() for p in tmp_path.iterdir()] == [existing] * (existing is not None)
 
 
 #: any string id: quotes, backslashes, control, non-ASCII and astral characters
